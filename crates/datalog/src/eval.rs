@@ -35,6 +35,7 @@ use crate::term::{Subst, TermId, TermStore};
 use rescue_telemetry::profile::{ProfileReport, RuleStat};
 use rescue_telemetry::{Absorb, Collector};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -528,9 +529,10 @@ pub fn seminaive_from_traced_opts(
 
 /// [`seminaive_from_traced_opts`] with an explicit [`EvalCache`]: compiled
 /// plans and the worker pool are reused across calls instead of being
-/// rebuilt per fixpoint. This is the entry point for callers that run many
-/// small fixpoints over one program — a distributed peer absorbing message
-/// batches, or any driver resuming the same program repeatedly.
+/// rebuilt per fixpoint. The program is still fingerprinted on every call
+/// (that is what keeps a stale cache unobservable); a caller that resumes
+/// one fixed program many times should own an [`EvalSession`], which
+/// fingerprints once.
 #[allow(clippy::too_many_arguments)]
 pub fn seminaive_from_cached(
     prog: &Program,
@@ -546,19 +548,48 @@ pub fn seminaive_from_cached(
         return Err(EvalError::NegationRequiresStratification);
     }
     fixpoint_cached(
-        prog, store, db, budget, true, 0, watermarks, None, options, collector, cache,
+        prog,
+        ProgramKey::of(prog),
+        store,
+        db,
+        budget,
+        true,
+        0,
+        watermarks,
+        None,
+        options,
+        collector,
+        cache,
     )
+}
+
+/// What the plan cache knows a program by. Computing it walks every rule,
+/// so a caller that owns its program and never mutates it ([`EvalSession`])
+/// computes it once; the by-reference entry points recompute it on every
+/// call, which is what makes a stale hit impossible for them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct ProgramKey {
+    /// [`Program::fingerprint`] — covers every rule structurally.
+    fingerprint: u64,
+    /// Non-fact rule count, belt and braces against a fingerprint
+    /// collision across genuinely different programs.
+    n_rules: usize,
+}
+
+impl ProgramKey {
+    fn of(prog: &Program) -> Self {
+        ProgramKey {
+            fingerprint: prog.fingerprint(),
+            n_rules: prog.rules.iter().filter(|r| !r.is_fact()).count(),
+        }
+    }
 }
 
 /// The cache key of one compiled program: recompilation is needed exactly
 /// when any component changes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct PlanKey {
-    /// [`Program::fingerprint`] — covers every rule structurally.
-    fingerprint: u64,
-    /// Non-fact rule count, belt and braces against a fingerprint
-    /// collision across genuinely different programs.
-    n_rules: usize,
+    program: ProgramKey,
     order: JoinOrder,
     sip_filters: bool,
     /// Δ-pass variants exist only for semi-naive runs.
@@ -570,6 +601,20 @@ struct PlanKey {
 /// can be replayed verbatim by every later fixpoint over the same program.
 struct CompiledProgram {
     key: PlanKey,
+    /// Positions of the non-fact rules in `Program::rules`; every other
+    /// per-rule vector here is parallel to this one.
+    rule_ids: Vec<usize>,
+    /// [`Program::predicates`] — a predicate's position is its dense id,
+    /// which is how the round loop addresses relation lengths.
+    preds: Vec<PredId>,
+    /// Dense id of each rule's head predicate.
+    head_pids: Vec<u32>,
+    /// Dense ids of each rule's body predicates, by body position.
+    body_pids: Vec<Vec<u32>>,
+    /// `delta_deps[pred]`: every `(rule, body position)` where `pred`
+    /// occurs positively, ascending — the Δ-passes a round owes when
+    /// `pred` grew, found without walking the rules that do not read it.
+    delta_deps: Vec<Vec<(u32, u32)>>,
     /// Full plans, one per non-fact rule (used by naive evaluation and as
     /// the source of each rule's index needs).
     plans: Vec<RulePlan>,
@@ -603,16 +648,18 @@ struct CompiledProgram {
 
 /// Session-scoped evaluation state that outlives a single fixpoint: the
 /// compiled-plan cache and the persistent worker pool. An
-/// [`EvalSession`] owns one across resumes; one-shot entry points create a
-/// transient cache per call (amortizing the pool across that fixpoint's
-/// rounds); distributed peers hold one per peer and pass it to
-/// [`seminaive_from_cached`] on every message batch.
+/// [`EvalSession`] owns one across resumes (a distributed peer holds a
+/// session, so one per peer across its message batches); one-shot entry
+/// points create a transient cache per call (amortizing the pool across
+/// that fixpoint's rounds); [`seminaive_from_cached`] takes the caller's.
 ///
-/// Invalidation is by key, not by hand: every fixpoint recomputes the
-/// [`PlanKey`] from the program fingerprint and options and recompiles on
-/// any mismatch, so a stale cache is impossible to observe. Deferred-fact
-/// replay and budget changes never invalidate — plans depend only on the
-/// rules and the compile options, never on the data.
+/// Invalidation is by key, not by hand: every fixpoint compares the
+/// [`PlanKey`] of its program and options against the cached one and
+/// recompiles on any mismatch, and every entry point that takes the
+/// program by reference re-derives the program's part of the key on each
+/// call, so a stale cache is impossible to observe. Deferred-fact replay
+/// and budget changes never invalidate — plans depend only on the rules
+/// and the compile options, never on the data.
 #[derive(Default)]
 pub struct EvalCache {
     compiled: Option<CompiledProgram>,
@@ -671,6 +718,12 @@ fn pool_for<'p>(
 ///   the larger bound.
 pub struct EvalSession {
     prog: Program,
+    /// `prog`'s plan-cache identity. The session owns its program and
+    /// never mutates it, so this is computed once, not per resume.
+    program_key: ProgramKey,
+    /// `prog.has_negation()`, also computed once: every resume of such a
+    /// session is refused.
+    has_negation: bool,
     db: Database,
     budget: EvalBudget,
     watermarks: FxHashMap<PredId, usize>,
@@ -703,10 +756,20 @@ impl EvalSession {
         store: &mut TermStore,
         budget: EvalBudget,
     ) -> Result<Self, EvalError> {
-        if prog.has_negation() {
-            return Err(EvalError::NegationRequiresStratification);
-        }
-        let mut session = EvalSession {
+        let mut session = Self::idle(prog, budget);
+        session.resume(store, [])?;
+        Ok(session)
+    }
+
+    /// A session for `prog` that has not evaluated anything yet: the first
+    /// [`resume`](Self::resume) performs the initial saturation (and
+    /// reports a program with negation). For owners that configure the
+    /// session — collector, options — before its first fixpoint, as a
+    /// distributed peer does.
+    pub fn idle(prog: Program, budget: EvalBudget) -> Self {
+        EvalSession {
+            program_key: ProgramKey::of(&prog),
+            has_negation: prog.has_negation(),
             prog,
             db: Database::new(),
             budget,
@@ -717,9 +780,7 @@ impl EvalSession {
             collector: Collector::disabled(),
             options: EvalOptions::default(),
             cache: EvalCache::default(),
-        };
-        session.resume(store, [])?;
-        Ok(session)
+        }
     }
 
     /// Route every subsequent fixpoint's spans and counters to `collector`.
@@ -733,6 +794,13 @@ impl EvalSession {
     /// count actually changed.
     pub fn set_threads(&mut self, threads: usize) {
         self.options.threads = threads;
+    }
+
+    /// Replace the execution options of every subsequent fixpoint. A change
+    /// to a plan-shaping option recompiles on the next resume (the cache
+    /// is keyed on them); the derived model is identical either way.
+    pub fn set_options(&mut self, options: EvalOptions) {
+        self.options = options;
     }
 
     /// Enable or disable the session's compiled-plan cache (see
@@ -752,8 +820,8 @@ impl EvalSession {
     }
 
     /// Aggregate statistics over every fixpoint this session has run.
-    pub fn total_stats(&self) -> EvalStats {
-        self.total.clone()
+    pub fn total_stats(&self) -> &EvalStats {
+        &self.total
     }
 
     /// Number of derived heads currently suppressed by the depth bound.
@@ -804,6 +872,9 @@ impl EvalSession {
         store: &mut TermStore,
         new_facts: impl IntoIterator<Item = (PredId, Box<[TermId]>)>,
     ) -> Result<EvalStats, EvalError> {
+        if self.has_negation {
+            return Err(EvalError::NegationRequiresStratification);
+        }
         self.queue.extend(new_facts);
         for (pred, row) in self.queue.drain(..) {
             // Duplicates insert nothing, so they never trip the budget.
@@ -818,6 +889,7 @@ impl EvalSession {
         }
         let stats = fixpoint_cached(
             &self.prog,
+            self.program_key,
             store,
             &mut self.db,
             &self.budget,
@@ -1023,16 +1095,26 @@ fn fixpoint(
     options: &EvalOptions,
     collector: &Collector,
 ) -> Result<EvalStats, EvalError> {
-    let mut cache = EvalCache::default();
     fixpoint_cached(
-        prog, store, db, budget, semi, stratum, watermarks, deferred, options, collector,
-        &mut cache,
+        prog,
+        ProgramKey::of(prog),
+        store,
+        db,
+        budget,
+        semi,
+        stratum,
+        watermarks,
+        deferred,
+        options,
+        collector,
+        &mut EvalCache::default(),
     )
 }
 
 #[allow(clippy::too_many_arguments)]
 fn fixpoint_cached(
     prog: &Program,
+    program_key: ProgramKey,
     store: &mut TermStore,
     db: &mut Database,
     budget: &EvalBudget,
@@ -1065,21 +1147,41 @@ fn fixpoint_cached(
         }
     }
 
-    let rules: Vec<&Rule> = prog.rules.iter().filter(|r| !r.is_fact()).collect();
     let sip = options.sip_filters;
     let key = PlanKey {
-        fingerprint: prog.fingerprint(),
-        n_rules: rules.len(),
+        program: program_key,
         order,
         sip_filters: sip,
         semi,
     };
     // Compile on a cache miss only. A hit replays the previous fixpoint's
-    // plans, sharing signatures, head-variable maps and index needs
-    // verbatim — all of them pure functions of (rules, order, sip, semi),
-    // which is exactly what the key covers.
+    // rule list, predicate ids, plans, sharing signatures, head-variable
+    // maps and index needs verbatim — all of them pure functions of
+    // (rules, order, sip, semi), which is exactly what the key covers, so
+    // nothing on the hit path walks the program.
     let hit = options.plan_cache && cache.compiled.as_ref().is_some_and(|c| c.key == key);
     if !hit {
+        let (rule_ids, rules): (Vec<usize>, Vec<&Rule>) = prog
+            .rules
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !r.is_fact())
+            .unzip();
+        let preds: Vec<PredId> = prog.predicates().into_iter().map(|(p, _)| p).collect();
+        let pid: FxHashMap<PredId, u32> = preds.iter().zip(0u32..).map(|(&p, i)| (p, i)).collect();
+        let head_pids: Vec<u32> = rules.iter().map(|r| pid[&r.head.pred]).collect();
+        let body_pids: Vec<Vec<u32>> = rules
+            .iter()
+            .map(|r| r.body.iter().map(|a| pid[&a.pred]).collect())
+            .collect();
+        // Negated atoms reference lower strata, which do not grow during
+        // this fixpoint — never a delta.
+        let mut delta_deps: Vec<Vec<(u32, u32)>> = vec![Vec::new(); preds.len()];
+        for (r, rule) in rules.iter().enumerate() {
+            for (j, atom) in rule.body.iter().enumerate().filter(|(_, a)| !a.negated) {
+                delta_deps[pid[&atom.pred] as usize].push((r as u32, j as u32));
+            }
+        }
         // Each rule gets a full plan (used by naive evaluation) plus, for
         // semi-naive, one Δ-pass variant per positive body position — the
         // delta atom is the smallest window of its pass, so the planned
@@ -1144,6 +1246,11 @@ fn fixpoint_cached(
         let head_vars: Vec<Vec<Sym>> = rules.iter().map(|r| r.head.vars(store)).collect();
         cache.compiled = Some(CompiledProgram {
             key,
+            rule_ids,
+            preds,
+            head_pids,
+            body_pids,
+            delta_deps,
             plans,
             delta_plans,
             plan_metas,
@@ -1158,24 +1265,22 @@ fn fixpoint_cached(
     // Telemetry labels are formatted once per *compile* (lazily, on the
     // first traced fixpoint), never inside the round loop — a disabled
     // collector costs one branch per call site.
+    let compiled = cache.compiled.as_mut().expect("compiled above");
+    let head_label = |i: usize| {
+        let head = &prog.rules[i].head.pred;
+        format!(
+            "{}@{}",
+            store.sym_str(head.name),
+            store.sym_str(head.peer.0)
+        )
+    };
     let traced = collector.is_enabled();
-    if traced
-        && cache
-            .compiled
-            .as_ref()
-            .is_some_and(|c| c.rule_labels.is_none())
-    {
-        let labels: Vec<String> = rules
+    if traced && compiled.rule_labels.is_none() {
+        let labels = compiled
+            .rule_ids
             .iter()
-            .map(|r| {
-                format!(
-                    "rule {}@{}",
-                    store.sym_str(r.head.pred.name),
-                    store.sym_str(r.head.pred.peer.0)
-                )
-            })
-            .collect();
-        cache.compiled.as_mut().expect("compiled above").rule_labels = Some(labels);
+            .map(|&i| format!("rule {}", head_label(i)));
+        compiled.rule_labels = Some(labels.collect());
     }
     // Exact per-rule attribution: collected only when the collector can
     // observe it AND the options ask for it, into a per-(rule, variant)
@@ -1185,29 +1290,10 @@ fn fixpoint_cached(
     // the event ring overflows, and deterministic in everything but wall
     // time.
     let profiling = traced && options.profile;
-    if profiling
-        && cache
-            .compiled
-            .as_ref()
-            .is_some_and(|c| c.profile_labels.is_none())
-    {
-        let labels: Vec<String> = rules
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                format!(
-                    "{}@{}#{}",
-                    store.sym_str(r.head.pred.name),
-                    store.sym_str(r.head.pred.peer.0),
-                    i
-                )
-            })
-            .collect();
-        cache
-            .compiled
-            .as_mut()
-            .expect("compiled above")
-            .profile_labels = Some(labels);
+    if profiling && compiled.profile_labels.is_none() {
+        let labels = compiled.rule_ids.iter().enumerate();
+        let labels = labels.map(|(idx, &i)| format!("{}#{idx}", head_label(i)));
+        compiled.profile_labels = Some(labels.collect());
     }
     let mut prof: FxHashMap<ProfKey, RuleAcc> = FxHashMap::default();
     if profiling && stats.facts_derived > 0 {
@@ -1242,7 +1328,7 @@ fn fixpoint_cached(
     }
     let mut fix_span = traced.then(|| {
         let mut sp = collector.span("fixpoint", "eval");
-        sp.arg("rules", rules.len() as u64);
+        sp.arg("rules", compiled.rule_ids.len() as u64);
         sp
     });
     let mut scratch = JoinScratch::new();
@@ -1253,15 +1339,28 @@ fn fixpoint_cached(
     let mut pool_rounds = 0usize;
     let mut pool_jobs = 0usize;
     let mut pool_sharded = 0usize;
-    let preds = prog.predicates();
-    // Lengths of every relation at the end of the previous round; the delta
-    // of a relation in round k is the slice grown during round k-1. Rows
-    // below a starting watermark were saturated by an earlier call and act
-    // as "old" from the start.
-    let mut prev_len: FxHashMap<PredId, usize> = preds
-        .iter()
-        .map(|(p, _)| (*p, watermarks.get(p).copied().unwrap_or(0)))
+    let rule_at = |idx: usize| &prog.rules[compiled.rule_ids[idx]];
+    // Relation lengths by dense predicate id. `prev_len` is where the
+    // previous round's snapshot ended, `start_len` where this round's
+    // does; the delta of a relation in round k is the slice grown during
+    // round k-1. Rows below a starting watermark were saturated by an
+    // earlier call and act as "old" from the start. The two vectors differ
+    // exactly on `delta`, and after the first round only the heads that
+    // derived something (`grown`) are re-counted — a round's bookkeeping
+    // is proportional to what the previous round changed.
+    let preds = &compiled.preds;
+    let watermark = |p: &PredId| watermarks.get(p).copied().unwrap_or(0);
+    let mut prev_len: Vec<usize> = preds.iter().map(watermark).collect();
+    let mut start_len: Vec<usize> = preds.iter().map(|&p| db.count(p)).collect();
+    let mut delta: Vec<u32> = (0..preds.len())
+        .filter(|&p| prev_len[p] != start_len[p])
+        .map(|p| p as u32)
         .collect();
+    let mut grown: Vec<u32> = Vec::new();
+    // Every predicate that was a delta in some round: the watermarks to
+    // advance once the fixpoint is reached.
+    let mut advanced: Vec<u32> = Vec::new();
+    let mut delta_sites: Vec<(u32, u32)> = Vec::new();
 
     loop {
         if stats.iterations >= budget.max_iterations {
@@ -1282,63 +1381,58 @@ fn fixpoint_cached(
         // That is the whole determinism argument — enumerate-then-merge
         // (in any pass interleaving) equals the old enumerate-and-insert
         // engine match for match.
-        let start_len: FxHashMap<PredId, usize> =
-            prev_len.keys().map(|&p| (p, db.count(p))).collect();
         let mut derived_this_round = 0usize;
 
         // Phase 1 — the round's passes, with frozen windows.
         let mut passes: Vec<Pass> = Vec::new();
-        for (rule_idx, (rule, plan)) in rules.iter().zip(plans.iter()).enumerate() {
-            let n = rule.body.len();
-            if semi {
-                // Δ-rewriting: one pass per body position j with
-                //   positions < j  -> old  = [0, prev_len)
-                //   position  j    -> Δ    = [prev_len, start_len)
-                //   positions > j  -> new  = [0, start_len)
-                for (j, dplan) in delta_plans[rule_idx].iter().enumerate() {
-                    if rule.body[j].negated {
-                        // Negated atoms reference lower strata, which do
-                        // not grow during this fixpoint — never a delta.
-                        continue;
-                    }
-                    let pred_j = rule.body[j].pred;
-                    let d_lo = prev_len.get(&pred_j).copied().unwrap_or(0);
-                    let d_hi = start_len.get(&pred_j).copied().unwrap_or(0);
-                    if d_lo == d_hi {
-                        continue; // empty delta, nothing new through this position
-                    }
-                    let ranges: Vec<(usize, usize)> = (0..n)
-                        .map(|i| {
-                            let p = rule.body[i].pred;
-                            let hi = start_len.get(&p).copied().unwrap_or(0);
-                            if i < j {
-                                (0, prev_len.get(&p).copied().unwrap_or(0))
-                            } else if i == j {
-                                (d_lo, d_hi)
-                            } else {
-                                (0, hi)
-                            }
-                        })
-                        .collect();
-                    passes.push(Pass {
-                        rule_idx,
-                        plan: dplan.as_ref().expect("delta position is positive"),
-                        delta: Some((j, d_hi - d_lo)),
-                        ranges,
-                        metas: delta_metas[rule_idx][j]
-                            .as_deref()
-                            .expect("delta position is positive"),
-                    });
-                }
-            } else {
-                let ranges: Vec<(usize, usize)> = (0..n)
-                    .map(|i| (0, start_len.get(&rule.body[i].pred).copied().unwrap_or(0)))
+        if semi {
+            // Δ-rewriting: one pass per rule and positive body position j
+            // whose predicate grew, with
+            //   positions < j  -> old  = [0, prev_len)
+            //   position  j    -> Δ    = [prev_len, start_len)
+            //   positions > j  -> new  = [0, start_len)
+            // The sites come from the grown predicates' dependency lists,
+            // sorted back into (rule, position) order — the order a walk
+            // over every rule and position would have produced them in.
+            delta_sites.clear();
+            for &p in &delta {
+                delta_sites.extend_from_slice(&compiled.delta_deps[p as usize]);
+            }
+            delta_sites.sort_unstable();
+            for &(rule_idx, j) in &delta_sites {
+                let (rule_idx, j) = (rule_idx as usize, j as usize);
+                let body = &compiled.body_pids[rule_idx];
+                let ranges: Vec<(usize, usize)> = body
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &p)| match i.cmp(&j) {
+                        Ordering::Less => (0, prev_len[p as usize]),
+                        Ordering::Equal => (prev_len[p as usize], start_len[p as usize]),
+                        Ordering::Greater => (0, start_len[p as usize]),
+                    })
                     .collect();
+                passes.push(Pass {
+                    rule_idx,
+                    plan: delta_plans[rule_idx][j]
+                        .as_ref()
+                        .expect("delta position is positive"),
+                    delta: Some((j, ranges[j].1 - ranges[j].0)),
+                    ranges,
+                    metas: delta_metas[rule_idx][j]
+                        .as_deref()
+                        .expect("delta position is positive"),
+                });
+            }
+            #[cfg(debug_assertions)]
+            assert_full_walk_agrees(&passes, prog, compiled, &prev_len, db);
+        } else {
+            for (rule_idx, plan) in plans.iter().enumerate() {
+                let body = &compiled.body_pids[rule_idx];
                 passes.push(Pass {
                     rule_idx,
                     plan,
                     delta: None,
-                    ranges,
+                    ranges: body.iter().map(|&p| (0, start_len[p as usize])).collect(),
                     metas: &plan_metas[rule_idx],
                 });
             }
@@ -1354,7 +1448,7 @@ fn fixpoint_cached(
         let shared_passes: Vec<SharedPass> = passes
             .iter()
             .map(|p| SharedPass {
-                rule: rules[p.rule_idx],
+                rule: rule_at(p.rule_idx),
                 plan: p.plan,
                 head_vars: &head_vars[p.rule_idx],
                 ranges: &p.ranges,
@@ -1531,7 +1625,7 @@ fn fixpoint_cached(
             match unit.kind {
                 UnitKind::Solo(p) => {
                     let pass = &passes[p];
-                    let rule = rules[pass.rule_idx];
+                    let rule = rule_at(pass.rule_idx);
                     let mut pass_span = traced.then(|| {
                         let mut sp = collector.span(rule_labels[pass.rule_idx].clone(), "eval");
                         sp.arg("plan", plan_label(pass));
@@ -1572,6 +1666,9 @@ fn fixpoint_cached(
                         acc.sip += unit_sip;
                         acc.wall += unit_wall;
                     }
+                    if produced > 0 {
+                        grown.push(compiled.head_pids[pass.rule_idx]);
+                    }
                     derived_this_round += produced;
                 }
                 UnitKind::Group(gi) => {
@@ -1585,7 +1682,7 @@ fn fixpoint_cached(
                     let mut group_produced = 0usize;
                     for (slot, &p) in g.members.iter().enumerate() {
                         let pass = &passes[p];
-                        let rule = rules[pass.rule_idx];
+                        let rule = rule_at(pass.rule_idx);
                         let mut pass_span = traced.then(|| {
                             let mut sp = collector.span(rule_labels[pass.rule_idx].clone(), "eval");
                             sp.arg("plan", format!("{} shared", plan_label(pass)));
@@ -1629,6 +1726,9 @@ fn fixpoint_cached(
                                 acc.wall += unit_wall;
                             }
                         }
+                        if produced > 0 {
+                            grown.push(compiled.head_pids[pass.rule_idx]);
+                        }
                         group_produced += produced;
                     }
                     if let Some(sp) = group_span.as_mut() {
@@ -1660,10 +1760,21 @@ fn fixpoint_cached(
                 ],
             );
         }
-        prev_len = start_len;
+        // This round's deltas are old from now on; the heads that derived
+        // something are the next round's deltas.
+        for &p in &delta {
+            prev_len[p as usize] = start_len[p as usize];
+        }
+        advanced.append(&mut delta);
+        grown.sort_unstable();
+        grown.dedup();
+        for &p in &grown {
+            start_len[p as usize] = db.count(preds[p as usize]);
+        }
+        std::mem::swap(&mut delta, &mut grown);
         if derived_this_round == 0 {
-            for (p, len) in prev_len {
-                watermarks.insert(p, len);
+            for p in advanced {
+                watermarks.insert(preds[p as usize], prev_len[p as usize]);
             }
             if let Some(sp) = fix_span.as_mut() {
                 sp.arg("rounds", stats.iterations as u64);
@@ -1726,6 +1837,46 @@ fn fixpoint_cached(
             return Ok(stats);
         }
     }
+}
+
+/// The scheduler the dependency index replaced, kept as the debug-build
+/// oracle: walk every rule × positive body position, count each relation
+/// afresh, keep the positions whose Δ-window is non-empty, and require the
+/// round's delta-driven `passes` to be exactly those — same rule, same
+/// Δ-position, same ranges, same order.
+#[cfg(debug_assertions)]
+fn assert_full_walk_agrees(
+    passes: &[Pass<'_>],
+    prog: &Program,
+    compiled: &CompiledProgram,
+    prev_len: &[usize],
+    db: &Database,
+) {
+    let old: FxHashMap<PredId, usize> = compiled
+        .preds
+        .iter()
+        .copied()
+        .zip(prev_len.iter().copied())
+        .collect();
+    let mut scheduled = passes.iter();
+    for (rule_idx, &i) in compiled.rule_ids.iter().enumerate() {
+        let body = &prog.rules[i].body;
+        for j in (0..body.len()).filter(|&j| !body[j].negated) {
+            if old[&body[j].pred] == db.count(body[j].pred) {
+                continue;
+            }
+            let window = |(i, atom): (usize, &Atom)| match i.cmp(&j) {
+                Ordering::Less => (0, old[&atom.pred]),
+                Ordering::Equal => (old[&atom.pred], db.count(atom.pred)),
+                Ordering::Greater => (0, db.count(atom.pred)),
+            };
+            let ranges: Vec<(usize, usize)> = body.iter().enumerate().map(window).collect();
+            let got = scheduled.next().map(|p| (p.rule_idx, p.delta, &p.ranges));
+            let rows = ranges[j].1 - ranges[j].0;
+            assert_eq!(got, Some((rule_idx, Some((j, rows)), &ranges)));
+        }
+    }
+    assert!(scheduled.next().is_none(), "a pass without a grown delta");
 }
 
 /// Stratified semi-naive evaluation: the program's predicate dependency

@@ -309,18 +309,18 @@ pub fn diagnose_dqsq(
     let mut events: FxHashSet<String> = FxHashSet::default();
     let mut conditions: FxHashSet<String> = FxHashSet::default();
     for peer in &out.run.peers {
-        for (name, rows) in peer.owned_facts() {
+        // Only the node-id column of each relation is read, so only that
+        // column is exported.
+        for (name, _) in peer.owned_counts() {
             if name.starts_with("in_") || name.starts_with("sup_") {
                 continue;
             }
-            if is_event_relation(&name) && name.contains("__") {
-                for row in &rows {
-                    events.insert(exported_display(&row[1]));
-                }
-            } else if is_condition_relation(&name) && name.contains("__") {
-                for row in &rows {
-                    conditions.insert(exported_display(&row[0]));
-                }
+            if is_event_relation(name) && name.contains("__") {
+                let ids = peer.owned_column(name, 1);
+                events.extend(ids.iter().map(exported_display));
+            } else if is_condition_relation(name) && name.contains("__") {
+                let ids = peer.owned_column(name, 0);
+                conditions.extend(ids.iter().map(exported_display));
             }
         }
     }

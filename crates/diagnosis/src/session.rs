@@ -383,7 +383,7 @@ impl DiagnosisSession {
 
     /// Aggregate engine counters over every resume so far.
     pub fn total_stats(&self) -> EvalStats {
-        self.eval.total_stats()
+        self.eval.total_stats().clone()
     }
 
     /// Distinct unfolding event nodes materialized so far (the Theorem 4

@@ -18,12 +18,12 @@
 
 use crate::export::{export_rule, import_rule, ExportedRule};
 use rescue_datalog::{
-    seminaive_from_cached, Database, EvalBudget, EvalCache, EvalError, EvalOptions, EvalStats,
-    ExportedTerm, Peer, PredId, Program, TermStore,
+    EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats, ExportedTerm, Peer, PredId,
+    Program, Relation, TermId, TermStore,
 };
 use rescue_net::sim::{SimConfig, SimNet};
 use rescue_net::{NetError, NetStats, NodeId, Outbox, PeerLogic};
-use rescue_telemetry::{merged, Absorb, Collector};
+use rescue_telemetry::{merged, Collector};
 use rustc_hash::FxHashMap;
 use std::fmt;
 
@@ -91,34 +91,29 @@ impl From<NetError> for DistError {
     }
 }
 
+fn export_row(store: &TermStore, row: &[TermId]) -> Vec<ExportedTerm> {
+    row.iter().map(|&t| store.export(t)).collect()
+}
+
 /// One peer of the distributed evaluation.
 pub struct EvalPeer {
     name: String,
     directory: FxHashMap<String, NodeId>,
     store: TermStore,
-    db: Database,
-    program: Program,
+    /// The peer's resumable local fixpoint: its rules, database, saturation
+    /// watermarks, accumulated statistics, compiled plans and worker pool.
+    /// It is the object an online `DiagnosisSession` resumes per alarm; a
+    /// peer resumes it per tuple batch, so the two share one resume path
+    /// whose cost follows the batch, not the program.
+    session: EvalSession,
     /// `(relation name, owner peer)` pairs this peer reads remotely.
     remote_deps: Vec<(String, String)>,
     subscribers: FxHashMap<PredId, Vec<NodeId>>,
     watermarks: FxHashMap<(PredId, NodeId), usize>,
-    /// Saturation watermarks for incremental local evaluation: rows below
-    /// them are already closed under the local rules.
-    eval_marks: FxHashMap<PredId, usize>,
-    budget: EvalBudget,
-    stats: EvalStats,
     error: Option<EvalError>,
     /// Tuple batches this peer sent (for experiment reporting).
     tuples_sent: u64,
     collector: Collector,
-    /// Engine options for this peer's local fixpoints. Peers already run
-    /// on separate transport threads; with `eval.threads > 1` each peer's
-    /// own fixpoint additionally fans out onto a worker pool.
-    eval: EvalOptions,
-    /// Compiled plans + worker pool, reused across the fixpoint this peer
-    /// re-runs for every tuple batch — the program never changes between
-    /// batches, so each re-run is a guaranteed cache hit.
-    eval_cache: EvalCache,
 }
 
 impl EvalPeer {
@@ -149,33 +144,30 @@ impl EvalPeer {
             name: name.to_owned(),
             directory,
             store,
-            db: Database::new(),
-            program,
+            session: EvalSession::idle(program, budget),
             remote_deps,
             subscribers: FxHashMap::default(),
             watermarks: FxHashMap::default(),
-            eval_marks: FxHashMap::default(),
-            budget,
-            stats: EvalStats::default(),
             error: None,
             tuples_sent: 0,
             collector: Collector::disabled(),
-            eval: EvalOptions::default(),
-            eval_cache: EvalCache::new(),
         }
     }
 
     /// Record this peer's local fixpoints (as `fixpoint@<name>` spans with
     /// the engine's rounds nested beneath) into `collector`.
     pub fn set_collector(&mut self, collector: Collector) {
+        self.session.set_collector(collector.clone());
         self.collector = collector;
     }
 
     /// Set the engine options (worker threads, join order) for this
     /// peer's local fixpoints. A pure performance knob: the distributed
-    /// fixpoint is byte-identical at any setting.
+    /// fixpoint is byte-identical at any setting. Peers already run on
+    /// separate transport threads; with `eval.threads > 1` each peer's own
+    /// fixpoint additionally fans out onto a worker pool.
     pub fn set_eval_options(&mut self, eval: EvalOptions) {
-        self.eval = eval;
+        self.session.set_options(eval);
     }
 
     /// This peer's name.
@@ -189,8 +181,8 @@ impl EvalPeer {
     }
 
     /// Accumulated local evaluation statistics.
-    pub fn stats(&self) -> EvalStats {
-        self.stats.clone()
+    pub fn stats(&self) -> &EvalStats {
+        self.session.total_stats()
     }
 
     pub fn tuples_sent(&self) -> u64 {
@@ -212,21 +204,11 @@ impl EvalPeer {
             self.collector
                 .span(format!("fixpoint@{}", self.name), "dqsq")
         });
-        match seminaive_from_cached(
-            &self.program,
-            &mut self.store,
-            &mut self.db,
-            &self.budget,
-            &mut self.eval_marks,
-            &self.collector,
-            &self.eval,
-            &mut self.eval_cache,
-        ) {
+        match self.session.resume(&mut self.store, []) {
             Ok(s) => {
                 if let Some(sp) = peer_span.as_mut() {
                     sp.arg("facts_derived", s.facts_derived as u64);
                 }
-                self.stats.absorb(&s);
             }
             Err(e) => self.error = Some(e),
         }
@@ -244,18 +226,19 @@ impl EvalPeer {
     }
 
     fn flush_one(&mut self, pred: PredId, node: NodeId, out: &mut Outbox<DMsg>) {
-        let len = self.db.count(pred);
+        let len = self.session.database().count(pred);
         let wm = self.watermarks.entry((pred, node)).or_insert(0);
         if *wm >= len {
             return;
         }
         let rows: Vec<Vec<ExportedTerm>> = self
-            .db
+            .session
+            .database()
             .relation(pred)
             .expect("nonzero count implies relation")
             .rows()[*wm..len]
             .iter()
-            .map(|r| r.iter().map(|&t| self.store.export(t)).collect())
+            .map(|r| export_row(&self.store, r))
             .collect();
         *wm = len;
         self.tuples_sent += rows.len() as u64;
@@ -269,55 +252,67 @@ impl EvalPeer {
         );
     }
 
-    /// Rows of `name@peer` currently stored at this peer, exported.
-    pub fn facts_of(&self, name: &str, peer: &str) -> Vec<Vec<ExportedTerm>> {
-        let Some(n) = self.store.sym_get(name) else {
-            return Vec::new();
-        };
-        let Some(p) = self.store.sym_get(peer) else {
-            return Vec::new();
-        };
+    /// The stored relation `name@peer`, if this peer has any row of it.
+    fn relation(&self, name: &str, peer: &str) -> Option<&Relation> {
         let pred = PredId {
-            name: n,
-            peer: Peer(p),
+            name: self.store.sym_get(name)?,
+            peer: Peer(self.store.sym_get(peer)?),
         };
-        match self.db.relation(pred) {
-            None => Vec::new(),
-            Some(rel) => rel
-                .rows()
-                .iter()
-                .map(|r| r.iter().map(|&t| self.store.export(t)).collect())
-                .collect(),
-        }
+        self.session.database().relation(pred)
     }
 
-    /// Facts of relations this peer *owns* (peer column == this peer),
-    /// as `(name, rows)` pairs. Cached copies of remote relations are
-    /// excluded — they are the owner's facts, shipped here.
+    /// Rows of `name@peer` currently stored at this peer, exported.
+    pub fn facts_of(&self, name: &str, peer: &str) -> Vec<Vec<ExportedTerm>> {
+        self.relation(name, peer).map_or(Vec::new(), |rel| {
+            let rows = rel.rows().iter();
+            rows.map(|r| export_row(&self.store, r)).collect()
+        })
+    }
+
+    /// The relations this peer *owns* (peer column == this peer), in
+    /// predicate order. Cached copies of remote relations are excluded —
+    /// they are the owner's facts, shipped here.
+    fn owned(&self) -> impl Iterator<Item = (&str, &Relation)> {
+        let db = self.session.database();
+        db.predicates()
+            .into_iter()
+            .filter(|pred| self.store.sym_str(pred.peer.0) == self.name)
+            .map(move |pred| {
+                let rel = db.relation(pred).expect("listed predicate exists");
+                (self.store.sym_str(pred.name), rel)
+            })
+    }
+
+    /// Facts of the relations this peer owns, as `(name, rows)` pairs.
     pub fn owned_facts(&self) -> Vec<(String, Vec<Vec<ExportedTerm>>)> {
-        let mut outv = Vec::new();
-        for pred in self.db.predicates() {
-            if self.store.sym_str(pred.peer.0) == self.name {
-                let rows = self
-                    .db
-                    .relation(pred)
-                    .expect("listed predicate exists")
-                    .rows()
-                    .iter()
-                    .map(|r| r.iter().map(|&t| self.store.export(t)).collect())
-                    .collect();
-                outv.push((self.store.sym_str(pred.name).to_owned(), rows));
-            }
-        }
-        outv
+        self.owned()
+            .map(|(name, _)| (name.to_owned(), self.facts_of(name, &self.name)))
+            .collect()
+    }
+
+    /// `(name, row count)` of the relations this peer owns: what
+    /// [`owned_facts`](Self::owned_facts) would list, without exporting a
+    /// single term.
+    pub fn owned_counts(&self) -> Vec<(&str, usize)> {
+        self.owned().map(|(name, rel)| (name, rel.len())).collect()
+    }
+
+    /// Column `col` of the owned relation `name`, exported row by row
+    /// (empty when this peer owns no such relation).
+    pub fn owned_column(&self, name: &str, col: usize) -> Vec<ExportedTerm> {
+        self.relation(name, &self.name).map_or(Vec::new(), |rel| {
+            let rows = rel.rows().iter();
+            rows.map(|r| self.store.export(r[col])).collect()
+        })
     }
 
     /// Number of facts this peer owns / caches.
     pub fn fact_counts(&self) -> (usize, usize) {
         let mut owned = 0;
         let mut cached = 0;
-        for pred in self.db.predicates() {
-            let n = self.db.count(pred);
+        let db = self.session.database();
+        for pred in db.predicates() {
+            let n = db.count(pred);
             if self.store.sym_str(pred.peer.0) == self.name {
                 owned += n;
             } else {
@@ -362,9 +357,11 @@ impl PeerLogic<DMsg> for EvalPeer {
                 let pred = self.pred(&name, &peer);
                 let mut any_new = false;
                 for row in rows {
-                    let ids: Box<[rescue_datalog::TermId]> =
-                        row.iter().map(|t| self.store.import(t)).collect();
-                    any_new |= self.db.insert(pred, ids);
+                    let ids: Box<[TermId]> = row.iter().map(|t| self.store.import(t)).collect();
+                    if !self.session.database().contains(pred, &ids) {
+                        any_new = true;
+                        self.session.push_fact(pred, ids);
+                    }
                 }
                 if any_new {
                     self.run_local_fixpoint();
@@ -441,7 +438,7 @@ impl DistRun {
 
     /// Aggregate local-engine statistics over all peers.
     pub fn total_stats(&self) -> EvalStats {
-        merged(self.peers.iter().map(|p| &p.stats))
+        merged(self.peers.iter().map(|p| p.stats()))
     }
 
     /// Dashboard rows from the per-peer recordings (empty unless the run

@@ -81,12 +81,12 @@ impl DistMaterialized {
 pub fn dist_breakdown(run: &DistRun) -> DistMaterialized {
     let mut m = DistMaterialized::default();
     for peer in &run.peers {
-        for (name, rows) in peer.owned_facts() {
-            match classify_name(&name) {
-                RelKind::Adorned => m.adorned += rows.len(),
-                RelKind::Supplementary => m.sup += rows.len(),
-                RelKind::Input => m.input += rows.len(),
-                RelKind::Base => m.base += rows.len(),
+        for (name, rows) in peer.owned_counts() {
+            match classify_name(name) {
+                RelKind::Adorned => m.adorned += rows,
+                RelKind::Supplementary => m.sup += rows,
+                RelKind::Input => m.input += rows,
+                RelKind::Base => m.base += rows,
             }
         }
     }

@@ -1,0 +1,134 @@
+//! One dQSQ run of a three-peer telecom diagnosis on both transports.
+//!
+//! The simulator is deterministic, so its merged engine counters, network
+//! counters and per-peer fact counts are pinned to the values the engine
+//! produced before the peers moved onto `EvalSession` and the round loop
+//! onto the dependency index: that refactor may change how a resume is
+//! scheduled, never what it computes. The threaded transport delivers the
+//! same tuples in batches cut by the OS scheduler, so its message and
+//! round counts vary from run to run; what it must reproduce is every
+//! peer's model, and the counters that depend on the model alone.
+
+use rescue_datalog::{Atom, EvalBudget, EvalOptions, EvalStats, Program, Rule, TermStore};
+use rescue_diagnosis::{diagnosis_program, AlarmSeq};
+use rescue_dqsq::{run_distributed, run_distributed_threaded, DistOptions, DistRun};
+use rescue_net::NetStats;
+use rescue_petri::{random_net, random_run, NetConfig};
+use rescue_qsq::{rewrite_with, split_edb_facts, SupPlacement};
+
+/// The distributed program `diagnose_dqsq` runs for a seeded telecom net
+/// (3 peers, plus the supervisor) and 4 alarms.
+fn telecom_dqsq_program(store: &mut TermStore) -> Program {
+    let net = random_net(&NetConfig {
+        seed: 7,
+        ..NetConfig::default()
+    });
+    let run = random_run(&net, 7, 4).unwrap();
+    let alarms = AlarmSeq::from_run(&net, &run);
+    assert_eq!(alarms.len(), 4);
+    let dp = diagnosis_program(&net, &alarms, "supervisor", store);
+    let (rules, edb) = split_edb_facts(&dp.program);
+    let rw = rewrite_with(&rules, &dp.query, store, SupPlacement::AtomPeer).unwrap();
+    let mut dist = rw.program.clone();
+    for (pred, row) in edb {
+        dist.push(Rule::fact(Atom::new(pred, row.to_vec())));
+    }
+    dist.push(Rule::fact(Atom::new(rw.seed_pred, rw.seed_row.to_vec())));
+    dist
+}
+
+/// Every peer's owned relations, rows sorted, plus its (owned, cached)
+/// fact counts.
+type Models = Vec<(String, Vec<(String, Vec<String>)>, (usize, usize))>;
+
+fn models(run: &DistRun) -> Models {
+    run.peers
+        .iter()
+        .map(|p| {
+            let mut rels: Vec<(String, Vec<String>)> = p
+                .owned_facts()
+                .into_iter()
+                .map(|(name, rows)| {
+                    let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+                    rows.sort();
+                    (name, rows)
+                })
+                .collect();
+            rels.sort();
+            (p.name().to_owned(), rels, p.fact_counts())
+        })
+        .collect()
+}
+
+fn sim(dist: &Program, store: &TermStore, threads: usize) -> DistRun {
+    let opts = DistOptions {
+        eval: EvalOptions::with_threads(threads),
+        ..DistOptions::default()
+    };
+    run_distributed(dist, store, &opts).unwrap()
+}
+
+#[test]
+fn sim_counters_are_pinned_and_threaded_reproduces_every_peer_model() {
+    let mut store = TermStore::new();
+    let dist = telecom_dqsq_program(&mut store);
+
+    let run = sim(&dist, &store, 1);
+    let pinned = EvalStats {
+        iterations: 1301,
+        facts_derived: 2354,
+        duplicate_derivations: 1711,
+        rule_firings: 4044,
+        depth_skipped: 0,
+        index_probes: 3677,
+        candidates_scanned: 4928,
+        plan_reorders: 80436,
+        sip_filtered: 0,
+        subplans_shared: 1467,
+        plans_compiled: 2823,
+        per_rule: Vec::new(),
+    };
+    assert_eq!(run.total_stats().with_walls_zeroed(), pinned);
+    let pinned_net = NetStats {
+        messages: 555,
+        bytes: 91475,
+        sim_steps: 555,
+        events_processed: 0,
+    };
+    assert_eq!(run.net, pinned_net);
+    let reference = models(&run);
+    let counts: Vec<(&str, (usize, usize))> = reference
+        .iter()
+        .map(|(name, _, counts)| (name.as_str(), *counts))
+        .collect();
+    let pinned_counts = [
+        ("p0", (379, 260)),
+        ("p1", (171, 218)),
+        ("p2", (94, 184)),
+        ("supervisor", (1710, 285)),
+    ];
+    assert_eq!(counts, pinned_counts);
+
+    // Engine threads are invisible on the simulator, to the last counter.
+    let wide = sim(&dist, &store, 4);
+    assert_eq!(wide.total_stats().with_walls_zeroed(), pinned);
+    assert_eq!(wide.net, pinned_net);
+    assert_eq!(models(&wide), reference);
+
+    // Real threads: the same models. Each peer still enumerates every
+    // combination of body facts exactly once however its input was
+    // batched, so firings, derivations and duplicates are the model's too.
+    let threaded = run_distributed_threaded(&dist, &store, EvalBudget::default()).unwrap();
+    assert_eq!(models(&threaded), reference);
+    let t = threaded.total_stats();
+    assert_eq!(
+        (t.facts_derived, t.rule_firings, t.duplicate_derivations),
+        (
+            pinned.facts_derived,
+            pinned.rule_firings,
+            pinned.duplicate_derivations
+        )
+    );
+    assert_eq!(t.plans_compiled, pinned.plans_compiled);
+    assert!(threaded.net.messages > 0 && threaded.net.sim_steps == 0);
+}
