@@ -24,7 +24,7 @@
 //! model, provenance stamps, and every `EvalStats` counter are
 //! byte-identical across thread counts (DESIGN.md §10).
 
-use crate::database::{ColMask, Database};
+use crate::database::{ColMask, Database, Inserted};
 use crate::language::{Atom, PredId, Program, Rule};
 use crate::parallel::{run_job, Job, JobOutput, PassOutput, WorkerPool};
 use crate::plan::{
@@ -877,15 +877,14 @@ impl EvalSession {
         }
         self.queue.extend(new_facts);
         for (pred, row) in self.queue.drain(..) {
-            // Duplicates insert nothing, so they never trip the budget.
-            if self.db.total_facts() >= self.budget.max_facts && !self.db.contains(pred, &row) {
+            // Rows land above the watermark, so they are the initial
+            // deltas of the run below. Duplicates insert nothing, so they
+            // never trip the budget.
+            if self.db.insert_within(pred, &row, self.budget.max_facts) == Inserted::OverBudget {
                 return Err(EvalError::FactBudgetExceeded {
                     limit: self.budget.max_facts,
                 });
             }
-            // Rows land above the watermark, so they are the initial
-            // deltas of the run below.
-            self.db.insert(pred, row);
         }
         let stats = fixpoint_cached(
             &self.prog,
@@ -1130,20 +1129,17 @@ fn fixpoint_cached(
     let threads = options.threads.max(1);
     let mut stats = EvalStats::default();
     // Facts of the program itself seed the database.
-    let mut pending: Vec<(PredId, Box<[TermId]>)> = Vec::new();
     for rule in prog.rules.iter().filter(|r| r.is_fact()) {
         debug_assert!(rule.head.is_ground(store), "facts must be ground");
-        pending.push((rule.head.pred, rule.head.args.clone().into_boxed_slice()));
-    }
-    for (pred, row) in pending {
         // Duplicates insert nothing, so they never trip the budget.
-        if db.total_facts() >= budget.max_facts && !db.contains(pred, &row) {
-            return Err(EvalError::FactBudgetExceeded {
-                limit: budget.max_facts,
-            });
-        }
-        if db.insert(pred, row) {
-            stats.facts_derived += 1;
+        match db.insert_within(rule.head.pred, &rule.head.args, budget.max_facts) {
+            Inserted::New => stats.facts_derived += 1,
+            Inserted::Duplicate => {}
+            Inserted::OverBudget => {
+                return Err(EvalError::FactBudgetExceeded {
+                    limit: budget.max_facts,
+                });
+            }
         }
     }
 
@@ -1411,11 +1407,18 @@ fn fixpoint_cached(
                         Ordering::Greater => (0, start_len[p as usize]),
                     })
                     .collect();
+                let plan = delta_plans[rule_idx][j]
+                    .as_ref()
+                    .expect("delta position is positive");
+                // A join over an empty window has no matches: `execute`
+                // would return before touching any counter, so the pass is
+                // not worth a unit, a job and a merge.
+                if plan.has_empty_window(&ranges) {
+                    continue;
+                }
                 passes.push(Pass {
                     rule_idx,
-                    plan: delta_plans[rule_idx][j]
-                        .as_ref()
-                        .expect("delta position is positive"),
+                    plan,
                     delta: Some((j, ranges[j].1 - ranges[j].0)),
                     ranges,
                     metas: delta_metas[rule_idx][j]
@@ -1841,8 +1844,9 @@ fn fixpoint_cached(
 
 /// The scheduler the dependency index replaced, kept as the debug-build
 /// oracle: walk every rule × positive body position, count each relation
-/// afresh, keep the positions whose Δ-window is non-empty, and require the
-/// round's delta-driven `passes` to be exactly those — same rule, same
+/// afresh, keep the positions whose Δ-window — and every other positive
+/// window — is non-empty, and require the round's delta-driven `passes` to
+/// be exactly those — same rule, same
 /// Δ-position, same ranges, same order.
 #[cfg(debug_assertions)]
 fn assert_full_walk_agrees(
@@ -1871,6 +1875,9 @@ fn assert_full_walk_agrees(
                 Ordering::Greater => (0, db.count(atom.pred)),
             };
             let ranges: Vec<(usize, usize)> = body.iter().enumerate().map(window).collect();
+            if (body.iter().zip(&ranges)).any(|(atom, &(lo, hi))| !atom.negated && lo >= hi) {
+                continue;
+            }
             let got = scheduled.next().map(|p| (p.rule_idx, p.delta, &p.ranges));
             let rows = ranges[j].1 - ranges[j].0;
             assert_eq!(got, Some((rule_idx, Some((j, rows)), &ranges)));
@@ -2034,19 +2041,17 @@ fn merge_output(
                 }
             }
         }
-        if db.contains(rule.head.pred, head_buf) {
-            stats.duplicate_derivations += 1;
-            continue;
+        // One probe decides all three outcomes; the fact budget can only
+        // fail on a head that is genuinely new.
+        match db.insert_within(rule.head.pred, head_buf, budget.max_facts) {
+            Inserted::New => new_facts += 1,
+            Inserted::Duplicate => stats.duplicate_derivations += 1,
+            Inserted::OverBudget => {
+                return Err(EvalError::FactBudgetExceeded {
+                    limit: budget.max_facts,
+                });
+            }
         }
-        // The head is new, so inserting it would genuinely grow the
-        // database — only now can the fact budget fail.
-        if db.total_facts() >= budget.max_facts {
-            return Err(EvalError::FactBudgetExceeded {
-                limit: budget.max_facts,
-            });
-        }
-        db.insert(rule.head.pred, head_buf.as_slice().into());
-        new_facts += 1;
     }
     stats.facts_derived += new_facts;
     Ok(new_facts)
@@ -2176,6 +2181,40 @@ mod tests {
         };
         let err = seminaive(&prog, &mut st, &mut db, &budget).unwrap_err();
         assert_eq!(err, EvalError::FactBudgetExceeded { limit: 50 });
+    }
+
+    /// The merge phase's single probe keeps PR 2's rule: at the cap a
+    /// duplicate derivation is not a failure, the next *new* head is.
+    #[test]
+    fn fact_budget_fails_on_the_first_new_head_not_on_a_duplicate_at_the_cap() {
+        // A(a) A(b) B(a) B(b) C(c) fill the budget of 5 exactly; the
+        // second firing of the C rule then re-derives C(c) at the cap.
+        let at_cap = r#"
+            A@p(a). A@p(b).
+            B@p(X) :- A@p(X).
+            C@p(c) :- B@p(X).
+        "#;
+        let budget = EvalBudget {
+            max_facts: 5,
+            ..Default::default()
+        };
+        let mut st = TermStore::new();
+        let prog = parse_program(at_cap, &mut st).unwrap();
+        let mut db = Database::new();
+        let stats = seminaive(&prog, &mut st, &mut db, &budget).unwrap();
+        assert_eq!((db.total_facts(), stats.duplicate_derivations), (5, 1));
+
+        // One more rule after the duplicate: its first head is new.
+        let past_cap = format!("{at_cap} D@p(X) :- B@p(X).");
+        let mut st = TermStore::new();
+        let prog = parse_program(&past_cap, &mut st).unwrap();
+        let mut db = Database::new();
+        let err = seminaive(&prog, &mut st, &mut db, &budget).unwrap_err();
+        assert_eq!(err, EvalError::FactBudgetExceeded { limit: 5 });
+        // The refused head left nothing behind, not even its relation.
+        assert_eq!(db.total_facts(), 5);
+        let d = parse_atom("D@p(X)", &mut st).unwrap().pred;
+        assert!(db.relation(d).is_none());
     }
 
     #[test]
@@ -2327,12 +2366,12 @@ mod tests {
         let mut marks = rustc_hash::FxHashMap::default();
         // Batch 1: a -> b.
         let (a, b, c) = (st.constant("a"), st.constant("b"), st.constant("c"));
-        db.insert(edge, vec![a, b].into());
+        db.insert(edge, [a, b]);
         seminaive_from(&prog, &mut st, &mut db, &EvalBudget::default(), &mut marks).unwrap();
         let path = rescue_pred(&mut st, "Path");
         assert_eq!(db.count(path), 1);
         // Batch 2: b -> c — incremental run must derive a->c too.
-        db.insert(edge, vec![b, c].into());
+        db.insert(edge, [b, c]);
         let s2 =
             seminaive_from(&prog, &mut st, &mut db, &EvalBudget::default(), &mut marks).unwrap();
         assert_eq!(db.count(path), 3);
@@ -2370,7 +2409,7 @@ mod tests {
 
         let mut batch_db = Database::new();
         for w in chain.windows(2) {
-            batch_db.insert(edge, vec![w[0], w[1]].into());
+            batch_db.insert(edge, [w[0], w[1]]);
         }
         seminaive(&prog, &mut st, &mut batch_db, &EvalBudget::default()).unwrap();
 

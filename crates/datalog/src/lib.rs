@@ -31,7 +31,7 @@ pub mod provenance;
 pub mod symbol;
 pub mod term;
 
-pub use database::{Database, Relation};
+pub use database::{Database, Inserted, Relation, Rows};
 pub use eval::{
     default_threads, naive, seminaive, seminaive_from, seminaive_from_cached,
     seminaive_from_traced, seminaive_from_traced_opts, seminaive_opts, seminaive_ordered,

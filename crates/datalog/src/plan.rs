@@ -34,9 +34,9 @@
 //!
 //! Index probes are *delta-aware*: each atom's row range `[lo, hi)` (the
 //! semi-naive old/Δ/new windows) is resolved by
-//! [`Relation::lookup_range`](crate::database::Relation::lookup_range),
-//! which binary-searches the insertion-ordered postings list instead of
-//! filtering a full postings copy.
+//! [`Relation::lookup_range_into`](crate::database::Relation::lookup_range_into),
+//! which walks the key's newest-first row chain only as far down as the
+//! window reaches.
 
 use crate::database::{ColMask, Database};
 use crate::eval::EvalError;
@@ -587,11 +587,9 @@ impl RulePlan {
             }
             scratch.index_probes += 1;
             if key_exists {
-                cands.extend_from_slice(
-                    db.relation(step.pred)
-                        .expect("nonempty window implies the relation exists")
-                        .lookup_range(step.mask, &key, lo, hi),
-                );
+                db.relation(step.pred)
+                    .expect("nonempty window implies the relation exists")
+                    .lookup_range_into(step.mask, &key, lo, hi, &mut cands);
             }
             scratch.frames[depth].key = key;
         } else {
@@ -795,11 +793,9 @@ impl ShareGroup {
             }
             scratch.index_probes += 1;
             if key_exists {
-                cands.extend_from_slice(
-                    db.relation(step.pred)
-                        .expect("nonempty window implies the relation exists")
-                        .lookup_range(step.mask, &key, lo, hi),
-                );
+                db.relation(step.pred)
+                    .expect("nonempty window implies the relation exists")
+                    .lookup_range_into(step.mask, &key, lo, hi, &mut cands);
             }
             scratch.frames[node.depth].key = key;
         } else {
@@ -900,10 +896,9 @@ fn exist_holds(
         }
     }
     scratch.index_probes += 1;
-    !db.relation(ec.pred)
+    db.relation(ec.pred)
         .expect("nonempty window implies the relation exists")
-        .lookup_range(ec.mask, key, lo, hi)
-        .is_empty()
+        .exists_in_range(ec.mask, key, lo, hi)
 }
 
 /// Does the (scheduled, hence ground) negated `atom` hold in `db` under
@@ -939,10 +934,11 @@ pub struct JoinScratch {
     neg_key: Vec<TermId>,
     /// Reusable buffer for SIP existence-probe keys.
     exist_key: Vec<TermId>,
-    /// Secondary-index probes issued ([`Relation::lookup_range`]
-    /// calls).
+    /// Secondary-index probes issued ([`Relation::lookup_range_into`] and
+    /// [`Relation::exists_in_range`] calls).
     ///
-    /// [`Relation::lookup_range`]: crate::database::Relation::lookup_range
+    /// [`Relation::lookup_range_into`]: crate::database::Relation::lookup_range_into
+    /// [`Relation::exists_in_range`]: crate::database::Relation::exists_in_range
     pub index_probes: usize,
     /// Candidate rows enumerated across all probes and full scans.
     pub candidates_scanned: usize,

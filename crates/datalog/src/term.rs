@@ -197,7 +197,7 @@ impl TermStore {
                 }
             }
             TermData::App(_, args) => {
-                for &a in args.clone().iter() {
+                for &a in args {
                     self.collect_vars(a, out);
                 }
             }
@@ -217,18 +217,24 @@ impl TermStore {
         if self.is_ground(t) {
             return t;
         }
-        match self.data(t).clone() {
-            TermData::Const(_) => t,
-            TermData::Var(v) => subst.get(v).unwrap_or(t),
-            TermData::App(f, args) => {
-                let new_args: Vec<TermId> =
-                    args.iter().map(|&a| self.substitute(a, subst)).collect();
-                if new_args == args {
-                    t
-                } else {
-                    self.insert(TermData::App(f, new_args))
-                }
-            }
+        // Interning below needs `&mut self`: copy the function symbol and
+        // arity out, and fetch the argument ids one at a time.
+        let (f, arity) = match self.data(t) {
+            TermData::Const(_) => return t,
+            TermData::Var(v) => return subst.get(*v).unwrap_or(t),
+            TermData::App(f, args) => (*f, args.len()),
+        };
+        let mut new_args = Vec::with_capacity(arity);
+        for i in 0..arity {
+            let TermData::App(_, args) = self.data(t) else {
+                unreachable!("terms are immutable once interned");
+            };
+            new_args.push(self.substitute(args[i], subst));
+        }
+        if matches!(self.data(t), TermData::App(_, args) if *args == new_args) {
+            t
+        } else {
+            self.insert(TermData::App(f, new_args))
         }
     }
 
@@ -320,12 +326,7 @@ impl TermStore {
             },
             TermData::App(f, args) => match self.data(ground) {
                 TermData::App(g, gargs) if f == g && args.len() == gargs.len() => {
-                    for (&p, &t) in args.clone().iter().zip(gargs.clone().iter()) {
-                        if !self.match_term(p, t, subst) {
-                            return false;
-                        }
-                    }
-                    true
+                    (args.iter().zip(gargs)).all(|(&p, &t)| self.match_term(p, t, subst))
                 }
                 _ => false,
             },

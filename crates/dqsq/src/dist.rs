@@ -236,7 +236,8 @@ impl EvalPeer {
             .database()
             .relation(pred)
             .expect("nonzero count implies relation")
-            .rows()[*wm..len]
+            .rows()
+            .range(*wm, len)
             .iter()
             .map(|r| export_row(&self.store, r))
             .collect();

@@ -58,16 +58,14 @@ fn run(
     for pred in db.predicates() {
         let name = store.sym_str(pred.name).to_owned();
         let peer = store.sym_str(pred.peer.0).to_owned();
-        let rel_rows = db.relation(pred).unwrap().rows().to_vec();
-        for row in &rel_rows {
+        let rel_rows = db.relation(pred).unwrap().rows();
+        for row in rel_rows {
             let args: Vec<String> = row.iter().map(|&t| store.display(t)).collect();
             rows.push(format!("{name}@{peer}({})", args.join(",")));
         }
-        if let Some(first) = rel_rows.first() {
-            witness_targets.push((pred, first.clone()));
-        }
+        witness_targets.push((pred, rel_rows.get(0).to_vec()));
         if rel_rows.len() > 1 {
-            witness_targets.push((pred, rel_rows.last().unwrap().clone()));
+            witness_targets.push((pred, rel_rows.get(rel_rows.len() - 1).to_vec()));
         }
     }
     rows.sort();
