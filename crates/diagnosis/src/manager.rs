@@ -34,15 +34,34 @@
 //! Detach/attach is pure bookkeeping — the session state never moves — so
 //! a detached-then-reattached session is *byte-identical* to one that was
 //! never detached (pinned by the lifecycle tests).
+//!
+//! # Locking
+//!
+//! The paper couples no two supervisors, and neither does the manager. A
+//! short **registry lock** owns what admission and LRU need (the id map
+//! with `attached`/`last_used`, the clocks, the lifecycle counters,
+//! retired engine stats); each session sits behind **its own lock**. One
+//! rule: *the registry lock is never held while a session lock is awaited
+//! or while the engine runs.* `push` looks the session up under the
+//! registry, evaluates under the session lock alone, and re-takes the
+//! registry for two counter bumps. `create` reserves the id and the
+//! residency slot *before* building, so the cap is never exceeded and a
+//! refused create builds nothing. `destroy` and eviction unlink under the
+//! registry, then retire the victim's stats behind whatever push is in
+//! flight on it. The session lock is also the fault boundary: a panic in
+//! one session's evaluation becomes its sticky `SessionFailed`.
 
 use crate::alarm::Alarm;
 use crate::direct::Diagnosis;
 use crate::session::DiagnosisSession;
-use rescue_datalog::{Absorb, EvalBudget, EvalError, EvalStats};
+use rescue_datalog::{Absorb, EvalBudget, EvalStats};
 use rescue_petri::PetriNet;
 use rescue_telemetry::{Collector, Histogram};
 use rustc_hash::FxHashMap;
+use std::any::Any;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Manager-level policy knobs, shared by the server and the CLI.
@@ -180,14 +199,15 @@ pub struct ManagerStats {
     pub eval: EvalStats,
 }
 
+/// Everything one session owns, behind that session's own lock.
 struct Managed {
     session: DiagnosisSession,
-    attached: bool,
-    /// LRU tick of the last create/attach/push touching this session.
-    last_used: u64,
     failed: Option<String>,
     /// Postmortem captured at failure time.
     flight: String,
+    /// Set once destroy/eviction has read the final stats: a push that lost
+    /// that race answers `UnknownSession` rather than do unaccounted work.
+    retired: bool,
     /// Successful pushes served (the live-metrics table's ops column).
     pushes: u64,
     /// Alarms admitted by the most recent push.
@@ -197,21 +217,106 @@ struct Managed {
     push_lat: Histogram,
 }
 
-/// The registry: nets, sessions, counters. Single-threaded by design —
-/// the server wraps it in a mutex, the CLI owns it outright.
-pub struct SessionManager {
-    config: ManagerConfig,
-    nets: Vec<(String, PetriNet)>,
-    sessions: FxHashMap<String, Managed>,
+impl Managed {
+    /// The sticky failure reply, if the session has failed.
+    fn failure(&self, id: &str) -> Option<ManagerError> {
+        let reason = self.failed.clone()?;
+        let (id, flight) = (id.to_owned(), self.flight.clone());
+        Some(ManagerError::SessionFailed { id, reason, flight })
+    }
+
+    /// Mark the session failed (sticky) and capture its postmortem.
+    fn fail(&mut self, id: &str, reason: String) -> ManagerError {
+        self.flight = self.session.flight_dump(&reason);
+        self.failed = Some(reason);
+        self.failure(id).expect("just failed")
+    }
+}
+
+type Slot = Arc<Mutex<Managed>>;
+
+/// What admission and LRU need to know of a session without its lock.
+struct Entry {
+    /// `None` while `create` is still building the session: the id and
+    /// the residency slot are taken, but nothing is addressable yet.
+    slot: Option<Slot>,
+    attached: bool,
+    /// LRU tick of the last create/attach/push touching this session.
+    last_used: u64,
+}
+
+/// Everything behind the registry lock.
+#[derive(Default)]
+struct Registry {
+    sessions: FxHashMap<String, Entry>,
     /// Monotone LRU clock; bumped by every touch.
     clock: u64,
     /// Generated-id counter (`s0`, `s1`, …).
     next_id: u64,
-    collector: Collector,
     counters: ManagerStats,
-    /// Stats of destroyed/evicted/failed sessions, so the rollup never
-    /// loses work to retirement.
+    /// Stats of destroyed/evicted sessions, so the rollup loses no work.
     retired_eval: EvalStats,
+}
+
+impl Registry {
+    /// Look up a built session, optionally bumping its LRU tick.
+    fn entry(&mut self, id: &str, touch: bool) -> Result<(&mut Entry, Slot), ManagerError> {
+        let unknown = || ManagerError::UnknownSession(id.to_owned());
+        let e = self.sessions.get_mut(id).ok_or_else(unknown)?;
+        let slot = e.slot.clone().ok_or_else(unknown)?;
+        if touch {
+            self.clock += 1;
+            e.last_used = self.clock;
+        }
+        Ok((e, slot))
+    }
+
+    /// Make room for one more session: at the cap, unlink the LRU detached
+    /// session for the caller to retire, or refuse if all are attached.
+    fn admit(&mut self, cap: usize) -> Result<Option<(String, Slot)>, ManagerError> {
+        if self.sessions.len() < cap {
+            return Ok(None);
+        }
+        let victim = self
+            .sessions
+            .iter()
+            .filter(|(_, e)| !e.attached)
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(id, _)| id.clone());
+        match victim {
+            Some(id) => {
+                let e = self.sessions.remove(&id).expect("victim just found");
+                self.counters.evicted += 1;
+                // Reservations are attached, so a victim is always built.
+                Ok(e.slot.map(|slot| (id, slot)))
+            }
+            None => {
+                self.counters.rejected += 1;
+                let resident = self.sessions.len();
+                Err(ManagerError::AdmissionDenied { resident, cap })
+            }
+        }
+    }
+}
+
+fn us_since(t0: Instant) -> u64 {
+    t0.elapsed().as_micros() as u64
+}
+
+fn panic_reason(payload: &(dyn Any + Send)) -> String {
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
+    format!("panic: {}", text.unwrap_or("<non-string payload>"))
+}
+
+/// The registry of nets and sessions. Internally synchronised: once set
+/// up (`&mut self`), every method takes `&self`, so the server shares one
+/// manager between its connection threads and the CLI owns one outright.
+pub struct SessionManager {
+    config: ManagerConfig,
+    nets: Vec<(String, PetriNet)>,
+    collector: Collector,
+    registry: Mutex<Registry>,
 }
 
 impl SessionManager {
@@ -219,12 +324,8 @@ impl SessionManager {
         SessionManager {
             config,
             nets: Vec::new(),
-            sessions: FxHashMap::default(),
-            clock: 0,
-            next_id: 0,
             collector: Collector::disabled(),
-            counters: ManagerStats::default(),
-            retired_eval: EvalStats::default(),
+            registry: Mutex::default(),
         }
     }
 
@@ -249,159 +350,182 @@ impl SessionManager {
         &self.config
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        // Registry critical sections are map edits and counter bumps, each
+        // leaving the data valid, so a poison flag carries no information.
+        self.registry.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Retire one session's stats into the graveyard accumulator.
-    fn retire(&mut self, m: &Managed) {
-        self.retired_eval.absorb(&m.session.total_stats());
-    }
-
-    /// Make room for one more session: evict the least-recently-used
-    /// detached session if the cap is reached. Errors when every resident
-    /// session is attached.
-    fn ensure_capacity(&mut self) -> Result<(), ManagerError> {
-        if self.sessions.len() < self.config.max_sessions {
-            return Ok(());
+    /// Run `f` on the session behind `slot`, under that session's lock
+    /// and no other. This is the tenant fault boundary: a panic inside `f`
+    /// (or a lock found poisoned by one) becomes the sticky `SessionFailed`
+    /// with a flight dump, and the session is detached, hence evictable.
+    fn with_slot<R>(
+        &self,
+        id: &str,
+        slot: &Slot,
+        f: impl FnOnce(&mut Managed) -> Result<R, ManagerError>,
+    ) -> Result<R, ManagerError> {
+        let t0 = Instant::now();
+        let mut m = slot.lock().unwrap_or_else(|e| e.into_inner());
+        self.collector
+            .record("manager.session_wait_us", us_since(t0));
+        if m.retired {
+            return Err(ManagerError::UnknownSession(id.to_owned()));
         }
-        let victim = self
-            .sessions
-            .iter()
-            .filter(|(_, m)| !m.attached)
-            .min_by_key(|(_, m)| m.last_used)
-            .map(|(id, _)| id.clone());
-        match victim {
-            Some(id) => {
-                let m = self.sessions.remove(&id).expect("victim just found");
-                self.retire(&m);
-                self.counters.evicted += 1;
-                self.collector.count("manager.sessions_evicted", 1);
-                Ok(())
+        let was_failed = m.failed.is_some();
+        // Exact while the guard is held: nobody else can poison or clear.
+        if slot.is_poisoned() && !was_failed {
+            m.fail(id, "panic: a thread died holding this lock".to_owned());
+        }
+        slot.clear_poison();
+        let out = catch_unwind(AssertUnwindSafe(|| f(&mut m))).unwrap_or_else(|payload| {
+            let failure = m.failure(id);
+            Err(failure.unwrap_or_else(|| m.fail(id, panic_reason(&*payload))))
+        });
+        let newly_failed = !was_failed && m.failed.is_some();
+        drop(m);
+        if newly_failed {
+            let mut reg = self.registry();
+            reg.counters.failed += 1;
+            // Failed sessions are evictable (unless the id was reused).
+            let ours = |e: &&mut Entry| e.slot.as_ref().is_some_and(|s| Arc::ptr_eq(s, slot));
+            if let Some(e) = reg.sessions.get_mut(id).filter(ours) {
+                e.attached = false;
             }
-            None => {
-                self.counters.rejected += 1;
-                self.collector.count("manager.sessions_rejected", 1);
-                Err(ManagerError::AdmissionDenied {
-                    resident: self.sessions.len(),
-                    cap: self.config.max_sessions,
-                })
-            }
+            drop(reg);
+            self.collector.count("manager.sessions_failed", 1);
+        }
+        out
+    }
+
+    /// Retire an unlinked session's stats into the graveyard accumulator,
+    /// after whatever push is still in flight on it.
+    fn retire(&self, id: &str, slot: &Slot) {
+        let last = self.with_slot(id, slot, |m| {
+            m.retired = true;
+            Ok(m.session.total_stats())
+        });
+        if let Ok(stats) = last {
+            self.registry().retired_eval.absorb(&stats);
         }
     }
 
     /// Create a session (attached to the caller) and return its id. `id`
     /// defaults to a generated `s<N>`; `net` to the first registered net.
-    pub fn create(&mut self, id: Option<&str>, net: Option<&str>) -> Result<String, ManagerError> {
-        let net = match net {
-            Some(name) => {
-                &self
-                    .nets
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .ok_or_else(|| ManagerError::UnknownNet(name.to_owned()))?
-                    .1
-            }
-            None => {
-                &self
-                    .nets
-                    .first()
-                    .ok_or_else(|| ManagerError::UnknownNet("<none registered>".to_owned()))?
-                    .1
-            }
+    pub fn create(&self, id: Option<&str>, net: Option<&str>) -> Result<String, ManagerError> {
+        let found = match net {
+            Some(name) => self.nets.iter().find(|(n, _)| n == name),
+            None => self.nets.first(),
         };
-        if net.peer_by_name(&self.config.supervisor).is_some() {
-            return Err(ManagerError::SupervisorCollision(
-                self.config.supervisor.clone(),
-            ));
+        let unknown = || ManagerError::UnknownNet(net.unwrap_or("<none registered>").to_owned());
+        let net = &found.ok_or_else(unknown)?.1;
+        let supervisor = &self.config.supervisor;
+        if net.peer_by_name(supervisor).is_some() {
+            return Err(ManagerError::SupervisorCollision(supervisor.clone()));
         }
-        let id = match id {
-            Some(given) => {
-                if self.sessions.contains_key(given) {
-                    return Err(ManagerError::DuplicateSession(given.to_owned()));
+        // Reserve the id and the residency slot before building.
+        let (id, victim) = {
+            let mut reg = self.registry();
+            let id = match id {
+                Some(given) => {
+                    if reg.sessions.contains_key(given) {
+                        return Err(ManagerError::DuplicateSession(given.to_owned()));
+                    }
+                    given.to_owned()
                 }
-                given.to_owned()
-            }
-            None => loop {
-                let candidate = format!("s{}", self.next_id);
-                self.next_id += 1;
-                if !self.sessions.contains_key(&candidate) {
-                    break candidate;
-                }
-            },
-        };
-        let net = net.clone();
-        self.ensure_capacity()?;
-        let mut session =
-            DiagnosisSession::with_budget(&net, &self.config.supervisor, self.config.budget)
-                .map_err(|e| self.found_dead(&id, e, &DiagnosisSession::flight_noop()))?;
-        session.set_threads(self.config.threads);
-        session.set_collector(self.collector.clone());
-        let last_used = self.tick();
-        self.sessions.insert(
-            id.clone(),
-            Managed {
-                session,
+                None => loop {
+                    let candidate = format!("s{}", reg.next_id);
+                    reg.next_id += 1;
+                    if !reg.sessions.contains_key(&candidate) {
+                        break candidate;
+                    }
+                },
+            };
+            let victim = reg
+                .admit(self.config.max_sessions)
+                .inspect_err(|_| self.collector.count("manager.sessions_rejected", 1))?;
+            reg.clock += 1;
+            let reservation = Entry {
+                slot: None,
                 attached: true,
-                last_used,
+                last_used: reg.clock,
+            };
+            reg.sessions.insert(id.clone(), reservation);
+            (id, victim)
+        };
+        if let Some((victim, slot)) = victim {
+            self.collector.count("manager.sessions_evicted", 1);
+            self.retire(&victim, &slot);
+        }
+        // A build that blows its budget, or panics, gives the reservation back.
+        let built = catch_unwind(AssertUnwindSafe(|| {
+            let mut session = DiagnosisSession::with_budget(net, supervisor, self.config.budget)
+                .map_err(|e| e.to_string())?;
+            session.set_threads(self.config.threads);
+            session.set_collector(self.collector.clone());
+            Ok(Arc::new(Mutex::new(Managed {
+                session,
                 failed: None,
                 flight: String::new(),
+                retired: false,
                 pushes: 0,
                 last_batch: 0,
                 push_lat: Histogram::default(),
-            },
-        );
-        self.counters.created += 1;
-        self.collector.count("manager.sessions_created", 1);
-        Ok(id)
-    }
-
-    /// An error shape for create-time evaluation failures (the initial
-    /// saturation can blow a tiny budget before the session ever exists).
-    fn found_dead(&mut self, id: &str, e: EvalError, flight: &str) -> ManagerError {
-        self.counters.failed += 1;
-        self.collector.count("manager.sessions_failed", 1);
-        ManagerError::SessionFailed {
-            id: id.to_owned(),
-            reason: e.to_string(),
-            flight: flight.to_owned(),
+            })))
+        }))
+        .unwrap_or_else(|payload| Err(panic_reason(&*payload)));
+        let mut reg = self.registry();
+        match built {
+            Ok(slot) => {
+                let e = reg.sessions.get_mut(&id);
+                e.expect("only its creator removes a reservation").slot = Some(slot);
+                reg.counters.created += 1;
+                drop(reg);
+                self.collector.count("manager.sessions_created", 1);
+                Ok(id)
+            }
+            Err(reason) => {
+                reg.sessions.remove(&id);
+                reg.counters.failed += 1;
+                drop(reg);
+                self.collector.count("manager.sessions_failed", 1);
+                let flight = Collector::disabled().flight_dump("session creation failed");
+                Err(ManagerError::SessionFailed { id, reason, flight })
+            }
         }
     }
 
     /// Re-attach to an existing session; returns its alarm count so the
     /// client can resynchronize. Idempotent on an already-attached id.
-    pub fn attach(&mut self, id: &str) -> Result<usize, ManagerError> {
-        let tick = self.tick();
-        let m = self
-            .sessions
-            .get_mut(id)
-            .ok_or_else(|| ManagerError::UnknownSession(id.to_owned()))?;
-        m.attached = true;
-        m.last_used = tick;
-        Ok(m.session.len())
+    pub fn attach(&self, id: &str) -> Result<usize, ManagerError> {
+        let slot = {
+            let mut reg = self.registry();
+            let (e, slot) = reg.entry(id, true)?;
+            e.attached = true;
+            slot
+        };
+        self.with_slot(id, &slot, |m| Ok(m.session.len()))
     }
 
     /// Detach: the session stays resident with all state, but becomes a
     /// candidate for LRU eviction under admission pressure.
-    pub fn detach(&mut self, id: &str) -> Result<(), ManagerError> {
-        let m = self
-            .sessions
-            .get_mut(id)
-            .ok_or_else(|| ManagerError::UnknownSession(id.to_owned()))?;
-        m.attached = false;
+    pub fn detach(&self, id: &str) -> Result<(), ManagerError> {
+        self.registry().entry(id, false)?.0.attached = false;
         Ok(())
     }
 
     /// Drop a session outright (its stats survive in the rollup).
-    pub fn destroy(&mut self, id: &str) -> Result<(), ManagerError> {
-        let m = self
-            .sessions
-            .remove(id)
-            .ok_or_else(|| ManagerError::UnknownSession(id.to_owned()))?;
-        self.retire(&m);
-        self.counters.destroyed += 1;
+    pub fn destroy(&self, id: &str) -> Result<(), ManagerError> {
+        let slot = {
+            let mut reg = self.registry();
+            let slot = reg.entry(id, false)?.1;
+            reg.sessions.remove(id);
+            reg.counters.destroyed += 1;
+            slot
+        };
         self.collector.count("manager.sessions_destroyed", 1);
+        self.retire(id, &slot);
         Ok(())
     }
 
@@ -412,104 +536,99 @@ impl SessionManager {
     ///
     /// A blown budget marks the session failed (sticky), detaches it, and
     /// captures the flight dump into the error.
-    pub fn push(&mut self, id: &str, alarms: &[Alarm]) -> Result<PushReply, ManagerError> {
-        let tick = self.tick();
-        let m = self
-            .sessions
-            .get_mut(id)
-            .ok_or_else(|| ManagerError::UnknownSession(id.to_owned()))?;
-        if let Some(reason) = &m.failed {
-            return Err(ManagerError::SessionFailed {
-                id: id.to_owned(),
-                reason: reason.clone(),
-                flight: m.flight.clone(),
-            });
-        }
-        m.last_used = tick;
+    pub fn push(&self, id: &str, alarms: &[Alarm]) -> Result<PushReply, ManagerError> {
+        let t0 = Instant::now();
+        let slot = {
+            let mut reg = self.registry();
+            self.collector
+                .record("manager.registry_wait_us", us_since(t0));
+            reg.entry(id, true)?.1
+        };
         let capacity = self.config.ingest_capacity;
         let accepted = alarms.len().min(capacity);
         let dropped = alarms.len() - accepted;
-        let t0 = Instant::now();
-        match m.session.push_batch(&alarms[..accepted]) {
-            Ok(diagnosis) => {
-                let us = t0.elapsed().as_micros() as u64;
-                m.pushes += 1;
-                m.last_batch = accepted;
-                m.push_lat.record(us);
-                self.counters.alarms_accepted += accepted as u64;
-                self.collector
-                    .count("manager.alarms_accepted", accepted as u64);
-                self.collector.record("manager.push_latency_us", us);
-                self.collector
-                    .record("manager.ingest_depth", accepted as u64);
-                if dropped > 0 {
-                    self.counters.backpressure_replies += 1;
-                    self.collector.count("manager.backpressure_replies", 1);
+        let reply = self.with_slot(id, &slot, |m| {
+            if let Some(failure) = m.failure(id) {
+                return Err(failure);
+            }
+            let t0 = Instant::now();
+            match m.session.push_batch(&alarms[..accepted]) {
+                Ok(diagnosis) => {
+                    let us = us_since(t0);
+                    m.pushes += 1;
+                    m.last_batch = accepted;
+                    m.push_lat.record(us);
+                    self.collector.record("manager.push_latency_us", us);
+                    Ok(PushReply {
+                        accepted,
+                        dropped,
+                        capacity,
+                        alarms_total: m.session.len(),
+                        diagnosis,
+                    })
                 }
-                Ok(PushReply {
-                    accepted,
-                    dropped,
-                    capacity,
-                    alarms_total: m.session.len(),
-                    diagnosis,
-                })
+                Err(e) => Err(m.fail(id, e.to_string())),
             }
-            Err(e) => {
-                let reason = e.to_string();
-                let flight = m.session.flight_dump(&reason);
-                m.failed = Some(reason.clone());
-                m.flight = flight.clone();
-                m.attached = false; // failed sessions are evictable
-                self.counters.failed += 1;
-                self.collector.count("manager.sessions_failed", 1);
-                Err(ManagerError::SessionFailed {
-                    id: id.to_owned(),
-                    reason,
-                    flight,
-                })
-            }
-        }
+        })?;
+        let mut reg = self.registry();
+        reg.counters.alarms_accepted += accepted as u64;
+        reg.counters.backpressure_replies += u64::from(dropped > 0);
+        drop(reg);
+        let c = &self.collector;
+        c.count("manager.alarms_accepted", accepted as u64);
+        c.record("manager.ingest_depth", accepted as u64);
+        c.count("manager.backpressure_replies", u64::from(dropped > 0));
+        Ok(reply)
+    }
+
+    /// Run `f` on one session under that session's lock (the read path
+    /// of [`diagnosis`](Self::diagnosis)); no other session waits on it.
+    pub fn inspect<R>(
+        &self,
+        id: &str,
+        f: impl FnOnce(&DiagnosisSession) -> R,
+    ) -> Result<R, ManagerError> {
+        let slot = self.registry().entry(id, false)?.1;
+        self.with_slot(id, &slot, |m| Ok(f(&m.session)))
     }
 
     /// Current diagnosis without pushing anything.
     pub fn diagnosis(&self, id: &str) -> Result<Diagnosis, ManagerError> {
-        let m = self
-            .sessions
-            .get(id)
-            .ok_or_else(|| ManagerError::UnknownSession(id.to_owned()))?;
-        Ok(m.session.diagnosis())
+        self.inspect(id, DiagnosisSession::diagnosis)
     }
 
     /// Per-session accounting (the `stats SESSION` verb).
     pub fn session_stats(&self, id: &str) -> Result<SessionStats, ManagerError> {
-        let m = self
-            .sessions
-            .get(id)
-            .ok_or_else(|| ManagerError::UnknownSession(id.to_owned()))?;
-        Ok(SessionStats {
-            id: id.to_owned(),
-            alarms: m.session.len(),
-            facts: m.session.database().total_facts(),
-            attached: m.attached,
-            failed: m.failed.clone(),
-            pushes: m.pushes,
-            last_batch: m.last_batch,
-            push_p50_us: m.push_lat.percentile(0.50),
-            push_p99_us: m.push_lat.percentile(0.99),
-            eval: m.session.total_stats(),
+        let mut reg = self.registry();
+        let (attached, slot) = reg.entry(id, false).map(|(e, s)| (e.attached, s))?;
+        drop(reg);
+        self.with_slot(id, &slot, |m| {
+            Ok(SessionStats {
+                id: id.to_owned(),
+                alarms: m.session.len(),
+                facts: m.session.database().total_facts(),
+                attached,
+                failed: m.failed.clone(),
+                pushes: m.pushes,
+                last_batch: m.last_batch,
+                push_p50_us: m.push_lat.percentile(0.50),
+                push_p99_us: m.push_lat.percentile(0.99),
+                eval: m.session.total_stats(),
+            })
         })
     }
 
     /// Per-session accounting for up to `top` sessions, most recently
     /// used first — the `metrics` verb's live table (`rescue-top`'s
-    /// backing data). `top == 0` means every resident session.
+    /// backing data). `top == 0` means every resident session; one
+    /// destroyed while the table is taken is skipped.
     pub fn session_table(&self, top: usize) -> Vec<SessionStats> {
         let mut ids = self.session_ids();
         if top > 0 {
             ids.truncate(top);
         }
         ids.iter()
-            .map(|id| self.session_stats(id).expect("resident id just listed"))
+            .filter_map(|id| self.session_stats(id).ok())
             .collect()
     }
 
@@ -524,58 +643,58 @@ impl SessionManager {
 
     /// A failed session's captured postmortem (empty string otherwise).
     pub fn session_flight(&self, id: &str) -> Result<String, ManagerError> {
-        let m = self
-            .sessions
-            .get(id)
-            .ok_or_else(|| ManagerError::UnknownSession(id.to_owned()))?;
-        Ok(m.flight.clone())
+        let slot = self.registry().entry(id, false)?.1;
+        self.with_slot(id, &slot, |m| Ok(m.flight.clone()))
     }
 
     /// Resident session ids, most recently used first.
     pub fn session_ids(&self) -> Vec<String> {
-        let mut ids: Vec<(&String, u64)> = self
+        let reg = self.registry();
+        let mut ids: Vec<(&String, u64)> = reg
             .sessions
             .iter()
-            .map(|(id, m)| (id, m.last_used))
+            .filter(|(_, e)| e.slot.is_some())
+            .map(|(id, e)| (id, e.last_used))
             .collect();
         ids.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         ids.into_iter().map(|(id, _)| id.clone()).collect()
     }
 
+    /// Sessions holding a residency slot (reservations included).
     pub fn resident(&self) -> usize {
-        self.sessions.len()
+        self.registry().sessions.len()
     }
 
     /// Manager-wide rollup: lifecycle counters plus engine counters summed
-    /// over resident and retired sessions.
+    /// over retired and resident sessions, each read under its own lock.
+    /// Never counts work twice; may miss a session retired meanwhile.
     pub fn stats(&self) -> ManagerStats {
         let mut s = self.stats_lite();
-        s.eval = self.retired_eval.clone();
-        for m in self.sessions.values() {
-            s.eval.absorb(&m.session.total_stats());
+        let slots: Vec<(String, Slot)> = {
+            let reg = self.registry();
+            s.eval = reg.retired_eval.clone();
+            let built = |(id, e): (&String, &Entry)| Some((id.clone(), e.slot.clone()?));
+            reg.sessions.iter().filter_map(built).collect()
+        };
+        for (id, slot) in &slots {
+            if let Ok(eval) = self.with_slot(id, slot, |m| Ok(m.session.total_stats())) {
+                s.eval.absorb(&eval);
+            }
         }
         s
     }
 
     /// The lifecycle rollup alone, engine stats left at their default.
-    /// The `metrics` scrape path calls this on every poll while holding
-    /// the manager lock, so it must stay two counts over the session map
-    /// — absorbing per-rule engine stats from a thousand live sessions
-    /// (what [`stats`](Self::stats) does) is milliseconds a scraper must
-    /// not steal from the serving path.
+    /// The `metrics` scrape path calls this on every poll, so it stays two
+    /// counts over the registry and touches no session — absorbing engine
+    /// stats from a thousand live sessions (what [`stats`](Self::stats)
+    /// does) is milliseconds a scraper must not steal from serving.
     pub fn stats_lite(&self) -> ManagerStats {
-        let mut s = self.counters.clone();
-        s.resident = self.sessions.len();
-        s.attached = self.sessions.values().filter(|m| m.attached).count();
+        let reg = self.registry();
+        let mut s = reg.counters.clone();
+        s.resident = reg.sessions.len();
+        s.attached = reg.sessions.values().filter(|e| e.attached).count();
         s
-    }
-}
-
-impl DiagnosisSession {
-    /// An empty postmortem for failures that happen before a session
-    /// exists (create-time saturation errors).
-    fn flight_noop() -> String {
-        Collector::disabled().flight_dump("session creation failed")
     }
 }
 
@@ -603,7 +722,7 @@ mod tests {
     fn detach_attach_push_equals_uninterrupted_session() {
         let seq = alarms();
         // Interrupted: create → push one → detach → attach → push rest.
-        let mut mgr = manager(8, 64);
+        let mgr = manager(8, 64);
         let id = mgr.create(Some("a"), None).unwrap();
         mgr.push(&id, &seq[..1]).unwrap();
         mgr.detach(&id).unwrap();
@@ -612,7 +731,7 @@ mod tests {
         let interrupted = mgr.push(&id, &seq[1..]).unwrap();
 
         // Uninterrupted control in a fresh manager.
-        let mut mgr2 = manager(8, 64);
+        let mgr2 = manager(8, 64);
         let id2 = mgr2.create(Some("a"), None).unwrap();
         mgr2.push(&id2, &seq[..1]).unwrap();
         let control = mgr2.push(&id2, &seq[1..]).unwrap();
@@ -628,7 +747,7 @@ mod tests {
 
     #[test]
     fn eviction_under_pressure_takes_the_lru_detached_session() {
-        let mut mgr = manager(2, 64);
+        let mgr = manager(2, 64);
         let a = mgr.create(Some("a"), None).unwrap();
         let b = mgr.create(Some("b"), None).unwrap();
         mgr.detach(&a).unwrap();
@@ -653,7 +772,7 @@ mod tests {
 
     #[test]
     fn admission_denied_when_every_resident_session_is_attached() {
-        let mut mgr = manager(2, 64);
+        let mgr = manager(2, 64);
         mgr.create(Some("a"), None).unwrap();
         mgr.create(Some("b"), None).unwrap();
         match mgr.create(Some("c"), None) {
@@ -674,7 +793,7 @@ mod tests {
     #[test]
     fn overflowing_batch_gets_an_explicit_backpressure_reply() {
         let seq = alarms();
-        let mut mgr = manager(8, 2);
+        let mgr = manager(8, 2);
         let id = mgr.create(None, None).unwrap();
         let r = mgr.push(&id, &seq).unwrap();
         assert_eq!(r.accepted, 2);
@@ -686,7 +805,7 @@ mod tests {
         let r2 = mgr.push(&id, &seq[r.accepted..]).unwrap();
         assert_eq!(r2.dropped, 0);
         assert_eq!(r2.alarms_total, 3);
-        let mut control = manager(8, 64);
+        let control = manager(8, 64);
         let cid = control.create(None, None).unwrap();
         let rc = control.push(&cid, &seq).unwrap();
         assert_eq!(r2.diagnosis, rc.diagnosis);
@@ -730,7 +849,7 @@ mod tests {
     #[test]
     fn rollup_counts_survive_retirement() {
         let seq = alarms();
-        let mut mgr = manager(8, 64);
+        let mgr = manager(8, 64);
         let id = mgr.create(None, None).unwrap();
         mgr.push(&id, &seq).unwrap();
         let live = mgr.stats().eval.rule_firings;
@@ -746,11 +865,92 @@ mod tests {
 
     #[test]
     fn generated_ids_are_unique_and_stable() {
-        let mut mgr = manager(8, 64);
+        let mgr = manager(8, 64);
         let a = mgr.create(None, None).unwrap();
         let b = mgr.create(None, None).unwrap();
         assert_ne!(a, b);
         assert!(mgr.create(Some(&a), None).is_err(), "duplicate id refused");
         assert!(mgr.create(None, Some("nope")).is_err(), "unknown net");
+    }
+
+    /// The sticky reply a panicked session must keep giving.
+    fn assert_panicked(r: Result<PushReply, ManagerError>) {
+        let Err(ManagerError::SessionFailed { reason, flight, .. }) = r else {
+            panic!("expected SessionFailed, got {r:?}");
+        };
+        assert!(reason.starts_with("panic: "), "reason: {reason}");
+        rescue_telemetry::json::parse(&flight).expect("flight dump is valid JSON");
+    }
+
+    #[test]
+    fn a_poisoned_session_lock_fails_that_session_and_no_other() {
+        let seq = alarms();
+        let mgr = manager(8, 64);
+        let sick = mgr.create(Some("sick"), None).unwrap();
+        let well = mgr.create(Some("well"), None).unwrap();
+        mgr.push(&sick, &seq[..1]).unwrap();
+        // A thread dies holding the sick session's lock.
+        let slot = mgr.registry().entry(&sick, false).unwrap().1;
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = slot.lock().unwrap();
+                panic!("tenant bug");
+            })
+            .join()
+        });
+        assert!(died.is_err() && slot.is_poisoned());
+
+        // The next caller turns the poison into the sticky failure ...
+        assert_panicked(mgr.push(&sick, &seq[1..]));
+        assert_panicked(mgr.push(&sick, &seq[1..]));
+        let st = mgr.session_stats(&sick).unwrap();
+        assert!(st.failed.is_some() && !st.attached, "failed and evictable");
+        assert_eq!(st.alarms, 1, "the failed push never reached the engine");
+        assert!(mgr.diagnosis(&sick).is_ok(), "reads still answer");
+        // ... while the neighbour never notices,
+        let control = manager(8, 64);
+        let cid = control.create(None, None).unwrap();
+        assert_eq!(
+            mgr.push(&well, &seq).unwrap().diagnosis,
+            control.push(&cid, &seq).unwrap().diagnosis
+        );
+        // and destroy clears the failed session like any other.
+        mgr.destroy(&sick).unwrap();
+        assert!(mgr.session_stats(&sick).is_err());
+        let s = mgr.stats();
+        assert_eq!((s.failed, s.destroyed, s.resident), (1, 1, 1));
+        assert_eq!(s.alarms_accepted, 1 + seq.len() as u64);
+    }
+
+    #[test]
+    fn a_panic_under_a_session_lock_is_contained_and_reported() {
+        let seq = alarms();
+        let mgr = manager(8, 64);
+        let sick = mgr.create(Some("sick"), None).unwrap();
+        let well = mgr.create(Some("well"), None).unwrap();
+        let r: Result<(), _> = mgr.inspect(&sick, |_| panic!("tenant bug {}", 7));
+        let Err(ManagerError::SessionFailed { reason, .. }) = r else {
+            panic!("expected SessionFailed, got {r:?}");
+        };
+        assert_eq!(reason, "panic: tenant bug 7");
+        // The lock was released cleanly: the failure is sticky, not a hang.
+        assert_panicked(mgr.push(&sick, &seq));
+        assert!(!mgr.session_flight(&sick).unwrap().is_empty());
+        assert_eq!(mgr.push(&well, &seq).unwrap().alarms_total, seq.len());
+        assert_eq!(mgr.stats().failed, 1);
+    }
+
+    #[test]
+    fn lock_waits_are_recorded_as_histograms_when_tracing() {
+        let mut mgr = manager(8, 64);
+        let collector = Collector::enabled();
+        mgr.set_collector(collector.clone());
+        let id = mgr.create(None, None).unwrap();
+        for a in &alarms() {
+            mgr.push(&id, std::slice::from_ref(a)).unwrap();
+        }
+        let snap = collector.snapshot();
+        assert_eq!(snap.histogram("manager.registry_wait_us").count, 3);
+        assert!(snap.histogram("manager.session_wait_us").count >= 3);
     }
 }

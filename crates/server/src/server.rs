@@ -1,5 +1,5 @@
 //! The TCP service: one listener, one thread per connection, one shared
-//! [`SessionManager`] behind a mutex.
+//! [`SessionManager`].
 //!
 //! Concurrency shape (mirroring `rescue_net::threaded`): connection
 //! threads block on short read timeouts and poll a shared shutdown flag,
@@ -8,11 +8,16 @@
 //! and exits, and [`serve`] joins them all before returning the final
 //! report. No thread is ever killed mid-request.
 //!
-//! Evaluation runs under the manager mutex, which serializes engine work
-//! across connections; per-session engine parallelism
-//! ([`ManagerConfig::threads`]) still applies inside each resume. That
-//! makes replies deterministic per session stream, which is what the
-//! byte-identical acceptance tests pin.
+//! The manager synchronises itself (see its module doc): a short registry
+//! lock for lookup, LRU and admission, and one lock per session, never
+//! nested the wrong way round. So evaluation runs under the lock of the
+//! session it belongs to and nothing else — one session's pushes are
+//! serialised, which keeps replies deterministic per session stream (what
+//! the byte-identical acceptance tests pin), while a connection never
+//! waits behind another tenant's fixpoint, and a panic in one tenant's
+//! evaluation is that session's `session_failed`, not an outage. `ping`,
+//! `shutdown`, unknown ops and unparseable lines take no lock at all.
+//! Input is bounded where it enters: a line may not exceed [`MAX_LINE`].
 //!
 //! Observability (DESIGN.md §16): when the collector is enabled the
 //! server additionally runs a watchdog thread that samples the collector
@@ -74,7 +79,7 @@ pub struct ServerReport {
 }
 
 struct Shared {
-    manager: Mutex<SessionManager>,
+    manager: SessionManager,
     shutdown: AtomicBool,
     connections: AtomicU64,
     requests: AtomicU64,
@@ -99,6 +104,11 @@ const POLL: Duration = Duration::from_millis(20);
 /// traffic resets them to [`POLL`].
 const POLL_MAX: Duration = Duration::from_millis(200);
 
+/// Longest request line accepted. A client that sends more without a
+/// newline is answered `bad_request` and disconnected, so one connection
+/// cannot grow server memory without bound.
+pub const MAX_LINE: usize = 1 << 20;
+
 /// Watchdog cadence: one series sample + SLO evaluation per tick.
 const WATCHDOG_TICK: Duration = Duration::from_millis(100);
 
@@ -111,7 +121,7 @@ pub fn serve(listener: TcpListener, config: ServerConfig) -> std::io::Result<Ser
         manager.register_net(&name, net);
     }
     let shared = Arc::new(Shared {
-        manager: Mutex::new(manager),
+        manager,
         shutdown: AtomicBool::new(false),
         connections: AtomicU64::new(0),
         requests: AtomicU64::new(0),
@@ -159,12 +169,11 @@ pub fn serve(listener: TcpListener, config: ServerConfig) -> std::io::Result<Ser
     }
     let shared =
         Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!("all connection threads joined"));
-    let manager = shared.manager.into_inner().expect("manager mutex poisoned");
     Ok(ServerReport {
         connections: shared.connections.into_inner(),
         requests: shared.requests.into_inner(),
         errors: shared.errors.into_inner(),
-        manager: manager.stats(),
+        manager: shared.manager.stats(),
     })
 }
 
@@ -241,19 +250,27 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let mut timeout = POLL;
     let _ = stream.set_read_timeout(Some(timeout));
     let mut acc: Vec<u8> = Vec::new();
+    // `acc[..scanned]` is known to hold no newline: each byte is searched
+    // once and the buffer shifts once per read, however many lines it held.
+    let mut scanned = 0;
     let mut buf = [0u8; 8 * 1024];
     loop {
-        // Drain complete lines before reading more, so a shutdown seen
+        // Answer complete lines before reading more, so a shutdown seen
         // mid-buffer still answers everything the client already sent.
-        while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = acc.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
-            if !respond(&line, &mut stream, shared) {
+        let mut start = 0;
+        while let Some(len) = acc[scanned..].iter().position(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(&acc[start..scanned + len]);
+            start = scanned + len + 1;
+            scanned = start;
+            if !line.trim().is_empty() && !respond(&line, &mut stream, shared) {
                 return;
             }
+        }
+        acc.drain(..start);
+        scanned = acc.len();
+        if scanned > MAX_LINE {
+            let _ = writeln!(stream, "{}", bad_request(shared, "line too long"));
+            return;
         }
         match stream.read(&mut buf) {
             Ok(0) => return,
@@ -290,11 +307,7 @@ fn respond(line: &str, stream: &mut TcpStream, shared: &Shared) -> bool {
     shared.collector.count("server.requests", 1);
     let replies = match wire::parse_request(line) {
         Ok(req) => dispatch(&req, shared),
-        Err(e) => {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-            shared.collector.count("server.errors", 1);
-            vec![wire::err("?", "bad_request", &e).finish()]
-        }
+        Err(e) => vec![bad_request(shared, &e)],
     };
     for reply in replies {
         if stream
@@ -307,6 +320,13 @@ fn respond(line: &str, stream: &mut TcpStream, shared: &Shared) -> bool {
         }
     }
     true
+}
+
+/// Count and render the reply to input that never became a request.
+fn bad_request(shared: &Shared, detail: &str) -> String {
+    shared.errors.fetch_add(1, Ordering::Relaxed);
+    shared.collector.count("server.errors", 1);
+    wire::err("?", "bad_request", detail).finish()
 }
 
 /// Render a manager error as the protocol reply for `op`.
@@ -426,7 +446,7 @@ fn dispatch_op(req: &Request, shared: &Shared) -> Vec<String> {
             .as_deref()
             .ok_or_else(|| vec![wire::err(op, "bad_request", "missing \"session\"").finish()])
     };
-    let mut mgr = shared.manager.lock().expect("manager mutex poisoned");
+    let mgr = &shared.manager;
     match op {
         "ping" => {
             let health = Health::from_u8(shared.health.load(Ordering::Relaxed));
@@ -583,7 +603,6 @@ fn dispatch_op(req: &Request, shared: &Shared) -> Vec<String> {
             let s = mgr.stats_lite();
             let rows = mgr.session_table(req.top);
             let ingest_capacity = mgr.config().ingest_capacity;
-            drop(mgr);
             let health = Health::from_u8(shared.health.load(Ordering::Relaxed));
             let mut obj = wire::ok("metrics")
                 .str("health", health.as_str())

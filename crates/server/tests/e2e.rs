@@ -406,3 +406,79 @@ fn run_load_verifies_every_session_against_a_local_batch_run() {
     assert_eq!(server_report.manager.created, 40);
     assert_eq!(server_report.connections, 5); // 4 load + 1 shutdown
 }
+
+// ---- hostile clients: bounded, linear input handling --------------------
+
+#[test]
+fn twenty_thousand_pipelined_pings_are_all_answered_in_order() {
+    const PINGS: usize = 20_000;
+    let h = server(ManagerConfig::default());
+    let mut c = Client::connect(&h);
+    // One write carries the whole pipeline (and a marker after it); the
+    // writer runs beside the reader so neither side's socket buffer can
+    // wedge the other.
+    let mut writer = c.writer.try_clone().unwrap();
+    let pipeline = "{\"op\":\"ping\"}\n".repeat(PINGS) + "{\"op\":\"marker\"}\n";
+    let sent = std::thread::spawn(move || writer.write_all(pipeline.as_bytes()));
+    let mut last_uptime = 0.0;
+    for i in 0..PINGS {
+        let r = c.recv();
+        assert_eq!(s(&r, "op"), "pong", "reply {i}: {r:?}");
+        assert!(
+            num(&r, "uptime_us") >= last_uptime,
+            "reply {i} out of order"
+        );
+        last_uptime = num(&r, "uptime_us");
+    }
+    // Exactly PINGS pongs came before the marker's reply.
+    assert_eq!(s(&c.recv(), "op"), "marker");
+    sent.join().unwrap().unwrap();
+    assert!(ok(&c.call(r#"{"op":"shutdown"}"#)));
+    let report = h.join().unwrap();
+    assert_eq!(report.requests, PINGS as u64 + 2);
+    assert_eq!(report.errors, 1, "the marker is the only unknown op");
+}
+
+#[test]
+fn an_unterminated_oversized_line_closes_that_connection_only() {
+    let h = server(ManagerConfig::default());
+    let mut hog = Client::connect(&h);
+    // 2 MiB and never a newline. The server hangs up part-way through,
+    // so the tail of the write may fail; that is the point.
+    let mut writer = hog.writer.try_clone().unwrap();
+    let sent = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 * rescue_server::server::MAX_LINE]);
+    });
+    let r = hog.recv();
+    assert_eq!(s(&r, "error"), "bad_request", "{r:?}");
+    assert_eq!(s(&r, "detail"), "line too long");
+    sent.join().unwrap();
+    let mut rest = String::new();
+    let eof = hog.reader.read_line(&mut rest);
+    assert!(matches!(eof, Ok(0) | Err(_)), "connection closed: {eof:?}");
+
+    // The server itself is fine: a second client is served as usual.
+    let mut c = Client::connect(&h);
+    assert!(ok(&c.call(r#"{"op":"create","session":"a"}"#)));
+    let r = c.call(r#"{"op":"push","session":"a","alarms":"b@p1 a@p2 c@p1"}"#);
+    assert_eq!(num(&r, "explanations"), 1.0);
+    assert!(ok(&c.call(r#"{"op":"shutdown"}"#)));
+    let report = h.join().unwrap();
+    assert_eq!(report.errors, 1);
+    assert_eq!(report.connections, 2);
+}
+
+#[test]
+fn hostile_nesting_is_a_bad_request_and_the_connection_survives() {
+    let h = server(ManagerConfig::default());
+    let mut c = Client::connect(&h);
+    for hostile in ["[".repeat(100_000), r#"{"op":"#.repeat(100_000)] {
+        let r = c.call(&hostile);
+        assert_eq!(s(&r, "error"), "bad_request", "{r:?}");
+        assert!(s(&r, "detail").contains("nesting deeper than"), "{r:?}");
+    }
+    // Same connection, same server process: the next request is served.
+    assert_eq!(s(&c.call(r#"{"op":"ping"}"#), "op"), "pong");
+    assert!(ok(&c.call(r#"{"op":"shutdown"}"#)));
+    assert_eq!(h.join().unwrap().errors, 2);
+}

@@ -5,7 +5,9 @@
 //! (`validate_trace` binary), the integration tests that assert span
 //! balance and message pairing, and the export unit tests. It accepts
 //! strict JSON (no comments, no trailing commas) and parses numbers as
-//! `f64` — ample for trace timestamps and counters.
+//! `f64` — ample for trace timestamps and counters. It is also the
+//! server's request parser, so it bounds what the network can make it do:
+//! nesting deeper than [`MAX_DEPTH`] is an error, not a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -71,9 +73,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, and a request line arrives from the network: without
+/// a bound, one line of `[[[[…` overflows a connection thread's stack and
+/// aborts the whole process.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -110,8 +120,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -120,6 +130,20 @@ impl<'a> Parser<'a> {
             Some(c) => self.err(format!("unexpected character '{}'", c as char)),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    /// Parse one array or object, refusing to go deeper than [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, JsonError> {
@@ -278,6 +302,7 @@ pub fn parse(src: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -483,6 +508,25 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\" 1}", "1 2", "\"unterminated", "nul"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "0" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for hostile in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            "[".repeat(100_000),
+            "[{\"k\":".repeat(50_000),
+        ] {
+            let e = parse(&hostile).expect_err("accepted hostile nesting");
+            assert!(e.message.contains("nesting deeper than"), "{e}");
+        }
+        // Siblings are not depth: a long flat array still parses.
+        assert!(parse(&format!("[{}[]]", "[],".repeat(10_000))).is_ok());
     }
 
     #[test]
