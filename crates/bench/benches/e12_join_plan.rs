@@ -3,7 +3,7 @@
 //! (the Criterion companion to the report's candidates-scanned table).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rescue::datalog::{seminaive_ordered, Database, EvalBudget, JoinOrder, TermStore};
+use rescue::datalog::{seminaive_opts, Database, EvalBudget, EvalOptions, JoinOrder, TermStore};
 use rescue::diagnosis::{unfolding_program, EncodeOptions};
 use rescue_bench::experiments::telecom_net;
 
@@ -20,12 +20,16 @@ fn bench(c: &mut Criterion) {
         ("planned", JoinOrder::Planned),
         ("leftmost", JoinOrder::Leftmost),
     ] {
+        let options = EvalOptions {
+            order,
+            ..Default::default()
+        };
         g.bench_function(label, |b| {
             b.iter(|| {
                 let mut store = TermStore::new();
                 let prog = unfolding_program(&net, &mut store, &EncodeOptions::default());
                 let mut db = Database::new();
-                seminaive_ordered(&prog, &mut store, &mut db, &budget, order).unwrap();
+                seminaive_opts(&prog, &mut store, &mut db, &budget, &options).unwrap();
                 db.total_facts()
             })
         });

@@ -4,8 +4,6 @@
 //! cargo run -p rescue-bench --release --bin report            # all experiments
 //! cargo run -p rescue-bench --release --bin report -- e5      # one experiment
 //! cargo run -p rescue-bench --release --bin report -- --json  # JSON output
-//! cargo run -p rescue-bench --release --bin report -- --threads 4
-//!                                  # engine worker threads for every fixpoint
 //! cargo run -p rescue-bench --release --bin report -- --json-out BENCH_4.json
 //!                                  # machine-readable perf trajectory
 //! cargo run -p rescue-bench --release --bin report -- --profile-out stacks.txt
@@ -26,24 +24,21 @@
 //! trajectory stays diffable across commits. `--profile-out FILE` merges
 //! the per-rule profiles of every experiment that ran with one (E5, E8,
 //! E17) and writes them as folded stacks (`stratum;rule;variant wall_us`
-//! per line), ready for any flamegraph renderer. `--threads N` routes
-//! every fixpoint the experiments run onto `N` engine workers (tables are
-//! byte-identical across thread counts; only the wall clock moves).
+//! per line), ready for any flamegraph renderer.
 //!
-//! Usage errors — an unknown experiment id, a flag missing its value, a
-//! malformed `--threads` — print a diagnostic and exit with status 2
-//! (they used to panic with a backtrace).
+//! Usage errors — an unknown experiment id, a flag missing its value —
+//! print a diagnostic and exit with status 2.
 
 use rescue_bench::{PerfEntry, Table};
 use std::process::ExitCode;
 use std::time::Instant;
 
-const ALL_IDS: [&str; 19] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19",
+const ALL_IDS: [&str; 18] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e15", "e16",
+    "e17", "e18", "e19",
 ];
 
-const USAGE: &str = "usage: report [IDS...] [--json] [--threads N] [--json-out FILE] \
+const USAGE: &str = "usage: report [IDS...] [--json] [--json-out FILE] \
 [--profile-out FILE] [--trace-out FILE] [--merged-trace-out FILE] [--wire-trace-out FILE] \
 [--peer-stats]";
 
@@ -62,7 +57,6 @@ fn run_one(id: &str) -> Option<Table> {
         "e11" => Some(rescue_bench::experiments::e11_incremental()),
         "e12" => Some(rescue_bench::experiments::e12_join_plan()),
         "e13" => Some(rescue_bench::experiments::e13_telemetry()),
-        "e14" => Some(rescue_bench::experiments::e14_parallel()),
         "e15" => Some(rescue_bench::experiments::e15_distributed_observability()),
         "e16" => Some(rescue_bench::experiments::e16_online_latency()),
         "e17" => Some(rescue_bench::experiments::e17_profiler_overhead()),
@@ -96,20 +90,9 @@ fn run() -> Result<(), String> {
     let wire_trace_out = value_of("--wire-trace-out")?;
     let profile_out = value_of("--profile-out")?;
     let peer_stats = args.iter().any(|a| a == "--peer-stats");
-    if let Some(threads) = value_of("--threads")? {
-        let n: usize = threads
-            .parse()
-            .map_err(|e| usage_err(&format!("--threads: {e}")))?;
-        // The engines consult this once, lazily, on their first fixpoint —
-        // setting it here (before any experiment runs, while the process
-        // is still single-threaded) threads the knob through every driver
-        // without widening each experiment's signature.
-        std::env::set_var("RESCUE_EVAL_THREADS", n.max(1).to_string());
-    }
     let value_flags = [
         "--trace-out",
         "--json-out",
-        "--threads",
         "--merged-trace-out",
         "--wire-trace-out",
         "--profile-out",

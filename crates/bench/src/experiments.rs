@@ -53,22 +53,6 @@ pub fn telecom_net(peers: usize, seed: u64) -> PetriNet {
     })
 }
 
-/// A larger telecom-style net for the parallel sweeps (E14): more peers,
-/// local states and cross-peer joins than [`telecom_net`], so each
-/// fixpoint round's scan windows are wide enough for the sharded worker
-/// pool to engage (hundreds of thousands of candidate rows per run).
-pub fn large_telecom_net(peers: usize, states: usize, joins: usize, seed: u64) -> PetriNet {
-    random_net(&NetConfig {
-        peers,
-        states_per_peer: states,
-        extra_transitions: 2,
-        links: peers.saturating_sub(1).max(1),
-        alphabet: 3,
-        joins,
-        seed,
-    })
-}
-
 /// E1 — the running example (Figures 1 and 2): the paper's three alarm
 /// sequences through every engine.
 pub fn e1_running_example() -> Table {
@@ -966,7 +950,7 @@ fn db_fingerprint(db: &Database, store: &TermStore) -> Vec<String> {
 /// join work; the `model identical` column is Theorem 2's guarantee that
 /// the reorder is invisible in the materialized unfolding.
 pub fn e12_join_plan() -> Table {
-    use rescue::datalog::{seminaive_ordered, EvalStats, JoinOrder};
+    use rescue::datalog::{seminaive_opts, EvalOptions, EvalStats, JoinOrder};
     use rescue::diagnosis::{unfolding_program, EncodeOptions};
 
     let mut t = Table::new(
@@ -992,8 +976,12 @@ pub fn e12_join_plan() -> Table {
             max_term_depth: Some(depth),
             ..Default::default()
         };
+        let options = EvalOptions {
+            order,
+            ..Default::default()
+        };
         let t0 = Instant::now();
-        let stats = seminaive_ordered(&prog, &mut store, &mut db, &budget, order).unwrap();
+        let stats = seminaive_opts(&prog, &mut store, &mut db, &budget, &options).unwrap();
         let dt = t0.elapsed().as_micros() as f64 / 1000.0;
         (stats, dt, db_fingerprint(&db, &store))
     };
@@ -1142,98 +1130,6 @@ pub fn trace_profile() -> String {
     let alarms = AlarmSeq::from_run(&net, &random_run(&net, 7, 3).unwrap());
     diagnose_dqsq(&net, &alarms, &opts).expect("trace profile run");
     chrome_trace(&collector)
-}
-
-/// E14 — the parallel fixpoint: the same telecom unfolding materialized at
-/// 1 and 4 engine worker threads. The contract under test is strict — the
-/// databases must be byte-identical and every [`EvalStats`] counter must
-/// match exactly (the workers only *enumerate*; the coordinator merges in
-/// the sequential order) — while the speedup column reports what the
-/// sharded scan buys. On ≥4 hardware cores the large nets sit around
-/// 1.5–3×; a single-core CI box still validates the determinism half of
-/// the claim, so only identity is asserted here.
-pub fn e14_parallel() -> Table {
-    use rescue::datalog::{seminaive_opts, EvalOptions, EvalStats};
-    use rescue::diagnosis::{unfolding_program, EncodeOptions};
-
-    let mut t = Table::new(
-        "e14",
-        "Parallel fixpoint: sharded semi-naive at 1 vs 4 threads on telecom unfoldings",
-        &[
-            "net",
-            "depth",
-            "threads",
-            "time",
-            "candidates scanned",
-            "facts",
-            "rule firings",
-            "speedup",
-            "model identical",
-            "stats identical",
-        ],
-    );
-    let run = |net: &PetriNet, depth: u32, threads: usize| -> (EvalStats, f64, Vec<String>) {
-        let mut store = TermStore::new();
-        let prog = unfolding_program(net, &mut store, &EncodeOptions::default());
-        let mut db = Database::new();
-        let budget = EvalBudget {
-            max_term_depth: Some(depth),
-            ..Default::default()
-        };
-        let t0 = Instant::now();
-        let stats = seminaive_opts(
-            &prog,
-            &mut store,
-            &mut db,
-            &budget,
-            &EvalOptions::with_threads(threads),
-        )
-        .unwrap();
-        let dt = t0.elapsed().as_micros() as f64 / 1000.0;
-        (stats, dt, db_fingerprint(&db, &store))
-    };
-    for (peers, states, joins, seed, depth) in [
-        (6usize, 4usize, 1usize, 5u64, 10u32),
-        (8, 4, 1, 5, 10),
-        (10, 5, 2, 9, 12),
-    ] {
-        let net = large_telecom_net(peers, states, joins, seed);
-        let name = format!("telecom{peers}");
-        let (seq, seq_ms, seq_db) = run(&net, depth, 1);
-        let (par, par_ms, par_db) = run(&net, depth, 4);
-        let identical = seq_db == par_db;
-        let stats_identical = seq == par;
-        assert!(identical, "thread count changed the materialized model");
-        assert!(stats_identical, "thread count changed the engine counters");
-        let speedup = seq_ms / par_ms.max(0.001);
-        for (threads, stats, ms) in [(1usize, seq, seq_ms), (4, par, par_ms)] {
-            t.row(vec![
-                name.clone(),
-                depth.to_string(),
-                threads.to_string(),
-                format!("{ms:.2} ms"),
-                stats.candidates_scanned.to_string(),
-                stats.facts_derived.to_string(),
-                stats.rule_firings.to_string(),
-                if threads == 1 {
-                    "—".into()
-                } else {
-                    format!("{speedup:.2}x")
-                },
-                if identical { "yes" } else { "NO" }.into(),
-                if stats_identical { "yes" } else { "NO" }.into(),
-            ]);
-        }
-    }
-    t.summary = "The fixpoint shards each round's delta scans onto a worker pool that \
-                 only enumerates matches against the sealed snapshot; the coordinator \
-                 interns heads and inserts in the sequential (rule, shard, emit) order. \
-                 Result: the 4-thread run reproduces the 1-thread model byte-for-byte \
-                 and every counter — iterations, firings, probes, candidates — exactly, \
-                 so parallelism is a pure wall-clock knob. The speedup column is \
-                 hardware-dependent (≈1 on a single-core runner, ≥1.5x on 4 cores)."
-        .into();
-    t
 }
 
 /// E15 — distributed observability: one collector per dQSQ peer on the
@@ -1401,8 +1297,8 @@ pub fn e16_online_latency() -> Table {
     }
     t.summary = "Per-alarm latency is the paper's online-supervision metric: every \
                  push_alarm resumes the saturated fixpoint, and before amortization \
-                 each resume re-paid plan compilation, signature interning, and \
-                 worker spawn-up as a fixed tax on the delta. With the session cache \
+                 each resume re-paid plan compilation and signature interning as \
+                 a fixed tax on the delta. With the session cache \
                  the tax is paid once — plans compiled stays at the warm-up count \
                  while the control arm's grows with every alarm — which shows up \
                  directly in the p50/p99 gap between the two arms."
@@ -1418,7 +1314,7 @@ pub fn e16_online_latency() -> Table {
 /// reproduce the run's [`EvalStats`] totals *exactly* — the property that
 /// makes the profile trustworthy even when the event ring overflows.
 pub fn e17_profiler_overhead() -> Table {
-    use rescue::datalog::{seminaive_traced_opts, EvalOptions};
+    use rescue::datalog::{seminaive_opts, EvalOptions};
     let mut t = Table::new(
         "e17",
         "Profiler overhead: collector off vs traced vs traced+profiled, and attribution exactness",
@@ -1450,17 +1346,10 @@ pub fn e17_profiler_overhead() -> Table {
         };
         let options = EvalOptions {
             profile,
+            collector,
             ..EvalOptions::default()
         };
-        seminaive_traced_opts(
-            &dp.program,
-            &mut store,
-            &mut db,
-            &budget,
-            &collector,
-            &options,
-        )
-        .unwrap()
+        seminaive_opts(&dp.program, &mut store, &mut db, &budget, &options).unwrap()
     };
     let median_us = |enabled: bool, profile: bool| -> (f64, rescue::datalog::EvalStats) {
         let mut samples: Vec<(u128, rescue::datalog::EvalStats)> = (0..5)

@@ -289,7 +289,6 @@ pub fn all_experiments() -> Vec<Table> {
         experiments::e11_incremental(),
         experiments::e12_join_plan(),
         experiments::e13_telemetry(),
-        experiments::e14_parallel(),
         experiments::e15_distributed_observability(),
         experiments::e16_online_latency(),
         experiments::e17_profiler_overhead(),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! diagnose NET.pn --alarms 'b@p1 a@p2 c@p1' [--engine oracle|baseline|bottomup|qsq|magic|dqsq]
-//!          [--threads N] [--hidden sym1,sym2 --fuel N] [--dot OUT.dot]
+//!          [--hidden sym1,sym2 --fuel N] [--dot OUT.dot]
 //!          [--trace-out TRACE.json] [--metrics] [--peer-stats] [--quiet]
 //! diagnose NET.pn --follow [--hidden sym1,sym2 --fuel N]
 //! ```
@@ -42,10 +42,6 @@
 //! multi-process trace — the per-peer recordings aligned on the Lamport
 //! clocks their messages carry, one Perfetto process row per peer.
 //!
-//! `--threads N` runs every fixpoint on `N` engine workers (default: the
-//! `RESCUE_EVAL_THREADS` environment variable, else 1). The output is
-//! byte-identical whatever `N` is; only the wall clock changes.
-//!
 //! Continuous-profiling surfaces:
 //!
 //! * `--profile-out FILE` writes the run's per-rule hot-spot attribution
@@ -78,7 +74,7 @@ use std::io::BufRead;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: diagnose NET.pn --alarms 'b@p1 a@p2' \
-[--engine oracle|baseline|bottomup|qsq|magic|dqsq] [--threads N] [--hidden s1,s2 --fuel N] \
+[--engine oracle|baseline|bottomup|qsq|magic|dqsq] [--hidden s1,s2 --fuel N] \
 [--dot OUT.dot] [--trace-out TRACE.json] [--metrics] [--peer-stats] [--quiet] \
 [--profile-out STACKS.txt] [--metrics-jsonl SERIES.jsonl] [--flight-out DUMP.json] \
 [--max-facts N]\n\
@@ -88,7 +84,6 @@ struct Options {
     net_path: String,
     alarms: String,
     engine: String,
-    threads: usize,
     hidden: Vec<String>,
     fuel: usize,
     dot: Option<String>,
@@ -123,7 +118,6 @@ fn parse_args() -> Result<Options, String> {
         net_path: String::new(),
         alarms: String::new(),
         engine: "dqsq".to_owned(),
-        threads: rescue::datalog::default_threads(),
         hidden: Vec::new(),
         fuel: 0,
         dot: None,
@@ -142,14 +136,6 @@ fn parse_args() -> Result<Options, String> {
             "--alarms" => o.alarms = args.next().ok_or("--alarms needs a value")?,
             "--follow" => o.follow = true,
             "--engine" => o.engine = args.next().ok_or("--engine needs a value")?,
-            "--threads" => {
-                o.threads = args
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1)
-            }
             "--hidden" => {
                 o.hidden = args
                     .next()
@@ -267,7 +253,7 @@ fn diagnose_hidden(
     o: &Options,
     collector: &Collector,
 ) -> Result<rescue::Diagnosis, String> {
-    use rescue::datalog::{seminaive_traced_opts, Database, EvalBudget, EvalOptions, TermStore};
+    use rescue::datalog::{seminaive_opts, Database, EvalBudget, EvalOptions, TermStore};
     let hidden: Vec<&str> = o.hidden.iter().map(String::as_str).collect();
     let spec = ExtendedSpec::from_sequence(alarms).with_hidden(&hidden, o.fuel.max(1));
     let mut store = TermStore::new();
@@ -277,15 +263,12 @@ fn diagnose_hidden(
         max_term_depth: Some(2 * (spec.max_events as u32 + 1) + 2),
         ..o.budget()
     };
-    seminaive_traced_opts(
-        &ep.program,
-        &mut store,
-        &mut db,
-        &budget,
-        collector,
-        &EvalOptions::with_threads(o.threads),
-    )
-    .map_err(|e| e.to_string())?;
+    let options = EvalOptions {
+        collector: collector.clone(),
+        ..Default::default()
+    };
+    seminaive_opts(&ep.program, &mut store, &mut db, &budget, &options)
+        .map_err(|e| e.to_string())?;
     Ok(complete_with_empty(
         rescue::diagnosis::extract_from_db(&db, &store, &ep.query),
         &spec,
@@ -389,7 +372,6 @@ fn run_follow(
     let mut mgr = SessionManager::new(ManagerConfig {
         max_sessions: 1,
         budget: o.budget(),
-        threads: o.threads,
         ..ManagerConfig::default()
     });
     mgr.set_collector(collector.clone());
@@ -553,7 +535,6 @@ fn run() -> Result<(), String> {
         let report = Diagnoser::new(net.clone())
             .engine(engine)
             .collector(collector.clone())
-            .threads(o.threads)
             .per_peer_trace(o.peer_stats)
             .budget(o.budget())
             .diagnose(&alarms)

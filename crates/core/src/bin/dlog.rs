@@ -12,7 +12,7 @@ use rescue::datalog as rescue_datalog;
 use rescue::qsq as rescue_qsq;
 use rescue_datalog::{
     explain, naive, parse_atom, parse_program, seminaive, seminaive_stratified, Database,
-    EvalBudget, TermStore,
+    EvalBudget, EvalOptions, TermStore,
 };
 use std::process::ExitCode;
 
@@ -105,7 +105,10 @@ fn run() -> Result<(), String> {
                 let stats = match opts.engine.as_str() {
                     "naive" => naive(&prog, &mut store, &mut db, &budget),
                     "semi" => seminaive(&prog, &mut store, &mut db, &budget),
-                    _ => seminaive_stratified(&prog, &mut store, &mut db, &budget),
+                    _ => {
+                        let options = EvalOptions::default();
+                        seminaive_stratified(&prog, &mut store, &mut db, &budget, &options)
+                    }
                 }
                 .map_err(|e| e.to_string())?;
                 let rows = rescue_qsq_filter(&db, &store, &query);

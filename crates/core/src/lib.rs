@@ -185,14 +185,6 @@ impl Diagnoser {
         self
     }
 
-    /// Engine worker threads for the Datalog engines (per peer for dQSQ).
-    /// Reports are byte-identical across thread counts; defaults to the
-    /// `RESCUE_EVAL_THREADS` environment variable, else 1.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads.max(1);
-        self
-    }
-
     /// Record spans, counters and message flows of every run into
     /// `collector` (export with [`telemetry::export`]).
     pub fn collector(mut self, collector: Collector) -> Self {

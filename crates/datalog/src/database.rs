@@ -28,21 +28,22 @@
 //!
 //! ## Snapshot/delta discipline
 //!
-//! The storage is split along a read/write seam so one fixpoint can use
-//! many cores (DESIGN.md §10):
+//! The storage is split along a read/write seam, so that what a round's
+//! passes match is a pure function of the snapshot the round started from
+//! (DESIGN.md §10):
 //!
 //! * **sealed snapshot** — all probing ([`Relation::lookup_range_into`],
 //!   [`Relation::exists_in_range`], [`Relation::rows`],
-//!   [`Database::contains`]) takes `&self`, so any number of worker threads
-//!   can read concurrently. For that to hold, indexes are built *eagerly*:
+//!   [`Database::contains`]) takes `&self`. For that to hold, indexes are
+//!   built *eagerly*:
 //!   the fixpoint driver declares every `(predicate, mask)` its compiled
 //!   plans will probe via [`Database::prepare_index`] before evaluation
 //!   starts;
 //! * **pending delta** — all mutation ([`Database::insert`],
 //!   [`Database::insert_within`]) stays `&mut self` and is performed only
-//!   by the single-writer coordinator during the deterministic merge phase.
-//!   Inserts maintain every prepared index incrementally, so the snapshot
-//!   is already sealed again when the next round's workers start.
+//!   by the fixpoint driver's merge phase. Inserts maintain every prepared
+//!   index incrementally, so the snapshot is already sealed again when the
+//!   next round starts.
 
 use crate::language::PredId;
 use crate::term::TermId;
@@ -370,9 +371,8 @@ impl Relation {
     ///
     /// `mask` must be nonzero (with a zero mask, scan [`rows`](Self::rows)
     /// directly) and its index must have been built via
-    /// [`prepare_index`](Self::prepare_index): probing is `&self` so that
-    /// sealed snapshots can be shared across worker threads, which leaves
-    /// no way to build an index lazily here.
+    /// [`prepare_index`](Self::prepare_index): probing a sealed snapshot
+    /// is `&self`, which leaves no way to build an index lazily here.
     pub fn lookup_range_into(
         &self,
         mask: ColMask,

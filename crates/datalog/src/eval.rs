@@ -16,19 +16,23 @@
 //!
 //! Both engines run through the same two-phase round driver: the round's
 //! passes first **enumerate** matches against a sealed snapshot (frozen row
-//! ranges, read-only [`RulePlan`] execution — see
-//! [`parallel`](crate::parallel)), then the coordinator **merges** the
+//! ranges, read-only [`RulePlan`] execution), then the driver **merges** the
 //! buffered bindings in pass order through the single-writer `TermStore` and
-//! `Database`. With [`EvalOptions::threads`] > 1 the enumeration fans out to
-//! a scoped worker pool; the merge phase is identical either way, so the
-//! model, provenance stamps, and every `EvalStats` counter are
-//! byte-identical across thread counts (DESIGN.md §10).
+//! `Database`. A round's match set is therefore a pure function of its
+//! snapshot (DESIGN.md §10).
+//!
+//! There are two ways in. A **one-shot** call ([`naive`], [`seminaive`],
+//! [`seminaive_opts`], and per stratum [`seminaive_stratified`]) evaluates
+//! a borrowed program over a borrowed [`Database`] and forgets everything
+//! it compiled. An [`EvalSession`] owns its program and database and
+//! **resumes**: it keeps watermarks, the depth-suppressed frontier and the
+//! compiled plans, so each resume pays for its delta.
 
 use crate::database::{ColMask, Database, Inserted};
 use crate::language::{Atom, PredId, Program, Rule};
-use crate::parallel::{run_job, Job, JobOutput, PassOutput, WorkerPool};
 use crate::plan::{
-    JoinOrder, JoinScratch, RulePlan, ShareGroup, SharedPass, SigInterner, StepMeta, TrieNode,
+    run_job, Job, JobOutput, JoinOrder, JoinScratch, PassOutput, RulePlan, ShareGroup, SharedPass,
+    SigInterner, StepMeta, TrieNode,
 };
 use crate::symbol::Sym;
 use crate::term::{Subst, TermId, TermStore};
@@ -37,7 +41,6 @@ use rescue_telemetry::{Absorb, Collector};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Heads that were derived but not inserted because they exceeded the
 /// term-depth bound. An [`EvalSession`] records these so that raising the
@@ -177,7 +180,7 @@ pub struct EvalStats {
     /// exactly (and survive event-ring overflow, which only loses *spans*).
     /// Empty unless the run was traced with [`EvalOptions::profile`] on.
     /// `wall_us` is measured time and therefore varies run to run; every
-    /// other field is deterministic across thread counts.
+    /// other field is deterministic.
     pub per_rule: Vec<RuleStat>,
 }
 
@@ -254,9 +257,9 @@ impl EvalStats {
 
     /// This stats value with every per-rule wall clock zeroed. Wall time
     /// is the only nondeterministic field of [`EvalStats`], so two
-    /// profiled runs of the same program — at any thread counts — compare
-    /// equal after this, and a profiled run equals an unprofiled one
-    /// after additionally clearing `per_rule`.
+    /// profiled runs of the same program compare equal after this, and a
+    /// profiled run equals an unprofiled one after additionally clearing
+    /// `per_rule`.
     pub fn with_walls_zeroed(mut self) -> EvalStats {
         for r in &mut self.per_rule {
             r.wall_us = 0;
@@ -265,19 +268,12 @@ impl EvalStats {
     }
 }
 
-/// Execution knobs for one evaluation run, threaded through every engine
-/// layer (`qsq::eval`, each `dqsq::dist` peer, the diagnosis pipeline, and
-/// the CLIs).
-///
-/// `threads` is a pure performance knob: any value produces byte-identical
-/// models, provenance, and [`EvalStats`] (the workers only *enumerate*
-/// matches; all interning and insertion stays on the coordinator, in pass
-/// order — DESIGN.md §10).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Execution settings for one evaluation run, handed down through every
+/// engine layer (`qsq::eval`, each `dqsq::dist` peer, the diagnosis
+/// pipeline, and the CLIs). None of them changes the model: each is the
+/// control arm of a test or an experiment.
+#[derive(Clone, Debug)]
 pub struct EvalOptions {
-    /// Worker threads for the per-round join fan-out. `0` and `1` both
-    /// mean "run passes inline on the coordinator".
-    pub threads: usize,
     /// Body-atom order for compiled plans (experiment E12's knob).
     pub order: JoinOrder,
     /// Compile SIP existence filters into plans: partial bindings are
@@ -291,13 +287,14 @@ pub struct EvalOptions {
     /// ([`EvalStats::subplans_shared`] counts the steps saved). Also a
     /// pure performance knob.
     pub subplan_sharing: bool,
-    /// Reuse compiled plans, sharing signatures, head-variable maps and
-    /// index requirements across fixpoints through an [`EvalCache`], keyed
-    /// on `(program fingerprint, order, sip_filters, semi-naive?)`. On by
-    /// default; `false` recompiles everything per fixpoint (the no-cache
-    /// control of experiment E16). Yet another pure performance knob — a
-    /// cache hit replays byte-identical plans, so the model and every
-    /// counter except [`EvalStats::plans_compiled`] are unchanged.
+    /// Let an [`EvalSession`] reuse its compiled plans, sharing signatures,
+    /// head-variable maps and index requirements across resumes, keyed on
+    /// `(order, sip_filters, semi-naive?)`. On by default; `false`
+    /// recompiles everything per resume (the no-cache control of
+    /// experiment E16). Yet another pure performance knob — a cache hit
+    /// replays byte-identical plans, so the model and every counter except
+    /// [`EvalStats::plans_compiled`] are unchanged. One-shot calls compile
+    /// once per call either way.
     pub plan_cache: bool,
     /// Accumulate exact per-rule attribution ([`EvalStats::per_rule`])
     /// when the run is traced. On by default; only active together with an
@@ -305,44 +302,31 @@ pub struct EvalOptions {
     /// observability knob: models, stamps, and every pre-existing counter
     /// are byte-identical with profiling on or off.
     pub profile: bool,
+    /// Where the run records its spans (one per fixpoint, per round and
+    /// per productive rule pass) and, folded under `eval.*`, its
+    /// [`EvalStats`]. Disabled by default — a disabled collector is one
+    /// branch per call site.
+    pub collector: Collector,
 }
 
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
-            threads: default_threads(),
             order: JoinOrder::Planned,
             sip_filters: true,
             subplan_sharing: true,
             plan_cache: true,
             profile: true,
+            collector: Collector::disabled(),
         }
     }
 }
 
-impl EvalOptions {
-    /// Options with an explicit worker count and the default join order.
-    pub fn with_threads(threads: usize) -> Self {
-        EvalOptions {
-            threads,
-            ..Default::default()
-        }
-    }
-}
-
-/// The process-wide default worker count: `RESCUE_EVAL_THREADS` if set to a
-/// positive integer (cached on first read), else 1. Sequential stays the
-/// default because output is byte-identical either way; CI runs the whole
-/// suite at both 1 and 4 through this variable.
+/// Always 1: the engine is single-threaded. Kept only because
+/// `benchmark/src/layers.rs::eval_threads`, its one caller, prints it in
+/// the run header; it goes with that header field.
 pub fn default_threads() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("RESCUE_EVAL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
+    1
 }
 
 /// Run naive evaluation of `prog` over `db` until fixpoint.
@@ -355,18 +339,7 @@ pub fn naive(
     if prog.has_negation() {
         return Err(EvalError::NegationRequiresStratification);
     }
-    fixpoint(
-        prog,
-        store,
-        db,
-        budget,
-        false,
-        0,
-        &mut FxHashMap::default(),
-        None,
-        &EvalOptions::default(),
-        &Collector::disabled(),
-    )
+    fixpoint(prog, store, db, budget, false, 0, &EvalOptions::default())
 }
 
 /// Run semi-naive evaluation of `prog` over `db` until fixpoint.
@@ -379,8 +352,8 @@ pub fn seminaive(
     seminaive_opts(prog, store, db, budget, &EvalOptions::default())
 }
 
-/// [`seminaive`] with explicit [`EvalOptions`] (worker threads, join
-/// order).
+/// [`seminaive`] with explicit [`EvalOptions`] (join order, optimizer
+/// switches, telemetry collector).
 pub fn seminaive_opts(
     prog: &Program,
     store: &mut TermStore,
@@ -391,205 +364,15 @@ pub fn seminaive_opts(
     if prog.has_negation() {
         return Err(EvalError::NegationRequiresStratification);
     }
-    fixpoint(
-        prog,
-        store,
-        db,
-        budget,
-        true,
-        0,
-        &mut FxHashMap::default(),
-        None,
-        options,
-        &Collector::disabled(),
-    )
-}
-
-/// [`seminaive`] recording spans and counters into `collector`: one span
-/// per fixpoint round and one per productive rule Δ-pass, plus the run's
-/// [`EvalStats`] folded into the collector's `eval.*` counters.
-pub fn seminaive_traced(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    collector: &Collector,
-) -> Result<EvalStats, EvalError> {
-    seminaive_traced_opts(prog, store, db, budget, collector, &EvalOptions::default())
-}
-
-/// [`seminaive_traced`] with explicit [`EvalOptions`].
-pub fn seminaive_traced_opts(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    collector: &Collector,
-    options: &EvalOptions,
-) -> Result<EvalStats, EvalError> {
-    if prog.has_negation() {
-        return Err(EvalError::NegationRequiresStratification);
-    }
-    fixpoint(
-        prog,
-        store,
-        db,
-        budget,
-        true,
-        0,
-        &mut FxHashMap::default(),
-        None,
-        options,
-        collector,
-    )
-}
-
-/// [`seminaive`] with an explicit [`JoinOrder`] — the hook experiment E12
-/// uses to compare the compiled plan order against the leftmost baseline
-/// on identical inputs.
-pub fn seminaive_ordered(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    order: JoinOrder,
-) -> Result<EvalStats, EvalError> {
-    seminaive_opts(
-        prog,
-        store,
-        db,
-        budget,
-        &EvalOptions {
-            order,
-            ..Default::default()
-        },
-    )
-}
-
-/// Semi-naive evaluation resuming from `watermarks`: rows below a
-/// relation's watermark are assumed already saturated under `prog` (the
-/// invariant a previous call established), so only the newer rows act as
-/// initial deltas. On return the watermarks are advanced to the new
-/// relation lengths.
-///
-/// This is what lets a distributed peer absorb one message batch at a time
-/// without re-joining its whole database on every batch.
-pub fn seminaive_from(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    watermarks: &mut FxHashMap<PredId, usize>,
-) -> Result<EvalStats, EvalError> {
-    seminaive_from_traced(prog, store, db, budget, watermarks, &Collector::disabled())
-}
-
-/// [`seminaive_from`] recording spans and counters into `collector` — the
-/// entry point a distributed peer uses so each message-batch fixpoint
-/// shows up in the trace.
-pub fn seminaive_from_traced(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    watermarks: &mut FxHashMap<PredId, usize>,
-    collector: &Collector,
-) -> Result<EvalStats, EvalError> {
-    seminaive_from_traced_opts(
-        prog,
-        store,
-        db,
-        budget,
-        watermarks,
-        collector,
-        &EvalOptions::default(),
-    )
-}
-
-/// [`seminaive_from_traced`] with explicit [`EvalOptions`] — what each
-/// distributed peer calls so its local fixpoints use the configured worker
-/// pool.
-#[allow(clippy::too_many_arguments)]
-pub fn seminaive_from_traced_opts(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    watermarks: &mut FxHashMap<PredId, usize>,
-    collector: &Collector,
-    options: &EvalOptions,
-) -> Result<EvalStats, EvalError> {
-    if prog.has_negation() {
-        return Err(EvalError::NegationRequiresStratification);
-    }
-    fixpoint(
-        prog, store, db, budget, true, 0, watermarks, None, options, collector,
-    )
-}
-
-/// [`seminaive_from_traced_opts`] with an explicit [`EvalCache`]: compiled
-/// plans and the worker pool are reused across calls instead of being
-/// rebuilt per fixpoint. The program is still fingerprinted on every call
-/// (that is what keeps a stale cache unobservable); a caller that resumes
-/// one fixed program many times should own an [`EvalSession`], which
-/// fingerprints once.
-#[allow(clippy::too_many_arguments)]
-pub fn seminaive_from_cached(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    watermarks: &mut FxHashMap<PredId, usize>,
-    collector: &Collector,
-    options: &EvalOptions,
-    cache: &mut EvalCache,
-) -> Result<EvalStats, EvalError> {
-    if prog.has_negation() {
-        return Err(EvalError::NegationRequiresStratification);
-    }
-    fixpoint_cached(
-        prog,
-        ProgramKey::of(prog),
-        store,
-        db,
-        budget,
-        true,
-        0,
-        watermarks,
-        None,
-        options,
-        collector,
-        cache,
-    )
-}
-
-/// What the plan cache knows a program by. Computing it walks every rule,
-/// so a caller that owns its program and never mutates it ([`EvalSession`])
-/// computes it once; the by-reference entry points recompute it on every
-/// call, which is what makes a stale hit impossible for them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct ProgramKey {
-    /// [`Program::fingerprint`] — covers every rule structurally.
-    fingerprint: u64,
-    /// Non-fact rule count, belt and braces against a fingerprint
-    /// collision across genuinely different programs.
-    n_rules: usize,
-}
-
-impl ProgramKey {
-    fn of(prog: &Program) -> Self {
-        ProgramKey {
-            fingerprint: prog.fingerprint(),
-            n_rules: prog.rules.iter().filter(|r| !r.is_fact()).count(),
-        }
-    }
+    fixpoint(prog, store, db, budget, true, 0, options)
 }
 
 /// The cache key of one compiled program: recompilation is needed exactly
-/// when any component changes.
+/// when any component changes. The program is not part of it — the only
+/// cache that outlives a call belongs to an [`EvalSession`], which owns its
+/// program and never mutates it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct PlanKey {
-    program: ProgramKey,
     order: JoinOrder,
     sip_filters: bool,
     /// Δ-pass variants exist only for semi-naive runs.
@@ -597,8 +380,8 @@ struct PlanKey {
 }
 
 /// Everything [`fixpoint_cached`] derives from the program text alone —
-/// independent of the database, the budget, and the thread count, so it
-/// can be replayed verbatim by every later fixpoint over the same program.
+/// independent of the database and the budget, so it can be replayed
+/// verbatim by every later fixpoint over the same program.
 struct CompiledProgram {
     key: PlanKey,
     /// Positions of the non-fact rules in `Program::rules`; every other
@@ -646,59 +429,6 @@ struct CompiledProgram {
     profile_labels: Option<Vec<String>>,
 }
 
-/// Session-scoped evaluation state that outlives a single fixpoint: the
-/// compiled-plan cache and the persistent worker pool. An
-/// [`EvalSession`] owns one across resumes (a distributed peer holds a
-/// session, so one per peer across its message batches); one-shot entry
-/// points create a transient cache per call (amortizing the pool across
-/// that fixpoint's rounds); [`seminaive_from_cached`] takes the caller's.
-///
-/// Invalidation is by key, not by hand: every fixpoint compares the
-/// [`PlanKey`] of its program and options against the cached one and
-/// recompiles on any mismatch, and every entry point that takes the
-/// program by reference re-derives the program's part of the key on each
-/// call, so a stale cache is impossible to observe. Deferred-fact replay
-/// and budget changes never invalidate — plans depend only on the rules
-/// and the compile options, never on the data.
-#[derive(Default)]
-pub struct EvalCache {
-    compiled: Option<CompiledProgram>,
-    pool: Option<WorkerPool>,
-    /// Worker threads ever spawned by this cache's pools (cumulative over
-    /// pool rebuilds) — the source of the `eval.parallel.threads_spawned`
-    /// counter that pins "zero spawns per round after warm-up".
-    threads_spawned: u64,
-}
-
-impl EvalCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop the compiled plans (the worker pool survives). The next
-    /// fixpoint recompiles; used when switching [`EvalOptions::plan_cache`]
-    /// off so a later re-enable starts from a clean slate.
-    pub fn clear_plans(&mut self) {
-        self.compiled = None;
-    }
-}
-
-/// The persistent worker pool for `threads` workers, (re)building it when
-/// the configured count changed since the last round. A free function over
-/// the cache's fields so the round loop can hold the compiled plans
-/// (immutably) and the pool (mutably) at once.
-fn pool_for<'p>(
-    slot: &'p mut Option<WorkerPool>,
-    spawned: &mut u64,
-    threads: usize,
-) -> &'p mut WorkerPool {
-    if slot.as_ref().map(WorkerPool::threads) != Some(threads) {
-        *slot = Some(WorkerPool::new(threads));
-        *spawned += threads as u64;
-    }
-    slot.as_mut().expect("pool just ensured")
-}
-
 /// A resumable semi-naive evaluation: the database, per-predicate
 /// watermarks, and the depth-suppressed frontier of one ongoing fixpoint,
 /// owned together so callers can keep injecting facts and re-saturating
@@ -709,7 +439,8 @@ fn pool_for<'p>(
 /// not for the whole unfolding again. Two mechanisms cooperate:
 ///
 /// * **watermarks** — rows below a relation's watermark were saturated by a
-///   previous call and act as "old" from the start (see [`seminaive_from`]);
+///   previous resume and act as "old" from the start, so only the newer
+///   rows are initial deltas;
 /// * **deferred facts** — heads skipped by the term-depth bound are
 ///   recorded, and [`EvalSession::set_depth_bound`] re-injects the ones
 ///   that fit a raised bound as fresh deltas. Any derivation missing from
@@ -718,10 +449,7 @@ fn pool_for<'p>(
 ///   the larger bound.
 pub struct EvalSession {
     prog: Program,
-    /// `prog`'s plan-cache identity. The session owns its program and
-    /// never mutates it, so this is computed once, not per resume.
-    program_key: ProgramKey,
-    /// `prog.has_negation()`, also computed once: every resume of such a
+    /// `prog.has_negation()`, computed once: every resume of such a
     /// session is refused.
     has_negation: bool,
     db: Database,
@@ -732,18 +460,13 @@ pub struct EvalSession {
     queue: Vec<(PredId, Box<[TermId]>)>,
     /// Aggregate stats over every fixpoint run by this session.
     total: EvalStats,
-    /// Telemetry sink for every fixpoint the session runs (disabled by
-    /// default — a disabled collector is one branch per call site).
-    collector: Collector,
-    /// Execution options for every fixpoint the session runs. The worker
-    /// count never changes what a resume derives, so it may be adjusted
-    /// between resumes.
+    /// Execution options (and telemetry sink) of every fixpoint the
+    /// session runs.
     options: EvalOptions,
-    /// Compiled plans + persistent worker pool, reused by every resume —
-    /// the session's program is fixed, so after the first fixpoint each
-    /// `push_fact`/`resume` pays for its delta joins, not for
-    /// recompilation or thread spawns.
-    cache: EvalCache,
+    /// Compiled plans, reused by every resume — the session's program is
+    /// fixed, so after the first fixpoint each `push_fact`/`resume` pays
+    /// for its delta joins, not for recompilation.
+    compiled: Option<CompiledProgram>,
 }
 
 impl EvalSession {
@@ -763,12 +486,10 @@ impl EvalSession {
 
     /// A session for `prog` that has not evaluated anything yet: the first
     /// [`resume`](Self::resume) performs the initial saturation (and
-    /// reports a program with negation). For owners that configure the
-    /// session — collector, options — before its first fixpoint, as a
-    /// distributed peer does.
+    /// reports a program with negation). For owners that set the session's
+    /// options before its first fixpoint, as a distributed peer does.
     pub fn idle(prog: Program, budget: EvalBudget) -> Self {
         EvalSession {
-            program_key: ProgramKey::of(&prog),
             has_negation: prog.has_negation(),
             prog,
             db: Database::new(),
@@ -777,23 +498,9 @@ impl EvalSession {
             deferred: DeferredFacts::default(),
             queue: Vec::new(),
             total: EvalStats::default(),
-            collector: Collector::disabled(),
             options: EvalOptions::default(),
-            cache: EvalCache::default(),
+            compiled: None,
         }
-    }
-
-    /// Route every subsequent fixpoint's spans and counters to `collector`.
-    pub fn set_collector(&mut self, collector: Collector) {
-        self.collector = collector;
-    }
-
-    /// Set the worker count for every subsequent fixpoint. A pure
-    /// performance knob: the derived model is byte-identical either way.
-    /// The persistent worker pool is rebuilt on the next fan-out if the
-    /// count actually changed.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.options.threads = threads;
     }
 
     /// Replace the execution options of every subsequent fixpoint. A change
@@ -803,15 +510,9 @@ impl EvalSession {
         self.options = options;
     }
 
-    /// Enable or disable the session's compiled-plan cache (see
-    /// [`EvalOptions::plan_cache`]; on by default). Disabling recompiles
-    /// every plan on every resume — the control arm of the online-latency
-    /// experiment. Derivations are byte-identical either way.
-    pub fn set_plan_cache(&mut self, on: bool) {
-        self.options.plan_cache = on;
-        if !on {
-            self.cache.clear_plans();
-        }
+    /// The options the next [`resume`](Self::resume) runs under.
+    pub fn options(&self) -> &EvalOptions {
+        &self.options
     }
 
     /// The materialized model so far (truncated at the current depth bound).
@@ -876,19 +577,20 @@ impl EvalSession {
             return Err(EvalError::NegationRequiresStratification);
         }
         self.queue.extend(new_facts);
-        for (pred, row) in self.queue.drain(..) {
-            // Rows land above the watermark, so they are the initial
-            // deltas of the run below. Duplicates insert nothing, so they
-            // never trip the budget.
-            if self.db.insert_within(pred, &row, self.budget.max_facts) == Inserted::OverBudget {
-                return Err(EvalError::FactBudgetExceeded {
-                    limit: self.budget.max_facts,
-                });
-            }
+        // Rows land above the watermark, so they are the initial deltas of
+        // the run below. Duplicates insert nothing, so they never trip the
+        // budget. The fact that does trip it, and everything queued behind
+        // it, stays queued for a resume under a larger budget.
+        let limit = self.budget.max_facts;
+        let over = (self.queue.iter()).position(|(pred, row)| {
+            self.db.insert_within(*pred, row, limit) == Inserted::OverBudget
+        });
+        self.queue.drain(..over.unwrap_or(self.queue.len()));
+        if over.is_some() {
+            return Err(EvalError::FactBudgetExceeded { limit });
         }
         let stats = fixpoint_cached(
             &self.prog,
-            self.program_key,
             store,
             &mut self.db,
             &self.budget,
@@ -897,23 +599,12 @@ impl EvalSession {
             &mut self.watermarks,
             Some(&mut self.deferred),
             &self.options,
-            &self.collector,
-            &mut self.cache,
+            &mut self.compiled,
         )?;
         self.total.absorb(&stats);
         Ok(stats)
     }
 }
-
-/// A round fans out to the worker pool only when its passes' summed
-/// outer-window widths reach this many rows; below it, pool dispatch costs
-/// more than it saves. A pure scheduling knob — output never depends on it.
-const PARALLEL_THRESHOLD: usize = 256;
-
-/// Minimum rows per chunk when a full-scan window is sharded. Also a pure
-/// scheduling knob (see [`RulePlan::shard_atom`] for why splits are
-/// invisible to every counter).
-const SHARD_MIN_ROWS: usize = 64;
 
 /// One pass of a round: a compiled plan variant plus the frozen `[lo, hi)`
 /// row windows per original body position.
@@ -925,21 +616,6 @@ struct Pass<'p> {
     ranges: Vec<(usize, usize)>,
     /// Per-step sharing signatures of `plan` (computed once per fixpoint).
     metas: &'p [StepMeta],
-}
-
-/// One merge-order unit of a round: a solo pass or a whole share group,
-/// each owning a contiguous run of jobs (shard chunks stay inside their
-/// unit). Units are ordered by their smallest pass index, so the merge
-/// order — like the unit list itself — depends only on the sealed
-/// snapshot, never on the thread count.
-struct Unit {
-    kind: UnitKind,
-    jobs: std::ops::Range<usize>,
-}
-
-enum UnitKind {
-    Solo(usize),
-    Group(usize),
 }
 
 /// Pseudo rule index attributing program seed-fact inserts in the
@@ -1077,11 +753,8 @@ fn count_members(node: &TrieNode) -> usize {
     node.leaves.len() + node.children.iter().map(count_members).sum::<usize>()
 }
 
-/// [`fixpoint_cached`] with a transient [`EvalCache`]: one-shot entry
-/// points compile once and spawn workers once per *call* (the pool still
-/// amortizes across the call's rounds), while sessions and peers hold a
-/// cache across calls.
-#[allow(clippy::too_many_arguments)]
+/// The one-shot way in: [`fixpoint_cached`] from empty watermarks, keeping
+/// nothing it compiled. [`EvalSession::resume`] is the other.
 fn fixpoint(
     prog: &Program,
     store: &mut TermStore,
@@ -1089,31 +762,28 @@ fn fixpoint(
     budget: &EvalBudget,
     semi: bool,
     stratum: u32,
-    watermarks: &mut FxHashMap<PredId, usize>,
-    deferred: Option<&mut DeferredFacts>,
     options: &EvalOptions,
-    collector: &Collector,
 ) -> Result<EvalStats, EvalError> {
+    let mut watermarks = FxHashMap::default();
     fixpoint_cached(
         prog,
-        ProgramKey::of(prog),
         store,
         db,
         budget,
         semi,
         stratum,
-        watermarks,
-        deferred,
+        &mut watermarks,
+        None,
         options,
-        collector,
-        &mut EvalCache::default(),
+        &mut None,
     )
 }
 
+/// The evaluator. `cache` is the caller's compiled program for `prog`, if
+/// it has one; it must never be shown a second program.
 #[allow(clippy::too_many_arguments)]
 fn fixpoint_cached(
     prog: &Program,
-    program_key: ProgramKey,
     store: &mut TermStore,
     db: &mut Database,
     budget: &EvalBudget,
@@ -1122,11 +792,10 @@ fn fixpoint_cached(
     watermarks: &mut FxHashMap<PredId, usize>,
     mut deferred: Option<&mut DeferredFacts>,
     options: &EvalOptions,
-    collector: &Collector,
-    cache: &mut EvalCache,
+    cache: &mut Option<CompiledProgram>,
 ) -> Result<EvalStats, EvalError> {
     let order = options.order;
-    let threads = options.threads.max(1);
+    let collector = &options.collector;
     let mut stats = EvalStats::default();
     // Facts of the program itself seed the database.
     for rule in prog.rules.iter().filter(|r| r.is_fact()) {
@@ -1145,7 +814,6 @@ fn fixpoint_cached(
 
     let sip = options.sip_filters;
     let key = PlanKey {
-        program: program_key,
         order,
         sip_filters: sip,
         semi,
@@ -1153,9 +821,10 @@ fn fixpoint_cached(
     // Compile on a cache miss only. A hit replays the previous fixpoint's
     // rule list, predicate ids, plans, sharing signatures, head-variable
     // maps and index needs verbatim — all of them pure functions of
-    // (rules, order, sip, semi), which is exactly what the key covers, so
-    // nothing on the hit path walks the program.
-    let hit = options.plan_cache && cache.compiled.as_ref().is_some_and(|c| c.key == key);
+    // (rules, order, sip, semi); the rules are the cache owner's and fixed,
+    // the key covers the rest, so nothing on the hit path walks the
+    // program.
+    let hit = options.plan_cache && cache.as_ref().is_some_and(|c| c.key == key);
     if !hit {
         let (rule_ids, rules): (Vec<usize>, Vec<&Rule>) = prog
             .rules
@@ -1236,11 +905,11 @@ fn fixpoint_cached(
                 }
             }
         }
-        // Rule-head variables in first-occurrence order: a worker emits
+        // Rule-head variables in first-occurrence order: a pass emits
         // one binding per head variable per match, and the merge phase
         // re-binds exactly these to intern the instantiated head.
         let head_vars: Vec<Vec<Sym>> = rules.iter().map(|r| r.head.vars(store)).collect();
-        cache.compiled = Some(CompiledProgram {
+        *cache = Some(CompiledProgram {
             key,
             rule_ids,
             preds,
@@ -1261,7 +930,7 @@ fn fixpoint_cached(
     // Telemetry labels are formatted once per *compile* (lazily, on the
     // first traced fixpoint), never inside the round loop — a disabled
     // collector costs one branch per call site.
-    let compiled = cache.compiled.as_mut().expect("compiled above");
+    let compiled = cache.as_mut().expect("compiled above");
     let head_label = |i: usize| {
         let head = &prog.rules[i].head.pred;
         format!(
@@ -1281,10 +950,9 @@ fn fixpoint_cached(
     // Exact per-rule attribution: collected only when the collector can
     // observe it AND the options ask for it, into a per-(rule, variant)
     // accumulator that every round folds into. The accumulation runs in
-    // the single-writer merge phase over unit-level sums, which are
-    // thread-count-independent — so the attribution is exact even when
-    // the event ring overflows, and deterministic in everything but wall
-    // time.
+    // the merge phase over job-level sums, so the attribution is exact
+    // even when the event ring overflows, and deterministic in everything
+    // but wall time.
     let profiling = traced && options.profile;
     if profiling && compiled.profile_labels.is_none() {
         let labels = compiled.rule_ids.iter().enumerate();
@@ -1297,15 +965,8 @@ fn fixpoint_cached(
         // pseudo-rule so the per-rule fact sum equals `facts_derived`.
         prof.entry((SEED_RULE, 0, false)).or_default().facts += stats.facts_derived as u64;
     }
-    // Split-borrow the cache: the compiled program is read-only for the
-    // rest of the run, while the worker pool is driven mutably per round.
-    let EvalCache {
-        compiled,
-        pool,
-        threads_spawned,
-    } = cache;
-    let compiled = compiled.as_ref().expect("compiled above");
-    let spawned_at_entry = *threads_spawned;
+    // The compiled program is read-only for the rest of the run.
+    let compiled: &CompiledProgram = compiled;
     stats.plan_reorders += compiled.reorders;
     let plans = &compiled.plans;
     let delta_plans = &compiled.delta_plans;
@@ -1315,8 +976,7 @@ fn fixpoint_cached(
     let rule_labels: &[String] = compiled.rule_labels.as_deref().unwrap_or(&[]);
     let profile_labels: &[String] = compiled.profile_labels.as_deref().unwrap_or(&[]);
     // Seal: build (or register) every index any compiled plan will probe,
-    // up front — from here on the executors only ever *read* the database,
-    // which is what lets a round's passes run on worker threads at all.
+    // up front — from here on the executors only ever *read* the database.
     // Idempotent per index, so replaying the cached list on every resume
     // costs one hash probe per need.
     for &(pred, mask) in &compiled.index_needs {
@@ -1331,10 +991,7 @@ fn fixpoint_cached(
     let mut subst = Subst::new();
     let mut head_buf: Vec<TermId> = Vec::new();
     let mut merge_subst = Subst::new();
-    let mut seq_out = JobOutput::default();
-    let mut pool_rounds = 0usize;
-    let mut pool_jobs = 0usize;
-    let mut pool_sharded = 0usize;
+    let mut out = JobOutput::default();
     let rule_at = |idx: usize| &prog.rules[compiled.rule_ids[idx]];
     // Relation lengths by dense predicate id. `prev_len` is where the
     // previous round's snapshot ended, `start_len` where this round's
@@ -1443,9 +1100,8 @@ fn fixpoint_cached(
 
         // Group passes with identical join prefixes (same step signatures
         // over the same frozen windows) into shared-prefix tries. The
-        // grouping is a pure function of the sealed snapshot — it never
-        // depends on the thread count — and `subplans_shared` is counted
-        // here, at build time, for the same reason.
+        // grouping is a pure function of the sealed snapshot, and
+        // `subplans_shared` is counted here, at build time.
         let (groups, solo) = build_share_groups(&passes, options.subplan_sharing);
         stats.subplans_shared += groups.iter().map(|g| g.shared_steps).sum::<usize>();
         let shared_passes: Vec<SharedPass> = passes
@@ -1458,294 +1114,99 @@ fn fixpoint_cached(
             })
             .collect();
 
-        // Phase 2 — enumerate. Fan out only when enough scan work exists
-        // to pay for pool dispatch; shard a job only when its outermost
-        // loop is an unkeyed full scan (see `RulePlan::shard_atom` for why
-        // chunking such a window is invisible to every counter). Chunks
-        // stay consecutive inside their unit and in window order, so the
-        // merge phase below reproduces the unsharded emission order bit
-        // for bit.
-        let fan_out = threads > 1
-            && solo
-                .iter()
-                .map(|&p| passes[p].plan.scan_width(&passes[p].ranges))
-                .chain(groups.iter().map(|g| {
-                    let rep = &passes[g.root.rep];
-                    rep.plan.scan_width(&rep.ranges)
-                }))
-                .sum::<usize>()
-                >= PARALLEL_THRESHOLD;
-
-        // Units ordered by smallest member pass — a deterministic total
-        // order over solo passes and groups.
-        let mut unit_kinds: Vec<(usize, UnitKind)> = solo
-            .iter()
-            .map(|&p| (p, UnitKind::Solo(p)))
-            .chain(
-                groups
-                    .iter()
-                    .enumerate()
-                    .map(|(gi, g)| (g.members[0], UnitKind::Group(gi))),
-            )
+        // Phase 2 — one job per solo pass or share group, ordered by
+        // smallest member pass: a total order that, like the job list
+        // itself, depends only on the sealed snapshot.
+        let mut jobs: Vec<(usize, Job)> = (solo.iter().map(|&p| (p, Job::Solo(p))))
+            .chain(groups.iter().map(|g| (g.members[0], Job::Group(g))))
             .collect();
-        unit_kinds.sort_by_key(|&(min_pass, _)| min_pass);
+        jobs.sort_by_key(|&(min_pass, _)| min_pass);
 
-        let mut jobs: Vec<Job> = Vec::with_capacity(passes.len());
-        let mut units: Vec<Unit> = Vec::with_capacity(unit_kinds.len());
-        for (_, kind) in unit_kinds {
-            let start = jobs.len();
-            match kind {
-                UnitKind::Solo(p) => {
-                    let pass = &passes[p];
-                    let width = pass.plan.scan_width(&pass.ranges);
-                    let shard = if fan_out {
-                        pass.plan.shard_atom()
-                    } else {
-                        None
-                    };
-                    match shard {
-                        Some(atom_idx) if width >= 2 * SHARD_MIN_ROWS => {
-                            let (lo, _) = pass.ranges[atom_idx];
-                            let chunks = (width / SHARD_MIN_ROWS).clamp(2, threads * 2);
-                            pool_sharded += 1;
-                            for c in 0..chunks {
-                                let a = lo + width * c / chunks;
-                                let b = lo + width * (c + 1) / chunks;
-                                let mut ranges = pass.ranges.clone();
-                                ranges[atom_idx] = (a, b);
-                                jobs.push(Job::Solo { pass: p, ranges });
-                            }
-                        }
-                        _ => jobs.push(Job::Solo {
-                            pass: p,
-                            ranges: pass.ranges.clone(),
-                        }),
-                    }
-                    units.push(Unit {
-                        kind: UnitKind::Solo(p),
-                        jobs: start..jobs.len(),
-                    });
-                }
-                UnitKind::Group(gi) => {
-                    let g = &groups[gi];
-                    let rep = &passes[g.root.rep];
-                    let width = rep.plan.scan_width(&rep.ranges);
-                    let shard = if fan_out { rep.plan.shard_atom() } else { None };
-                    match shard {
-                        Some(atom_idx) if width >= 2 * SHARD_MIN_ROWS => {
-                            let (lo, _) = rep.ranges[atom_idx];
-                            let chunks = (width / SHARD_MIN_ROWS).clamp(2, threads * 2);
-                            pool_sharded += 1;
-                            for c in 0..chunks {
-                                let a = lo + width * c / chunks;
-                                let b = lo + width * (c + 1) / chunks;
-                                jobs.push(Job::Group {
-                                    group: g,
-                                    chunk: Some((a, b)),
-                                });
-                            }
-                        }
-                        _ => jobs.push(Job::Group {
-                            group: g,
-                            chunk: None,
-                        }),
-                    }
-                    units.push(Unit {
-                        kind: UnitKind::Group(gi),
-                        jobs: start..jobs.len(),
-                    });
-                }
-            }
-        }
-        let outputs: Vec<JobOutput> = if fan_out {
-            pool_rounds += 1;
-            pool_jobs += jobs.len();
-            pool_for(pool, threads_spawned, threads).run_round(
-                &jobs,
+        // Phase 3 — enumerate each job into `out` and merge it before the
+        // next one runs (buffer memory is bounded by one job), members of
+        // a group ascending. The merge only appends rows at or above
+        // `start_len`, which no window of this round reaches, so a later
+        // job still enumerates the sealed snapshot.
+        for (_, job) in &jobs {
+            run_job(
+                job,
                 &shared_passes,
                 store,
                 db,
-                collector,
+                &mut subst,
+                &mut scratch,
+                &mut out,
                 profiling,
-            )
-        } else {
-            Vec::new()
-        };
-
-        // Phase 3 — merge, single-writer, in unit order; inside a unit,
-        // members ascending and each member's chunks in window order.
-        // Inline mode enumerates each job right here instead (bounding
-        // buffer memory to one unit); either way the merge sees the same
-        // tuples in the same order, so the model and every counter are
-        // byte-identical across thread counts.
-        let mut inline_outs: Vec<JobOutput> = Vec::new();
-        for unit in &units {
-            let unit_outs: &[JobOutput] = if fan_out {
-                &outputs[unit.jobs.clone()]
-            } else if unit.jobs.len() == 1 {
-                run_job(
-                    &jobs[unit.jobs.start],
-                    &shared_passes,
-                    store,
-                    db,
-                    &mut subst,
-                    &mut scratch,
-                    &mut seq_out,
-                    profiling,
-                );
-                std::slice::from_ref(&seq_out)
-            } else {
-                // Unsharded inline rounds have one job per unit; this arm
-                // only exists for completeness.
-                inline_outs.clear();
-                for j in unit.jobs.clone() {
-                    let mut out = JobOutput::default();
-                    run_job(
-                        &jobs[j],
-                        &shared_passes,
-                        store,
-                        db,
-                        &mut subst,
-                        &mut scratch,
-                        &mut out,
-                        profiling,
-                    );
-                    inline_outs.push(out);
-                }
-                &inline_outs
+            );
+            stats.index_probes += out.probes;
+            stats.candidates_scanned += out.cands;
+            stats.sip_filtered += out.sip;
+            // A solo pass merges like a group of one, minus the group span.
+            let (members, group): (&[usize], Option<&ShareGroup>) = match job {
+                Job::Solo(p) => (std::slice::from_ref(p), None),
+                Job::Group(g) => (&g.members, Some(g)),
             };
-            let mut unit_cands = 0u64;
-            let mut unit_sip = 0u64;
-            let mut unit_wall = 0u64;
-            for out in unit_outs {
-                stats.index_probes += out.probes;
-                stats.candidates_scanned += out.cands;
-                stats.sip_filtered += out.sip;
-                unit_cands += out.cands as u64;
-                unit_sip += out.sip as u64;
-                unit_wall += out.wall_us;
-            }
-            match unit.kind {
-                UnitKind::Solo(p) => {
-                    let pass = &passes[p];
-                    let rule = rule_at(pass.rule_idx);
-                    let mut pass_span = traced.then(|| {
-                        let mut sp = collector.span(rule_labels[pass.rule_idx].clone(), "eval");
+            let mut group_span = group.filter(|_| traced).map(|g| {
+                let mut sp = collector.span(format!("shared prefix ×{}", g.members.len()), "eval");
+                sp.arg("steps_saved", g.shared_steps as u64);
+                sp
+            });
+            let mut job_produced = 0usize;
+            for (slot, &p) in members.iter().enumerate() {
+                let pass = &passes[p];
+                let mut pass_span = traced.then(|| {
+                    let mut sp = collector.span(rule_labels[pass.rule_idx].clone(), "eval");
+                    if group.is_some() {
+                        sp.arg("plan", format!("{} shared", plan_label(pass)));
+                    } else {
                         sp.arg("plan", plan_label(pass));
                         if let Some((_, rows)) = pass.delta {
                             sp.arg("delta_rows", rows as u64);
                         }
-                        sp
-                    });
-                    let mut produced = 0usize;
-                    for out in unit_outs {
-                        debug_assert_eq!(out.pass_ids.len(), 1);
-                        produced += merge_output(
-                            rule,
-                            &head_vars[pass.rule_idx],
-                            &out.passes[0],
-                            store,
-                            db,
-                            budget,
-                            &mut stats,
-                            deferred.as_deref_mut(),
-                            &mut merge_subst,
-                            &mut head_buf,
-                        )?;
                     }
-                    if let Some(sp) = pass_span.as_mut() {
-                        sp.arg("new_facts", produced as u64);
-                    }
-                    if profiling {
-                        let vcode = pass.delta.map_or(0, |(j, _)| j + 1);
-                        let acc = prof.entry((pass.rule_idx, vcode, false)).or_default();
-                        acc.rounds += 1;
-                        acc.firings += unit_outs
-                            .iter()
-                            .map(|o| o.passes[0].firings as u64)
-                            .sum::<u64>();
-                        acc.facts += produced as u64;
-                        acc.cands += unit_cands;
-                        acc.sip += unit_sip;
-                        acc.wall += unit_wall;
-                    }
-                    if produced > 0 {
-                        grown.push(compiled.head_pids[pass.rule_idx]);
-                    }
-                    derived_this_round += produced;
+                    sp
+                });
+                let produced = merge_output(
+                    rule_at(pass.rule_idx),
+                    &head_vars[pass.rule_idx],
+                    &out.passes[slot],
+                    store,
+                    db,
+                    budget,
+                    &mut stats,
+                    deferred.as_deref_mut(),
+                    &mut merge_subst,
+                    &mut head_buf,
+                )?;
+                if let Some(sp) = pass_span.as_mut() {
+                    sp.arg("new_facts", produced as u64);
                 }
-                UnitKind::Group(gi) => {
-                    let g = &groups[gi];
-                    let mut group_span = traced.then(|| {
-                        let mut sp =
-                            collector.span(format!("shared prefix ×{}", g.members.len()), "eval");
-                        sp.arg("steps_saved", g.shared_steps as u64);
-                        sp
-                    });
-                    let mut group_produced = 0usize;
-                    for (slot, &p) in g.members.iter().enumerate() {
-                        let pass = &passes[p];
-                        let rule = rule_at(pass.rule_idx);
-                        let mut pass_span = traced.then(|| {
-                            let mut sp = collector.span(rule_labels[pass.rule_idx].clone(), "eval");
-                            sp.arg("plan", format!("{} shared", plan_label(pass)));
-                            sp
-                        });
-                        let mut produced = 0usize;
-                        for out in unit_outs {
-                            debug_assert_eq!(out.pass_ids[slot], p);
-                            produced += merge_output(
-                                rule,
-                                &head_vars[pass.rule_idx],
-                                &out.passes[slot],
-                                store,
-                                db,
-                                budget,
-                                &mut stats,
-                                deferred.as_deref_mut(),
-                                &mut merge_subst,
-                                &mut head_buf,
-                            )?;
-                        }
-                        if let Some(sp) = pass_span.as_mut() {
-                            sp.arg("new_facts", produced as u64);
-                        }
-                        if profiling {
-                            let vcode = pass.delta.map_or(0, |(j, _)| j + 1);
-                            let acc = prof.entry((pass.rule_idx, vcode, true)).or_default();
-                            acc.rounds += 1;
-                            acc.firings += unit_outs
-                                .iter()
-                                .map(|o| o.passes[slot].firings as u64)
-                                .sum::<u64>();
-                            acc.facts += produced as u64;
-                            if slot == 0 {
-                                // Job-level counters (scan work, SIP hits,
-                                // wall time) cover the whole shared trie;
-                                // hand them to the group's first member so
-                                // per-rule sums stay exact, never doubled.
-                                acc.cands += unit_cands;
-                                acc.sip += unit_sip;
-                                acc.wall += unit_wall;
-                            }
-                        }
-                        if produced > 0 {
-                            grown.push(compiled.head_pids[pass.rule_idx]);
-                        }
-                        group_produced += produced;
+                if profiling {
+                    let vcode = pass.delta.map_or(0, |(j, _)| j + 1);
+                    let key = (pass.rule_idx, vcode, group.is_some());
+                    let acc = prof.entry(key).or_default();
+                    acc.rounds += 1;
+                    acc.firings += out.passes[slot].firings as u64;
+                    acc.facts += produced as u64;
+                    if slot == 0 {
+                        // Job-level counters (scan work, SIP hits, wall
+                        // time) cover the whole shared trie; hand them to
+                        // the job's first member so per-rule sums stay
+                        // exact, never doubled.
+                        acc.cands += out.cands as u64;
+                        acc.sip += out.sip as u64;
+                        acc.wall += out.wall_us;
                     }
-                    if let Some(sp) = group_span.as_mut() {
-                        sp.arg("new_facts", group_produced as u64);
-                    }
-                    derived_this_round += group_produced;
                 }
+                if produced > 0 {
+                    grown.push(compiled.head_pids[pass.rule_idx]);
+                }
+                job_produced += produced;
             }
-        }
-
-        // Hand the round's output buffers back to the pool: rows keep
-        // their capacity, so steady-state rounds allocate nothing.
-        if fan_out {
-            pool_for(pool, threads_spawned, threads).recycle(outputs);
+            if let Some(sp) = group_span.as_mut() {
+                sp.arg("new_facts", job_produced as u64);
+            }
+            derived_this_round += job_produced;
         }
 
         if let Some(sp) = round_span.as_mut() {
@@ -1782,16 +1243,6 @@ fn fixpoint_cached(
             if let Some(sp) = fix_span.as_mut() {
                 sp.arg("rounds", stats.iterations as u64);
                 sp.arg("facts_derived", stats.facts_derived as u64);
-            }
-            if traced && pool_rounds > 0 {
-                collector.count("eval.parallel.rounds", pool_rounds as u64);
-                collector.count("eval.parallel.jobs", pool_jobs as u64);
-                collector.count("eval.parallel.sharded_passes", pool_sharded as u64);
-                collector.record("eval.parallel.threads", threads as u64);
-                collector.count(
-                    "eval.parallel.threads_spawned",
-                    *threads_spawned - spawned_at_entry,
-                );
             }
             if profiling && !prof.is_empty() {
                 // Deterministic order: by (rule index, variant, shared),
@@ -1891,36 +1342,14 @@ fn assert_full_walk_agrees(
 /// to fixpoint one at a time in dependency order. Equivalent to
 /// [`seminaive`] (positive programs have a unique minimal model) but rules
 /// of converged components are never revisited while later strata iterate.
+/// The only engine that evaluates negation. With a collector in `options`
+/// it records a span per stratum (labelled with the stratum's member
+/// predicates), the inner fixpoints' round and rule spans nested beneath.
 pub fn seminaive_stratified(
     prog: &Program,
     store: &mut TermStore,
     db: &mut Database,
     budget: &EvalBudget,
-) -> Result<EvalStats, EvalError> {
-    seminaive_stratified_traced(prog, store, db, budget, &Collector::disabled())
-}
-
-/// [`seminaive_stratified`] recording a span per stratum (labelled with
-/// the stratum's member predicates) into `collector`, with per-round and
-/// per-rule spans nested beneath via the inner fixpoints.
-pub fn seminaive_stratified_traced(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    collector: &Collector,
-) -> Result<EvalStats, EvalError> {
-    seminaive_stratified_traced_opts(prog, store, db, budget, collector, &EvalOptions::default())
-}
-
-/// [`seminaive_stratified_traced`] with explicit [`EvalOptions`]: every
-/// stratum's inner fixpoint uses the same worker pool configuration.
-pub fn seminaive_stratified_traced_opts(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    collector: &Collector,
     options: &EvalOptions,
 ) -> Result<EvalStats, EvalError> {
     let graph = crate::graph::DepGraph::build(prog);
@@ -1933,6 +1362,7 @@ pub fn seminaive_stratified_traced_opts(
             ),
         });
     }
+    let collector = &options.collector;
     let traced = collector.is_enabled();
     let mut total = EvalStats::default();
     let mut rules_assigned = 0usize;
@@ -1960,18 +1390,7 @@ pub fn seminaive_stratified_traced_opts(
         });
         // Negated atoms in this stratum reference strictly lower strata,
         // already complete in `db` — negation-as-failure is sound here.
-        let s = fixpoint(
-            &sub,
-            store,
-            db,
-            budget,
-            true,
-            stratum_idx as u32,
-            &mut FxHashMap::default(),
-            None,
-            options,
-            collector,
-        )?;
+        let s = fixpoint(&sub, store, db, budget, true, stratum_idx as u32, options)?;
         if let Some(sp) = stratum_span.as_mut() {
             sp.arg("facts_derived", s.facts_derived as u64);
         }
@@ -2291,8 +1710,11 @@ mod tests {
         let prog = parse_program(TC, &mut st).unwrap();
         let mut db = Database::new();
         let collector = Collector::enabled();
-        let stats =
-            seminaive_traced(&prog, &mut st, &mut db, &EvalBudget::default(), &collector).unwrap();
+        let opts = EvalOptions {
+            collector: collector.clone(),
+            ..Default::default()
+        };
+        let stats = seminaive_opts(&prog, &mut st, &mut db, &EvalBudget::default(), &opts).unwrap();
         let snap = collector.snapshot();
         assert_eq!(
             snap.counter("eval.facts_derived"),
@@ -2314,8 +1736,11 @@ mod tests {
         let prog = parse_program(TC, &mut st).unwrap();
         let mut db = Database::new();
         let collector = Collector::enabled();
-        seminaive_stratified_traced(&prog, &mut st, &mut db, &EvalBudget::default(), &collector)
-            .unwrap();
+        let opts = EvalOptions {
+            collector: collector.clone(),
+            ..Default::default()
+        };
+        seminaive_stratified(&prog, &mut st, &mut db, &EvalBudget::default(), &opts).unwrap();
         let rollup = collector.span_rollup();
         assert!(
             rollup.keys().any(|k| k.starts_with("stratum ")),
@@ -2341,7 +1766,14 @@ mod tests {
             let mut db1 = Database::new();
             let mut db2 = Database::new();
             seminaive(&prog, &mut st, &mut db1, &EvalBudget::default()).unwrap();
-            seminaive_stratified(&prog, &mut st, &mut db2, &EvalBudget::default()).unwrap();
+            seminaive_stratified(
+                &prog,
+                &mut st,
+                &mut db2,
+                &EvalBudget::default(),
+                &EvalOptions::default(),
+            )
+            .unwrap();
             assert_eq!(db1.total_facts(), db2.total_facts());
             for pred in db1.predicates() {
                 for row in db1.relation(pred).unwrap().rows() {
@@ -2353,8 +1785,8 @@ mod tests {
 
     #[test]
     fn incremental_seminaive_absorbs_new_facts() {
-        // seminaive_from with watermarks: feeding facts in two batches
-        // reaches the same fixpoint as feeding them at once.
+        // Resuming from the session's watermarks: feeding facts in two
+        // batches reaches the same fixpoint as feeding them at once.
         let rules = r#"
             Path@p(X, Y) :- Edge@p(X, Y).
             Path@p(X, Y) :- Edge@p(X, Z), Path@p(Z, Y).
@@ -2362,21 +1794,45 @@ mod tests {
         let mut st = TermStore::new();
         let prog = parse_program(rules, &mut st).unwrap();
         let edge = rescue_pred(&mut st, "Edge");
-        let mut db = Database::new();
-        let mut marks = rustc_hash::FxHashMap::default();
+        let path = rescue_pred(&mut st, "Path");
+        let mut session = EvalSession::idle(prog, EvalBudget::default());
         // Batch 1: a -> b.
         let (a, b, c) = (st.constant("a"), st.constant("b"), st.constant("c"));
-        db.insert(edge, [a, b]);
-        seminaive_from(&prog, &mut st, &mut db, &EvalBudget::default(), &mut marks).unwrap();
-        let path = rescue_pred(&mut st, "Path");
-        assert_eq!(db.count(path), 1);
+        session.resume(&mut st, [(edge, [a, b].into())]).unwrap();
+        assert_eq!(session.database().count(path), 1);
         // Batch 2: b -> c — incremental run must derive a->c too.
-        db.insert(edge, [b, c]);
-        let s2 =
-            seminaive_from(&prog, &mut st, &mut db, &EvalBudget::default(), &mut marks).unwrap();
-        assert_eq!(db.count(path), 3);
+        let s2 = session.resume(&mut st, [(edge, [b, c].into())]).unwrap();
+        assert_eq!(session.database().count(path), 3);
         // And it did so without re-deriving the old fact.
         assert_eq!(s2.facts_derived, 2);
+    }
+
+    #[test]
+    fn resume_keeps_the_facts_queued_behind_a_blown_budget() {
+        let rules = "Edge@p(z, z). Path@p(X, Y) :- Edge@p(X, Y).";
+        let mut st = TermStore::new();
+        let prog = parse_program(rules, &mut st).unwrap();
+        let edge = rescue_pred(&mut st, "Edge");
+        let (a, b, c) = (st.constant("a"), st.constant("b"), st.constant("c"));
+        let facts: [(PredId, Box<[TermId]>); 3] = [
+            (edge, [a, b].into()),
+            (edge, [b, c].into()),
+            (edge, [c, a].into()),
+        ];
+        // The initial model is Edge(z,z), Path(z,z): room for one more.
+        let budget = EvalBudget {
+            max_facts: 3,
+            ..Default::default()
+        };
+        let mut session = EvalSession::new(prog, &mut st, budget).unwrap();
+        assert_eq!(session.database().total_facts(), 2);
+        assert_eq!(
+            session.resume(&mut st, facts.clone()),
+            Err(EvalError::FactBudgetExceeded { limit: 3 })
+        );
+        assert!(session.database().contains(edge, &facts[0].1));
+        assert_eq!(session.database().total_facts(), 3);
+        assert_eq!(session.queue, facts[1..]);
     }
 
     fn rescue_pred(st: &mut TermStore, name: &str) -> crate::language::PredId {
@@ -2497,7 +1953,8 @@ mod tests {
         );
         // The stratified engine computes the complement.
         let mut db = Database::new();
-        seminaive_stratified(&prog, &mut st, &mut db, &EvalBudget::default()).unwrap();
+        let opts = EvalOptions::default();
+        seminaive_stratified(&prog, &mut st, &mut db, &EvalBudget::default(), &opts).unwrap();
         let unreach = crate::language::PredId {
             name: st.sym_get("Unreach").unwrap(),
             peer: crate::language::Peer(st.sym_get("p").unwrap()),
@@ -2522,8 +1979,9 @@ mod tests {
         let mut st = TermStore::new();
         let prog = parse_program(src, &mut st).unwrap();
         let mut db = Database::new();
-        let err =
-            seminaive_stratified(&prog, &mut st, &mut db, &EvalBudget::default()).unwrap_err();
+        let opts = EvalOptions::default();
+        let err = seminaive_stratified(&prog, &mut st, &mut db, &EvalBudget::default(), &opts)
+            .unwrap_err();
         assert!(matches!(err, EvalError::NotStratified { .. }));
     }
 

@@ -220,20 +220,6 @@ impl Program {
         self.rules.is_empty()
     }
 
-    /// A structural fingerprint of the rule set — what the plan cache
-    /// ([`crate::eval::EvalCache`]) keys compiled [`crate::plan::RulePlan`]s
-    /// on. Two programs with the same fingerprint over the same
-    /// [`crate::term::TermStore`] compile to identical plans: the hash
-    /// covers every rule's head, body (predicates, argument term ids,
-    /// negation flags) and disequalities, in rule order. Term ids are
-    /// stable because the store only ever grows.
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = rustc_hash::FxHasher::default();
-        self.rules.hash(&mut h);
-        h.finish()
-    }
-
     /// The rules whose head lives at `peer` — "the rules at site p".
     pub fn rules_at(&self, peer: Peer) -> impl Iterator<Item = &Rule> {
         self.rules.iter().filter(move |r| r.site() == peer)

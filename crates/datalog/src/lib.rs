@@ -20,11 +20,12 @@
 //! ([`provenance`]). Top-down optimization (QSQ, Magic Sets) lives in
 //! `rescue-qsq`; distribution in `rescue-dqsq`.
 
+#![forbid(unsafe_code)]
+
 pub mod database;
 pub mod eval;
 pub mod graph;
 pub mod language;
-pub(crate) mod parallel;
 pub mod parser;
 pub mod plan;
 pub mod provenance;
@@ -33,11 +34,8 @@ pub mod term;
 
 pub use database::{Database, Inserted, Relation, Rows};
 pub use eval::{
-    default_threads, naive, seminaive, seminaive_from, seminaive_from_cached,
-    seminaive_from_traced, seminaive_from_traced_opts, seminaive_opts, seminaive_ordered,
-    seminaive_stratified, seminaive_stratified_traced, seminaive_stratified_traced_opts,
-    seminaive_traced, seminaive_traced_opts, DeferredFacts, DepthPolicy, EvalBudget, EvalCache,
-    EvalError, EvalOptions, EvalSession, EvalStats,
+    default_threads, naive, seminaive, seminaive_opts, seminaive_stratified, DeferredFacts,
+    DepthPolicy, EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats,
 };
 pub use graph::DepGraph;
 pub use language::{

@@ -27,10 +27,12 @@
 //! * **read-only execution** — [`RulePlan::execute`] takes `&TermStore` and
 //!   `&Database`: it never interns a term (keys use
 //!   [`TermStore::substitute_existing`], disequalities use
-//!   [`TermStore::eq_under_subst`]) and never writes a fact, so any number
-//!   of worker threads can enumerate the same sealed snapshot concurrently
-//!   (DESIGN.md §10). The indexes a plan probes are a static property
-//!   ([`RulePlan::index_needs`]) prepared by the driver before execution.
+//!   [`TermStore::eq_under_subst`]) and never writes a fact, so what a
+//!   pass matches is a pure function of the round's sealed snapshot
+//!   (DESIGN.md §10); matches are buffered as head-variable bindings
+//!   ([`run_job`]) for the driver's merge phase. The indexes a plan probes
+//!   are a static property ([`RulePlan::index_needs`]) prepared by the
+//!   driver before execution.
 //!
 //! Index probes are *delta-aware*: each atom's row range `[lo, hi)` (the
 //! semi-naive old/Δ/new windows) is resolved by
@@ -41,7 +43,6 @@
 use crate::database::{ColMask, Database};
 use crate::eval::EvalError;
 use crate::language::{Diseq, PredId, Rule};
-use crate::parallel::PassOutput;
 use crate::symbol::Sym;
 use crate::term::{Subst, TermData, TermId, TermStore};
 use rustc_hash::FxHashMap;
@@ -420,33 +421,6 @@ impl RulePlan {
             )
     }
 
-    /// If the plan's outermost loop is an unkeyed full scan, the body
-    /// position it enumerates — the only plans the parallel driver shards.
-    ///
-    /// Splitting that window into contiguous chunks is invisible: the scan
-    /// issues no index probe (so `index_probes` cannot change), every row
-    /// of the window is still enumerated exactly once (so
-    /// `candidates_scanned` is preserved), and concatenating the chunks in
-    /// window order reproduces the sequential emission order bit for bit.
-    /// A keyed first step would instead split one probe into several, so
-    /// such plans run unsharded.
-    pub fn shard_atom(&self) -> Option<usize> {
-        match self.steps.first() {
-            Some(s) if s.mask == 0 => Some(s.body_idx),
-            _ => None,
-        }
-    }
-
-    /// Width of the outermost window the executor will enumerate under
-    /// `ranges` — the work estimate the driver uses to decide whether a
-    /// round is worth fanning out to the pool.
-    pub fn scan_width(&self, ranges: &[(usize, usize)]) -> usize {
-        match self.steps.first() {
-            Some(s) => ranges[s.body_idx].1.saturating_sub(ranges[s.body_idx].0),
-            None => 1,
-        }
-    }
-
     /// Is some positive atom's window empty under `ranges` (in which case
     /// the join trivially has no matches)?
     pub(crate) fn has_empty_window(&self, ranges: &[(usize, usize)]) -> bool {
@@ -502,8 +476,7 @@ impl RulePlan {
     /// Returns `Ok(false)` iff `emit` stopped the run.
     ///
     /// The executor is **read-only**: `store` and `db` are shared
-    /// references, so the same sealed snapshot can be enumerated by many
-    /// worker threads at once. Every index the plan probes (see
+    /// references. Every index the plan probes (see
     /// [`index_needs`](Self::index_needs)) must have been prepared, and
     /// head interning / fact insertion belongs to the caller's merge
     /// phase, not to `emit`.
@@ -698,6 +671,123 @@ pub(crate) struct SharedPass<'a> {
     pub ranges: &'a [(usize, usize)],
 }
 
+/// One pass's matches, in the order the executor emitted them.
+#[derive(Default)]
+pub(crate) struct PassOutput {
+    /// Head-variable bindings, flattened: `firings × head_vars.len()`
+    /// term ids. Empty (with `firings` counting) for ground-head rules.
+    pub rows: Vec<TermId>,
+    /// Complete body matches enumerated.
+    pub firings: usize,
+}
+
+/// One enumeration job of a round, and with it one unit of the merge
+/// order: a solo pass (by position in the round's pass list), or a whole
+/// shared-prefix group.
+pub(crate) enum Job<'a> {
+    Solo(usize),
+    Group(&'a ShareGroup),
+}
+
+/// Everything one job produced: per-pass match streams plus the job's
+/// join-work counters (shared-prefix work belongs to the job, not to any
+/// single member pass). The driver reuses one across a whole fixpoint, so
+/// steady-state rounds allocate nothing per job.
+#[derive(Default)]
+pub(crate) struct JobOutput {
+    /// The match streams: one for a solo job, the group's members in
+    /// ascending order for a group job.
+    pub passes: Vec<PassOutput>,
+    /// Cleared [`PassOutput`]s with their row capacity intact, ready for
+    /// the next job that runs through this buffer.
+    spare: Vec<PassOutput>,
+    /// Index probes issued by this job's executor.
+    pub probes: usize,
+    /// Candidate rows enumerated by this job's executor.
+    pub cands: usize,
+    /// Bindings pruned by SIP existence probes.
+    pub sip: usize,
+    /// Wall microseconds this job spent enumerating. Only filled when the
+    /// job is `timed` (profiling); 0 otherwise, so untimed runs never read
+    /// the clock per job.
+    pub wall_us: u64,
+}
+
+impl JobOutput {
+    fn clear(&mut self) {
+        while let Some(mut po) = self.passes.pop() {
+            po.rows.clear();
+            po.firings = 0;
+            self.spare.push(po);
+        }
+        self.probes = 0;
+        self.cands = 0;
+        self.sip = 0;
+        self.wall_us = 0;
+    }
+
+    /// A cleared per-pass buffer, recycled when one is available.
+    fn take_spare(&mut self) -> PassOutput {
+        self.spare.pop().unwrap_or_default()
+    }
+}
+
+/// Run one job over the sealed snapshot, collecting matches into `out`.
+/// Nothing is interned and nothing is inserted here: that is the driver's
+/// merge phase.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_job(
+    job: &Job<'_>,
+    passes: &[SharedPass<'_>],
+    store: &TermStore,
+    db: &Database,
+    subst: &mut Subst,
+    scratch: &mut JoinScratch,
+    out: &mut JobOutput,
+    timed: bool,
+) {
+    out.clear();
+    subst.truncate(0);
+    let t0 = timed.then(std::time::Instant::now);
+    match *job {
+        Job::Solo(pass) => {
+            let p = &passes[pass];
+            let mut po = out.take_spare();
+            let rows = &mut po.rows;
+            let firings = &mut po.firings;
+            let result = p
+                .plan
+                .execute(p.rule, store, db, p.ranges, subst, scratch, &mut |s| {
+                    *firings += 1;
+                    for &v in p.head_vars {
+                        rows.push(s.get(v).expect("head variable bound by a complete match"));
+                    }
+                    Ok(true)
+                });
+            // The emit callback never errors and never stops the
+            // enumeration; all fallible work (depth bound, fact budget)
+            // happens at merge time.
+            debug_assert!(matches!(result, Ok(true)));
+            out.passes.push(po);
+        }
+        Job::Group(group) => {
+            for _ in 0..group.members.len() {
+                let po = out.take_spare();
+                out.passes.push(po);
+            }
+            let result = group.execute(passes, store, db, subst, scratch, &mut out.passes);
+            debug_assert!(result.is_ok());
+        }
+    }
+    let (probes, cands, sip) = scratch.drain_counters();
+    out.probes = probes;
+    out.cands = cands;
+    out.sip = sip;
+    if let Some(t0) = t0 {
+        out.wall_us = t0.elapsed().as_micros() as u64;
+    }
+}
+
 /// One node of a shared-prefix trie: executes the step at `depth` of the
 /// representative pass once per parent binding, then fans the binding out
 /// to `leaves` (passes whose sharing ends here — each runs its remaining
@@ -711,8 +801,7 @@ pub(crate) struct TrieNode {
 }
 
 /// A maximal group of passes sharing at least their first step. Built per
-/// round by the fixpoint driver; executed as one job (or several shard
-/// chunks of one job when the root step is an unkeyed full scan).
+/// round by the fixpoint driver; executed as one job.
 pub(crate) struct ShareGroup {
     pub root: TrieNode,
     /// Member pass indices in ascending order — `outs[slot]` in
@@ -737,12 +826,11 @@ impl ShareGroup {
     /// would have emitted them solo: the shared prefix enumerates
     /// candidates in window order (as `execute` would), and every member's
     /// suffix runs under each prefix binding before the next candidate is
-    /// taken. `chunk` narrows the root step's window to one shard.
+    /// taken.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute(
         &self,
         passes: &[SharedPass<'_>],
-        chunk: Option<(usize, usize)>,
         store: &TermStore,
         db: &Database,
         subst: &mut Subst,
@@ -751,7 +839,7 @@ impl ShareGroup {
     ) -> Result<(), EvalError> {
         debug_assert_eq!(outs.len(), self.members.len());
         scratch.ensure_depth(self.max_depth);
-        self.node(&self.root, passes, chunk, store, db, subst, scratch, outs)
+        self.node(&self.root, passes, store, db, subst, scratch, outs)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -759,7 +847,6 @@ impl ShareGroup {
         &self,
         node: &TrieNode,
         passes: &[SharedPass<'_>],
-        chunk: Option<(usize, usize)>,
         store: &TermStore,
         db: &Database,
         subst: &mut Subst,
@@ -769,7 +856,7 @@ impl ShareGroup {
         let rep = &passes[node.rep];
         let step = &rep.plan.steps[node.depth];
         debug_assert!(step.negs.is_empty(), "shareable steps schedule no negation");
-        let (lo, hi) = chunk.unwrap_or(rep.ranges[step.body_idx]);
+        let (lo, hi) = rep.ranges[step.body_idx];
         debug_assert!(lo < hi, "group members have nonempty windows");
 
         let mut cands = std::mem::take(&mut scratch.frames[node.depth].cands);
@@ -860,7 +947,7 @@ impl ShareGroup {
                     debug_assert!(cont, "group emit never stops the enumeration");
                 }
                 for child in &node.children {
-                    self.node(child, passes, None, store, db, subst, scratch, outs)?;
+                    self.node(child, passes, store, db, subst, scratch, outs)?;
                 }
             }
             subst.truncate(mark);

@@ -242,12 +242,11 @@ impl TermStore {
     /// apply `subst` to `t`, returning `None` when the substituted term
     /// does not already exist in the store.
     ///
-    /// This is the read-only probe the parallel join workers use: a key
-    /// term that was never interned cannot equal any stored row, so `None`
-    /// means "zero matches" — the caller still counts the probe, keeping
-    /// the statistics identical to the interning path. `&self` makes the
-    /// call shareable across worker threads (the single-writer coordinator
-    /// keeps the only `&mut TermStore`).
+    /// This is the read-only probe the join executor uses: a key term that
+    /// was never interned cannot equal any stored row, so `None` means
+    /// "zero matches" — the caller still counts the probe, keeping the
+    /// statistics identical to the interning path. The fixpoint driver's
+    /// merge phase keeps the only `&mut TermStore`.
     pub fn substitute_existing(&self, t: TermId, subst: &Subst) -> Option<TermId> {
         if self.is_ground(t) {
             return Some(t);
@@ -271,7 +270,7 @@ impl TermStore {
 
     /// Structural equality of `a[subst]` and `b[subst]` without interning
     /// either side — the read-only form of `substitute(a) == substitute(b)`
-    /// used by disequality checks in the parallel join workers.
+    /// used by disequality checks in the join executor.
     ///
     /// Both sides must be ground under `subst` (the planner schedules
     /// disequalities only once they are).

@@ -1,57 +1,43 @@
-//! The session plan cache's observability contract: a cache hit changes
+//! The session plan cache's observability contract: a warm resume changes
 //! *nothing* but the `plans_compiled` counter (and the wall clock), and a
-//! stale hit is impossible — any change to the program or to a
-//! plan-shaping option misses the key and recompiles. The persistent
-//! worker pool rides along: threads spawn on the first fan-out and never
-//! again, which `eval.parallel.threads_spawned` pins exactly.
+//! stale hit is impossible — the session's program is fixed, and a change
+//! to a plan-shaping option misses the key and recompiles.
 
 use rescue_datalog::{
-    parse_program, seminaive_from_cached, Database, EvalBudget, EvalCache, EvalOptions, EvalStats,
-    JoinOrder, TermStore,
+    parse_program, Collector, Database, EvalBudget, EvalOptions, EvalSession, EvalStats, JoinOrder,
+    Peer, PredId, TermId, TermStore,
 };
-use rescue_telemetry::Collector;
-use rustc_hash::FxHashMap;
 
-/// Transitive closure over a 300-edge chain: ~45k paths, round windows
-/// wide enough (delta ≈ 300 rows joined against 300 edges) that a
-/// 4-thread run fans out to the worker pool on many rounds.
-fn chain_tc_src(extra_rule: bool) -> String {
-    let mut src = String::new();
-    for i in 0..300 {
-        src.push_str(&format!("Edge@p(\"n{i}\", \"n{}\").\n", i + 1));
-    }
-    src.push_str("Path@p(X, Y) :- Edge@p(X, Y).\n");
-    src.push_str("Path@p(X, Y) :- Path@p(X, Z), Edge@p(Z, Y).\n");
-    if extra_rule {
-        src.push_str("Loop@p(X) :- Path@p(X, X).\n");
-    }
-    src
+const RULES: &str = r#"
+    Path@p(X, Y) :- Edge@p(X, Y).
+    Path@p(X, Y) :- Path@p(X, Z), Edge@p(Z, Y).
+"#;
+
+/// Transitive closure over an 80-edge chain, fed as two 40-edge batches:
+/// one resume per batch under `first` then `second`, a fresh session each
+/// call. Returns both resumes' stats and the sorted rendered model.
+fn two_resumes(first: EvalOptions, second: EvalOptions) -> ([EvalStats; 2], Vec<String>) {
+    let mut store = TermStore::new();
+    let prog = parse_program(RULES, &mut store).unwrap();
+    let edge = PredId {
+        name: store.sym("Edge"),
+        peer: Peer(store.sym("p")),
+    };
+    let nodes: Vec<TermId> = (0..=80).map(|i| store.constant(&format!("n{i}"))).collect();
+    let batch = |range: std::ops::Range<usize>| -> Vec<(PredId, Box<[TermId]>)> {
+        range
+            .map(|i| (edge, [nodes[i], nodes[i + 1]].into()))
+            .collect()
+    };
+    let mut session = EvalSession::idle(prog, EvalBudget::default());
+    session.set_options(first);
+    let cold = session.resume(&mut store, batch(0..40)).unwrap();
+    session.set_options(second);
+    let warm = session.resume(&mut store, batch(40..80)).unwrap();
+    ([cold, warm], render(session.database(), &store))
 }
 
-/// Run `src` to fixpoint against a fresh database with the given shared
-/// cache; returns the run's stats, the sorted rendered model, and the
-/// run's own telemetry snapshot.
-fn run_cached(
-    src: &str,
-    options: &EvalOptions,
-    cache: &mut EvalCache,
-) -> (EvalStats, Vec<String>, rescue_telemetry::MetricsSnapshot) {
-    let mut store = TermStore::new();
-    let prog = parse_program(src, &mut store).unwrap();
-    let mut db = Database::new();
-    let mut marks: FxHashMap<_, _> = FxHashMap::default();
-    let collector = Collector::enabled();
-    let stats = seminaive_from_cached(
-        &prog,
-        &mut store,
-        &mut db,
-        &EvalBudget::default(),
-        &mut marks,
-        &collector,
-        options,
-        cache,
-    )
-    .unwrap();
+fn render(db: &Database, store: &TermStore) -> Vec<String> {
     let mut rows: Vec<String> = db
         .predicates()
         .into_iter()
@@ -69,100 +55,64 @@ fn run_cached(
         })
         .collect();
     rows.sort();
-    (stats, rows, collector.snapshot())
+    rows
+}
+
+/// Traced options, so the comparison covers the per-rule attribution too.
+fn traced(order: JoinOrder, plan_cache: bool) -> EvalOptions {
+    EvalOptions {
+        order,
+        plan_cache,
+        collector: Collector::enabled(),
+        ..Default::default()
+    }
 }
 
 #[test]
 fn cache_hit_compiles_nothing_spawns_nothing_and_changes_nothing() {
-    let src = chain_tc_src(false);
-    let opts = EvalOptions::with_threads(4);
-    let mut cache = EvalCache::new();
+    let cached = || traced(JoinOrder::Planned, true);
+    let uncached = || traced(JoinOrder::Planned, false);
+    let ([cold, warm], model) = two_resumes(cached(), cached());
+    assert!(cold.plans_compiled > 0, "the first resume must compile");
+    assert_eq!(warm.plans_compiled, 0, "a warm resume is a pure cache hit");
 
-    let (cold, cold_db, cold_snap) = run_cached(&src, &opts, &mut cache);
-    assert!(cold.plans_compiled > 0, "cold run must compile");
-    assert!(
-        cold_snap.counter("eval.parallel.rounds") > 0,
-        "workload is supposed to engage the pool"
-    );
-    assert_eq!(
-        cold_snap.counter("eval.parallel.threads_spawned"),
-        4,
-        "first fan-out spawns the pool, once"
-    );
-
-    let (warm, warm_db, warm_snap) = run_cached(&src, &opts, &mut cache);
-    assert_eq!(warm.plans_compiled, 0, "warm run must be a pure cache hit");
-    assert!(warm_snap.counter("eval.parallel.rounds") > 0);
-    assert_eq!(
-        warm_snap.counter("eval.parallel.threads_spawned"),
-        0,
-        "zero thread spawns after warm-up"
-    );
-    // The hit is invisible: identical model, identical engine counters
-    // (per-rule wall clocks are the one nondeterministic field).
-    assert_eq!(cold_db, warm_db);
-    let mut cold_no_compile = cold;
-    cold_no_compile.plans_compiled = 0;
-    assert_eq!(
-        cold_no_compile.with_walls_zeroed(),
-        warm.with_walls_zeroed()
-    );
-}
-
-#[test]
-fn program_change_invalidates_the_cache() {
-    let opts = EvalOptions::with_threads(1);
-    let mut cache = EvalCache::new();
-    let (a, _, _) = run_cached(&chain_tc_src(false), &opts, &mut cache);
-    assert!(a.plans_compiled > 0);
-
-    // A different program through the same cache must recompile and
-    // produce exactly what a fresh cache produces.
-    let (b, b_db, _) = run_cached(&chain_tc_src(true), &opts, &mut cache);
-    assert!(b.plans_compiled > 0, "new program must miss the cache");
-    let (fresh, fresh_db, _) = run_cached(&chain_tc_src(true), &opts, &mut EvalCache::new());
-    assert_eq!(b_db, fresh_db);
-    assert_eq!(b.with_walls_zeroed(), fresh.with_walls_zeroed());
-
-    // Going back recompiles again: the cache keeps one compiled program.
-    let (a2, _, _) = run_cached(&chain_tc_src(false), &opts, &mut cache);
-    assert!(a2.plans_compiled > 0);
+    // The same second resume without the cache: identical model, identical
+    // engine counters (per-rule wall clocks are the one nondeterministic
+    // field) — the hit is invisible.
+    let ([_, recompiled], control_model) = two_resumes(uncached(), uncached());
+    assert!(recompiled.plans_compiled > 0);
+    assert_eq!(model, control_model);
+    let mut recompiled = recompiled;
+    recompiled.plans_compiled = 0;
+    assert_eq!(recompiled.with_walls_zeroed(), warm.with_walls_zeroed());
 }
 
 #[test]
 fn join_order_change_invalidates_the_cache() {
-    let src = chain_tc_src(false);
-    let mut cache = EvalCache::new();
-    let planned = EvalOptions::with_threads(1);
-    let leftmost = EvalOptions {
-        order: JoinOrder::Leftmost,
-        ..EvalOptions::with_threads(1)
-    };
-    let (p, p_db, _) = run_cached(&src, &planned, &mut cache);
+    let ([p, l], switched_model) = two_resumes(
+        traced(JoinOrder::Planned, true),
+        traced(JoinOrder::Leftmost, true),
+    );
     assert!(p.plans_compiled > 0);
-    let (l, l_db, _) = run_cached(&src, &leftmost, &mut cache);
     assert!(
         l.plans_compiled > 0,
         "a plan-shaping option change must recompile"
     );
     // Different plans, same model (the reorder is invisible).
-    assert_eq!(p_db, l_db);
+    let (_, planned_model) = two_resumes(
+        traced(JoinOrder::Planned, true),
+        traced(JoinOrder::Planned, true),
+    );
+    assert_eq!(switched_model, planned_model);
 }
 
 #[test]
 fn disabling_the_cache_recompiles_every_run() {
-    let src = chain_tc_src(false);
-    let opts = EvalOptions {
-        plan_cache: false,
-        ..EvalOptions::with_threads(1)
-    };
-    let mut cache = EvalCache::new();
-    let (a, a_db, _) = run_cached(&src, &opts, &mut cache);
-    let (b, b_db, _) = run_cached(&src, &opts, &mut cache);
+    let uncached = || traced(JoinOrder::Planned, false);
+    let ([a, b], _) = two_resumes(uncached(), uncached());
     assert!(a.plans_compiled > 0);
     assert_eq!(
         a.plans_compiled, b.plans_compiled,
-        "with the cache off every run recompiles the same plans"
+        "with the cache off every resume recompiles the same plans"
     );
-    assert_eq!(a_db, b_db);
 }

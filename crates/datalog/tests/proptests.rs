@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use rescue_datalog::{
-    naive, parse_program, seminaive, seminaive_ordered, Database, EvalBudget, JoinOrder, Program,
-    Subst, TermId, TermStore,
+    naive, parse_program, seminaive, seminaive_opts, Database, EvalBudget, EvalOptions, JoinOrder,
+    Program, Subst, TermId, TermStore,
 };
 
 // ---------- generators ----------
@@ -222,7 +222,11 @@ proptest! {
             let mut st = TermStore::new();
             let prog = parse_program(&src, &mut st).unwrap();
             let mut db = Database::new();
-            seminaive_ordered(&prog, &mut st, &mut db, &EvalBudget::default(), order).unwrap();
+            let opts = EvalOptions {
+                order,
+                ..Default::default()
+            };
+            seminaive_opts(&prog, &mut st, &mut db, &EvalBudget::default(), &opts).unwrap();
             let mut rows: Vec<String> = db
                 .predicates()
                 .into_iter()

@@ -614,7 +614,7 @@ mod tests {
             max_term_depth: Some(7),
             ..Default::default()
         };
-        seminaive_stratified(&prog, &mut store, &mut db, &budget).unwrap();
+        seminaive_stratified(&prog, &mut store, &mut db, &budget, &Default::default()).unwrap();
         let mut positive = BTreeSet::new();
         let mut negative = BTreeSet::new();
         for (pred, rel) in db.iter() {

@@ -76,8 +76,6 @@ pub struct ManagerConfig {
     /// Evaluation budget applied to every session (fact/iteration caps;
     /// the term-depth bound stays session-managed).
     pub budget: EvalBudget,
-    /// Engine worker threads per fixpoint resume.
-    pub threads: usize,
     /// Supervisor peer name for every session (must not collide with a
     /// net peer; checked at `create`).
     pub supervisor: String,
@@ -89,7 +87,6 @@ impl Default for ManagerConfig {
             max_sessions: 4096,
             ingest_capacity: 1024,
             budget: EvalBudget::default(),
-            threads: 1,
             supervisor: "supervisor0".to_owned(),
         }
     }
@@ -462,7 +459,6 @@ impl SessionManager {
         let built = catch_unwind(AssertUnwindSafe(|| {
             let mut session = DiagnosisSession::with_budget(net, supervisor, self.config.budget)
                 .map_err(|e| e.to_string())?;
-            session.set_threads(self.config.threads);
             session.set_collector(self.collector.clone());
             Ok(Arc::new(Mutex::new(Managed {
                 session,

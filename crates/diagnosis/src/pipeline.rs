@@ -19,7 +19,7 @@ use crate::direct::Diagnosis;
 use crate::encode::names;
 use crate::supervisor::{diagnosis_program, extract_diagnosis, extract_from_db};
 use rescue_datalog::{
-    seminaive_traced_opts, Database, EvalBudget, EvalError, EvalOptions, EvalStats, ExportedTerm,
+    seminaive_opts, Database, EvalBudget, EvalError, EvalOptions, EvalStats, ExportedTerm,
     TermStore,
 };
 use rescue_dqsq::{dqsq_distributed, DistOptions, DqsqError};
@@ -41,10 +41,6 @@ pub struct PipelineOptions {
     /// Telemetry sink threaded through the engine, transport and drivers
     /// (disabled by default).
     pub collector: Collector,
-    /// Engine worker threads for every fixpoint the drivers run (the
-    /// distributed driver applies this per peer). Output is byte-identical
-    /// across thread counts; this is purely a wall-clock knob.
-    pub threads: usize,
     /// Give every dQSQ peer its own namespaced [`Collector`]. The report
     /// then carries the per-peer recordings (for causal trace merging)
     /// and the dashboard rows. Only the distributed driver honors this.
@@ -58,15 +54,18 @@ impl Default for PipelineOptions {
             sim: rescue_net::sim::SimConfig::default(),
             supervisor: "supervisor",
             collector: Collector::disabled(),
-            threads: rescue_datalog::default_threads(),
             per_peer_trace: false,
         }
     }
 }
 
 impl PipelineOptions {
+    /// Default engine options recording into this pipeline's collector.
     fn eval_options(&self) -> EvalOptions {
-        EvalOptions::with_threads(self.threads)
+        EvalOptions {
+            collector: self.collector.clone(),
+            ..Default::default()
+        }
     }
 }
 
@@ -146,12 +145,11 @@ pub fn diagnose_seminaive(
         max_term_depth: Some(2 * (alarms.len() as u32 + 1) + 2),
         ..opts.budget
     };
-    let stats = seminaive_traced_opts(
+    let stats = seminaive_opts(
         &dp.program,
         &mut store,
         &mut db,
         &budget,
-        &opts.collector,
         &opts.eval_options(),
     )?;
     let diagnosis = extract_from_db(&db, &store, &dp.query);
@@ -201,7 +199,6 @@ pub fn diagnose_qsq(
         &mut store,
         &mut db,
         &opts.budget,
-        &opts.collector,
         &opts.eval_options(),
     )?;
     let diagnosis = extract_diagnosis(&run.answers, &store);

@@ -28,7 +28,8 @@ use crate::direct::Diagnosis;
 use crate::encode::{names, petri_facts, unfolding_program, EncodeOptions};
 use crate::supervisor::{alarm_fact, index_constant, initial_facts, sup_names, supervisor_rules};
 use rescue_datalog::{
-    Database, EvalBudget, EvalError, EvalSession, EvalStats, Peer, PredId, TermId, TermStore,
+    Database, EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats, Peer, PredId, TermId,
+    TermStore,
 };
 use rescue_petri::{PeerId, PetriNet};
 use rescue_telemetry::Collector;
@@ -134,15 +135,11 @@ impl DiagnosisSession {
     /// Route the session's own per-alarm telemetry (and the underlying
     /// fixpoint's spans and counters) to `collector`.
     pub fn set_collector(&mut self, collector: Collector) {
-        self.eval.set_collector(collector.clone());
+        self.eval.set_options(EvalOptions {
+            collector: collector.clone(),
+            ..self.eval.options().clone()
+        });
         self.collector = collector;
-    }
-
-    /// Engine worker threads used by every subsequent
-    /// [`push_alarm`](Self::push_alarm) resume. Diagnoses are byte-identical
-    /// across thread counts.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.eval.set_threads(threads);
     }
 
     /// Toggle plan caching across [`push_alarm`](Self::push_alarm) resumes
@@ -150,7 +147,10 @@ impl DiagnosisSession {
     /// either way; off forces every resume to recompile its rule plans,
     /// which exists mainly as the control arm for benchmarks.
     pub fn set_plan_cache(&mut self, on: bool) {
-        self.eval.set_plan_cache(on);
+        self.eval.set_options(EvalOptions {
+            plan_cache: on,
+            ..self.eval.options().clone()
+        });
     }
 
     /// Absorb one alarm and re-saturate; returns the diagnosis of the

@@ -101,7 +101,7 @@ pub struct EvalPeer {
     directory: FxHashMap<String, NodeId>,
     store: TermStore,
     /// The peer's resumable local fixpoint: its rules, database, saturation
-    /// watermarks, accumulated statistics, compiled plans and worker pool.
+    /// watermarks, accumulated statistics and compiled plans.
     /// It is the object an online `DiagnosisSession` resumes per alarm; a
     /// peer resumes it per tuple batch, so the two share one resume path
     /// whose cost follows the batch, not the program.
@@ -113,7 +113,6 @@ pub struct EvalPeer {
     error: Option<EvalError>,
     /// Tuple batches this peer sent (for experiment reporting).
     tuples_sent: u64,
-    collector: Collector,
 }
 
 impl EvalPeer {
@@ -150,22 +149,12 @@ impl EvalPeer {
             watermarks: FxHashMap::default(),
             error: None,
             tuples_sent: 0,
-            collector: Collector::disabled(),
         }
     }
 
-    /// Record this peer's local fixpoints (as `fixpoint@<name>` spans with
-    /// the engine's rounds nested beneath) into `collector`.
-    pub fn set_collector(&mut self, collector: Collector) {
-        self.session.set_collector(collector.clone());
-        self.collector = collector;
-    }
-
-    /// Set the engine options (worker threads, join order) for this
-    /// peer's local fixpoints. A pure performance knob: the distributed
-    /// fixpoint is byte-identical at any setting. Peers already run on
-    /// separate transport threads; with `eval.threads > 1` each peer's own
-    /// fixpoint additionally fans out onto a worker pool.
+    /// Set the engine options for this peer's local fixpoints. Their
+    /// collector also receives one `fixpoint@<name>` span per fixpoint,
+    /// with the engine's rounds nested beneath.
     pub fn set_eval_options(&mut self, eval: EvalOptions) {
         self.session.set_options(eval);
     }
@@ -200,10 +189,10 @@ impl EvalPeer {
         if self.error.is_some() {
             return;
         }
-        let mut peer_span = self.collector.is_enabled().then(|| {
-            self.collector
-                .span(format!("fixpoint@{}", self.name), "dqsq")
-        });
+        let collector = &self.session.options().collector;
+        let mut peer_span = collector
+            .is_enabled()
+            .then(|| collector.span(format!("fixpoint@{}", self.name), "dqsq"));
         match self.session.resume(&mut self.store, []) {
             Ok(s) => {
                 if let Some(sp) = peer_span.as_mut() {
@@ -381,7 +370,9 @@ pub struct DistOptions {
     /// Telemetry sink shared by the transport and every peer's local
     /// engine (disabled by default).
     pub collector: Collector,
-    /// Engine options applied to every peer's local fixpoints.
+    /// Engine options applied to every peer's local fixpoints, but for
+    /// their collector: a peer records into `collector` above, or into its
+    /// own recording under `per_peer_trace`.
     pub eval: EvalOptions,
     /// Give every peer its *own* collector (namespaced flow ids, Lamport
     /// clocks on the envelopes). The run then carries one recording per
@@ -526,13 +517,14 @@ pub fn build_peers(
     (peers, directory)
 }
 
-/// Run the distributed naive evaluation of `program` on the simulated
-/// network until the distributed fixpoint.
-pub fn run_distributed(
+/// Build the peer set of a run under `opts`: every peer gets the run's
+/// engine options and its collector — its own recording (returned, in
+/// peer order) under [`DistOptions::per_peer_trace`], else the shared one.
+fn configured_peers(
     program: &Program,
     store: &TermStore,
     opts: &DistOptions,
-) -> Result<DistRun, DistError> {
+) -> (Vec<EvalPeer>, Vec<(String, Collector)>) {
     let (mut peers, _) = build_peers(program, store, opts.budget);
     let recordings = if opts.per_peer_trace {
         per_peer_collectors(&peers)
@@ -540,112 +532,89 @@ pub fn run_distributed(
         Vec::new()
     };
     for (i, p) in peers.iter_mut().enumerate() {
-        match recordings.get(i) {
-            Some((_, c)) => p.set_collector(c.clone()),
-            None => p.set_collector(opts.collector.clone()),
-        }
-        p.set_eval_options(opts.eval);
+        let collector = recordings.get(i).map_or(&opts.collector, |(_, c)| c);
+        p.set_eval_options(EvalOptions {
+            collector: collector.clone(),
+            ..opts.eval.clone()
+        });
     }
+    (peers, recordings)
+}
+
+/// What both transports do once the network has quiesced.
+fn finish_run(
+    peers: Vec<EvalPeer>,
+    net: NetStats,
+    recordings: Vec<(String, Collector)>,
+) -> Result<DistRun, DistError> {
+    record_peer_facts(&peers, &recordings);
+    let run = DistRun {
+        peers,
+        net,
+        recordings,
+    };
+    match run.first_error() {
+        Some(e) => Err(e),
+        None => Ok(run),
+    }
+}
+
+/// Run the distributed naive evaluation of `program` on the simulated
+/// network until the distributed fixpoint.
+pub fn run_distributed(
+    program: &Program,
+    store: &TermStore,
+    opts: &DistOptions,
+) -> Result<DistRun, DistError> {
+    let (peers, recordings) = configured_peers(program, store, opts);
     let mut net = SimNet::new(peers, opts.sim, dmsg_size);
     net.set_collector(opts.collector.clone());
     if !recordings.is_empty() {
         net.set_peer_collectors(recordings.iter().map(|(_, c)| c.clone()).collect());
     }
     let stats = net.run()?;
-    let peers = net.into_peers();
-    record_peer_facts(&peers, &recordings);
-    let run = DistRun {
-        peers,
-        net: stats,
-        recordings,
-    };
-    if let Some(e) = run.first_error() {
-        return Err(e);
-    }
-    Ok(run)
+    finish_run(net.into_peers(), stats, recordings)
 }
 
-/// Same as [`run_distributed`] but on real threads (crossbeam transport).
+/// Same as [`run_distributed`] but on real threads (crossbeam transport),
+/// untraced and under default engine options.
 pub fn run_distributed_threaded(
     program: &Program,
     store: &TermStore,
     budget: EvalBudget,
 ) -> Result<DistRun, DistError> {
-    run_distributed_threaded_traced(program, store, budget, &Collector::disabled())
+    let opts = DistOptions {
+        budget,
+        ..Default::default()
+    };
+    run_distributed_threaded_opts(program, store, &opts)
 }
 
-/// [`run_distributed_threaded`] with telemetry: each peer thread records
-/// its local fixpoints and the transport records per-message flows.
-pub fn run_distributed_threaded_traced(
-    program: &Program,
-    store: &TermStore,
-    budget: EvalBudget,
-    collector: &Collector,
-) -> Result<DistRun, DistError> {
-    run_distributed_threaded_opts(program, store, budget, collector, &EvalOptions::default())
-}
-
-/// [`run_distributed_threaded_traced`] with explicit [`EvalOptions`]: the
-/// peers already run on separate transport threads, and each peer's local
-/// fixpoint additionally fans out onto its own worker pool.
+/// [`run_distributed`] on real threads: everything in `opts` but `sim`
+/// applies. Each peer thread records its local fixpoints and the transport
+/// records per-message flows, into `opts.collector` or — under
+/// [`DistOptions::per_peer_trace`] — into one namespaced recording per
+/// peer (Lamport clocks on every envelope), which the run brings back in
+/// [`DistRun::recordings`] for causal merging; `opts.collector` still
+/// receives the run-level [`NetStats`] fold.
 pub fn run_distributed_threaded_opts(
     program: &Program,
     store: &TermStore,
-    budget: EvalBudget,
-    collector: &Collector,
-    eval: &EvalOptions,
+    opts: &DistOptions,
 ) -> Result<DistRun, DistError> {
-    let (mut peers, _) = build_peers(program, store, budget);
-    for p in &mut peers {
-        p.set_collector(collector.clone());
-        p.set_eval_options(*eval);
-    }
-    let (peers, stats) = rescue_net::threaded::run_threaded_traced(peers, dmsg_size, collector)?;
-    let run = DistRun {
-        peers,
-        net: stats,
-        recordings: Vec::new(),
+    let (peers, recordings) = configured_peers(program, store, opts);
+    let collectors = if recordings.is_empty() {
+        vec![opts.collector.clone(); peers.len()]
+    } else {
+        recordings.iter().map(|(_, c)| c.clone()).collect()
     };
-    if let Some(e) = run.first_error() {
-        return Err(e);
-    }
-    Ok(run)
-}
-
-/// [`run_distributed_threaded_opts`] with one collector per peer: each
-/// peer thread records into its own namespaced recording (Lamport clocks
-/// on every envelope) and the run comes back with
-/// [`DistRun::recordings`] populated for causal merging. `collector`
-/// still receives the run-level [`NetStats`] fold.
-pub fn run_distributed_threaded_per_peer(
-    program: &Program,
-    store: &TermStore,
-    budget: EvalBudget,
-    collector: &Collector,
-    eval: &EvalOptions,
-) -> Result<DistRun, DistError> {
-    let (mut peers, _) = build_peers(program, store, budget);
-    let recordings = per_peer_collectors(&peers);
-    for (p, (_, c)) in peers.iter_mut().zip(&recordings) {
-        p.set_collector(c.clone());
-        p.set_eval_options(*eval);
-    }
     let (peers, stats) = rescue_net::threaded::run_threaded_collectors(
         peers,
         dmsg_size,
-        recordings.iter().map(|(_, c)| c.clone()).collect(),
-        collector,
+        collectors,
+        &opts.collector,
     )?;
-    record_peer_facts(&peers, &recordings);
-    let run = DistRun {
-        peers,
-        net: stats,
-        recordings,
-    };
-    if let Some(e) = run.first_error() {
-        return Err(e);
-    }
-    Ok(run)
+    finish_run(peers, stats, recordings)
 }
 
 #[cfg(test)]
@@ -787,14 +756,11 @@ mod tests {
     fn threaded_per_peer_trace_merges_causally() {
         let mut st = TermStore::new();
         let prog = parse_program(FIG3_WITH_DATA, &mut st).unwrap();
-        let run = run_distributed_threaded_per_peer(
-            &prog,
-            &st,
-            EvalBudget::default(),
-            &Collector::disabled(),
-            &EvalOptions::default(),
-        )
-        .unwrap();
+        let opts = DistOptions {
+            per_peer_trace: true,
+            ..Default::default()
+        };
+        let run = run_distributed_threaded_opts(&prog, &st, &opts).unwrap();
         assert_eq!(rows_to_strings(run.facts_of("R", "r")), expected_r());
         assert_eq!(run.recordings.len(), 3);
         let merged = run.merged_trace().expect("recordings present");

@@ -4,8 +4,8 @@
 
 use crate::rewrite::{rewrite, RelKind, RewriteError, RewriteOutput};
 use rescue_datalog::{
-    seminaive_traced_opts, Atom, Collector, Database, EvalBudget, EvalError, EvalOptions,
-    EvalStats, PredId, Program, Rule, Subst, TermId, TermStore,
+    seminaive_opts, Atom, Database, EvalBudget, EvalError, EvalOptions, EvalStats, PredId, Program,
+    Rule, Subst, TermId, TermStore,
 };
 use std::fmt;
 
@@ -127,44 +127,22 @@ pub fn qsq_answer(
     db: &mut Database,
     budget: &EvalBudget,
 ) -> Result<QsqRun, QsqError> {
-    qsq_answer_traced(program, query, store, db, budget, &Collector::disabled())
+    qsq_answer_traced_opts(program, query, store, db, budget, &EvalOptions::default())
 }
 
-/// [`qsq_answer`] recording the rewrite and fixpoint phases as spans (with
-/// the engine's per-round and per-rule spans nested beneath) into
-/// `collector`.
-pub fn qsq_answer_traced(
-    program: &Program,
-    query: &Atom,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    collector: &Collector,
-) -> Result<QsqRun, QsqError> {
-    qsq_answer_traced_opts(
-        program,
-        query,
-        store,
-        db,
-        budget,
-        collector,
-        &EvalOptions::default(),
-    )
-}
-
-/// [`qsq_answer_traced`] with explicit [`EvalOptions`]: the fixpoint over
-/// the rewritten program runs on the configured worker pool (same answers
-/// and stats at any thread count).
-#[allow(clippy::too_many_arguments)]
+/// [`qsq_answer`] with explicit [`EvalOptions`] for the fixpoint over the
+/// rewritten program. The rewrite and fixpoint phases are recorded as
+/// spans (with the engine's per-round and per-rule spans nested beneath)
+/// into the options' collector.
 pub fn qsq_answer_traced_opts(
     program: &Program,
     query: &Atom,
     store: &mut TermStore,
     db: &mut Database,
     budget: &EvalBudget,
-    collector: &Collector,
     options: &EvalOptions,
 ) -> Result<QsqRun, QsqError> {
+    let collector = &options.collector;
     let (rules, edb) = split_edb_facts(program);
     for (pred, row) in edb {
         db.insert(pred, row);
@@ -177,7 +155,7 @@ pub fn qsq_answer_traced_opts(
     let mut eval_span = collector
         .is_enabled()
         .then(|| collector.span("qsq eval", "qsq"));
-    let stats = seminaive_traced_opts(&rw.program, store, db, budget, collector, options)?;
+    let stats = seminaive_opts(&rw.program, store, db, budget, options)?;
     if let Some(sp) = eval_span.as_mut() {
         sp.arg("facts_derived", stats.facts_derived as u64);
     }

@@ -17,8 +17,8 @@ pub mod rewrite;
 
 pub use adorn::{adorn_args, AdornedPred, Adornment};
 pub use eval::{
-    breakdown, filter_answers, naive_answer, qsq_answer, qsq_answer_traced, qsq_answer_traced_opts,
-    split_edb_facts, Materialized, QsqError, QsqRun,
+    breakdown, filter_answers, naive_answer, qsq_answer, qsq_answer_traced_opts, split_edb_facts,
+    Materialized, QsqError, QsqRun,
 };
 pub use magic::{magic_answer, magic_rewrite, MagicOutput, MagicRun};
 pub use rewrite::{

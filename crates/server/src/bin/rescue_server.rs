@@ -3,7 +3,7 @@
 //! ```text
 //! rescue-server NET.pn [NET2.pn ...] [--addr HOST] [--port P]
 //!               [--max-sessions N] [--ingest-capacity N] [--max-facts N]
-//!               [--threads N] [--supervisor NAME]
+//!               [--supervisor NAME]
 //!               [--trace-out TRACE.json] [--metrics] [--slo KEY=VALUE ...]
 //! ```
 //!
@@ -46,7 +46,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: rescue-server [NET.pn ...] [--addr HOST] [--port P] \
          [--max-sessions N] [--ingest-capacity N] [--max-facts N] \
-         [--threads N] [--supervisor NAME] [--trace-out FILE] [--metrics] \
+         [--supervisor NAME] [--trace-out FILE] [--metrics] \
          [--slo KEY=VALUE ...]"
     );
     exit(2)
@@ -86,11 +86,6 @@ fn parse_args() -> Result<Options, String> {
                 o.manager.budget.max_facts = value("--max-facts")?
                     .parse()
                     .map_err(|e| format!("--max-facts: {e}"))?
-            }
-            "--threads" => {
-                o.manager.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
             }
             "--supervisor" => o.manager.supervisor = value("--supervisor")?,
             "--trace-out" => o.trace_out = Some(value("--trace-out")?),

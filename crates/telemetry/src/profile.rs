@@ -40,9 +40,8 @@ pub struct RuleStat {
     /// Plan-variant label: `full`, `delta#j`, optionally suffixed
     /// ` reordered` and/or ` shared` (shared-prefix group execution).
     pub variant: String,
-    /// Wall microseconds spent enumerating this entry's jobs. Summed over
-    /// workers, so with N threads the total can exceed the fixpoint's
-    /// elapsed wall clock — it is attribution, not elapsed time.
+    /// Wall microseconds spent enumerating this entry's jobs (the merge
+    /// phase is not included) — attribution, not elapsed time.
     pub wall_us: u64,
     /// Rounds in which this pass actually ran (nonempty delta).
     pub rounds: u64,

@@ -9,7 +9,7 @@
 //! round counts vary from run to run; what it must reproduce is every
 //! peer's model, and the counters that depend on the model alone.
 
-use rescue_datalog::{Atom, EvalBudget, EvalOptions, EvalStats, Program, Rule, TermStore};
+use rescue_datalog::{Atom, EvalBudget, EvalStats, Program, Rule, TermStore};
 use rescue_diagnosis::{diagnosis_program, AlarmSeq};
 use rescue_dqsq::{run_distributed, run_distributed_threaded, DistOptions, DistRun};
 use rescue_net::NetStats;
@@ -60,20 +60,12 @@ fn models(run: &DistRun) -> Models {
         .collect()
 }
 
-fn sim(dist: &Program, store: &TermStore, threads: usize) -> DistRun {
-    let opts = DistOptions {
-        eval: EvalOptions::with_threads(threads),
-        ..DistOptions::default()
-    };
-    run_distributed(dist, store, &opts).unwrap()
-}
-
 #[test]
 fn sim_counters_are_pinned_and_threaded_reproduces_every_peer_model() {
     let mut store = TermStore::new();
     let dist = telecom_dqsq_program(&mut store);
 
-    let run = sim(&dist, &store, 1);
+    let run = run_distributed(&dist, &store, &DistOptions::default()).unwrap();
     let pinned = EvalStats {
         iterations: 1301,
         facts_derived: 2354,
@@ -108,12 +100,6 @@ fn sim_counters_are_pinned_and_threaded_reproduces_every_peer_model() {
         ("supervisor", (1710, 285)),
     ];
     assert_eq!(counts, pinned_counts);
-
-    // Engine threads are invisible on the simulator, to the last counter.
-    let wide = sim(&dist, &store, 4);
-    assert_eq!(wide.total_stats().with_walls_zeroed(), pinned);
-    assert_eq!(wide.net, pinned_net);
-    assert_eq!(models(&wide), reference);
 
     // Real threads: the same models. Each peer still enumerates every
     // combination of body facts exactly once however its input was

@@ -4,10 +4,10 @@
 //!   is not a sample: summed over all rules (plus the `(seed)`
 //!   pseudo-rule for EDB loading) it reproduces the engine's aggregate
 //!   counters to the unit.
-//! * **Observability is free of side effects** — profiling on vs off,
-//!   and 1 vs 2 vs 4 worker threads, leave the model, the insertion
-//!   stamps (via provenance-bearing rows), and every pre-existing
-//!   counter byte-identical. Only wall-clock fields may differ.
+//! * **Observability is free of side effects** — profiling on vs off
+//!   leaves the model, the insertion stamps (via provenance-bearing
+//!   rows), and every pre-existing counter byte-identical. Only
+//!   wall-clock fields may differ.
 //! * **The folded export round-trips** — the `profile.*` counters a
 //!   traced run folds into its [`Collector`] parse back into the same
 //!   per-rule table, and every folded line has the documented
@@ -17,7 +17,7 @@
 //!   postmortem ([`validate_flight`]).
 
 use rescue_datalog::{
-    seminaive_traced_opts, Database, EvalBudget, EvalOptions, EvalStats, Program, TermStore,
+    seminaive_opts, Database, EvalBudget, EvalOptions, EvalStats, Program, TermStore,
 };
 use rescue_diagnosis::{unfolding_program, AlarmSeq, DiagnosisSession, EncodeOptions};
 use rescue_petri::{random_net, random_run, NetConfig, PetriNet};
@@ -42,7 +42,6 @@ fn net(seed: u64) -> PetriNet {
 fn run(
     prog: &Program,
     store: &mut TermStore,
-    threads: usize,
     profile: bool,
 ) -> (EvalStats, Vec<String>, Collector) {
     let mut db = Database::new();
@@ -50,12 +49,13 @@ fn run(
         max_term_depth: Some(8),
         ..Default::default()
     };
+    let collector = Collector::enabled();
     let options = EvalOptions {
         profile,
-        ..EvalOptions::with_threads(threads)
+        collector: collector.clone(),
+        ..Default::default()
     };
-    let collector = Collector::enabled();
-    let stats = seminaive_traced_opts(prog, store, &mut db, &budget, &collector, &options).unwrap();
+    let stats = seminaive_opts(prog, store, &mut db, &budget, &options).unwrap();
     let mut rows: Vec<String> = Vec::new();
     for pred in db.predicates() {
         let name = store.sym_str(pred.name).to_owned();
@@ -82,7 +82,7 @@ fn attribution_sums_reproduce_the_engine_totals() {
     for seed in [3, 17, 42] {
         let mut store = TermStore::new();
         let prog = unfolding_program(&net(seed), &mut store, &EncodeOptions::default());
-        let (stats, _, _) = run(&prog, &mut store, 1, true);
+        let (stats, _, _) = run(&prog, &mut store, true);
         assert!(
             !stats.per_rule.is_empty(),
             "seed {seed}: profiled run produced no attribution"
@@ -118,38 +118,22 @@ fn profiling_and_thread_count_change_nothing_observable() {
     for seed in [3, 42] {
         let mut store = TermStore::new();
         let prog = unfolding_program(&net(seed), &mut store, &EncodeOptions::default());
-        let (base_stats, base_rows, _) = run(&prog, &mut store.clone(), 1, true);
-        for threads in [2, 4] {
-            let (stats, rows, _) = run(&prog, &mut store.clone(), threads, true);
-            assert_eq!(
-                base_rows, rows,
-                "seed {seed}: {threads} threads moved the model"
-            );
-            // Attribution included: per-rule counts must be
-            // thread-invariant too (walls are the one exception).
-            assert_eq!(
-                base_stats.clone().with_walls_zeroed(),
-                stats.with_walls_zeroed(),
-                "seed {seed}: {threads} threads moved the counters"
-            );
-        }
-        for threads in [1, 4] {
-            let (stats, rows, collector) = run(&prog, &mut store.clone(), threads, false);
-            assert_eq!(base_rows, rows, "seed {seed}: profile=off moved the model");
-            assert!(
-                stats.per_rule.is_empty(),
-                "seed {seed}: unprofiled run attributed anyway"
-            );
-            assert_eq!(
-                without_attribution(base_stats.clone()),
-                without_attribution(stats),
-                "seed {seed}: profiling changed a pre-existing counter"
-            );
-            assert!(
-                ProfileReport::from_snapshot(&collector.snapshot()).is_empty(),
-                "seed {seed}: unprofiled run folded profile counters"
-            );
-        }
+        let (base_stats, base_rows, _) = run(&prog, &mut store.clone(), true);
+        let (stats, rows, collector) = run(&prog, &mut store.clone(), false);
+        assert_eq!(base_rows, rows, "seed {seed}: profile=off moved the model");
+        assert!(
+            stats.per_rule.is_empty(),
+            "seed {seed}: unprofiled run attributed anyway"
+        );
+        assert_eq!(
+            without_attribution(base_stats),
+            without_attribution(stats),
+            "seed {seed}: profiling changed a pre-existing counter"
+        );
+        assert!(
+            ProfileReport::from_snapshot(&collector.snapshot()).is_empty(),
+            "seed {seed}: unprofiled run folded profile counters"
+        );
     }
 }
 
@@ -157,7 +141,7 @@ fn profiling_and_thread_count_change_nothing_observable() {
 fn folded_counters_round_trip_the_attribution() {
     let mut store = TermStore::new();
     let prog = unfolding_program(&net(42), &mut store, &EncodeOptions::default());
-    let (stats, _, collector) = run(&prog, &mut store, 2, true);
+    let (stats, _, collector) = run(&prog, &mut store, true);
     let report = ProfileReport::from_snapshot(&collector.snapshot());
     assert_eq!(
         report.entries.len(),
