@@ -24,9 +24,10 @@
 //! There are two ways in. A **one-shot** call ([`naive`], [`seminaive`],
 //! [`seminaive_opts`], and per stratum [`seminaive_stratified`]) evaluates
 //! a borrowed program over a borrowed [`Database`] and forgets everything
-//! it compiled. An [`EvalSession`] owns its program and database and
+//! it compiled. An [`EvalSession`] holds its program and database and
 //! **resumes**: it keeps watermarks, the depth-suppressed frontier and the
-//! compiled plans, so each resume pays for its delta.
+//! compiled plans, so each resume pays for its delta. Its clones share the
+//! program and the plans.
 
 use crate::database::{ColMask, Database, Inserted};
 use crate::language::{Atom, PredId, Program, Rule};
@@ -41,6 +42,7 @@ use rescue_telemetry::{Absorb, Collector};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Heads that were derived but not inserted because they exceeded the
 /// term-depth bound. An [`EvalSession`] records these so that raising the
@@ -369,8 +371,9 @@ pub fn seminaive_opts(
 
 /// The cache key of one compiled program: recompilation is needed exactly
 /// when any component changes. The program is not part of it — the only
-/// cache that outlives a call belongs to an [`EvalSession`], which owns its
-/// program and never mutates it.
+/// cache that outlives a call belongs to an [`EvalSession`], which never
+/// mutates its program and shares it only with its own clones, alongside
+/// the cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct PlanKey {
     order: JoinOrder,
@@ -381,7 +384,10 @@ struct PlanKey {
 
 /// Everything [`fixpoint_cached`] derives from the program text alone —
 /// independent of the database and the budget, so it can be replayed
-/// verbatim by every later fixpoint over the same program.
+/// verbatim by every later fixpoint over the same program. Immutable once
+/// built (the labels fill at most once), so clones of an [`EvalSession`]
+/// share one behind an `Arc`.
+#[derive(Clone)]
 struct CompiledProgram {
     key: PlanKey,
     /// Positions of the non-fact rules in `Program::rules`; every other
@@ -422,11 +428,11 @@ struct CompiledProgram {
     reorders: usize,
     /// Per-rule telemetry span labels, built on the first *traced*
     /// fixpoint and reused afterwards (untraced runs never pay for them).
-    rule_labels: Option<Vec<String>>,
+    rule_labels: OnceLock<Vec<String>>,
     /// Per-rule profile frame labels (`head@peer#idx`, the index
     /// disambiguating rules with the same head), built on the first
     /// *profiled* fixpoint and reused afterwards.
-    profile_labels: Option<Vec<String>>,
+    profile_labels: OnceLock<Vec<String>>,
 }
 
 /// A resumable semi-naive evaluation: the database, per-predicate
@@ -447,8 +453,16 @@ struct CompiledProgram {
 ///   the truncated model passes through one of these recorded heads, so
 ///   replaying them restores exactly the model of a from-scratch run at
 ///   the larger bound.
+///
+/// A clone is an independent session that continues from the same point:
+/// it copies the database, watermarks, deferred frontier, queue, stats and
+/// options, and shares the program and the compiled plans (both immutable)
+/// with the original. Resume the clone under a [`TermStore`] that agrees
+/// with the original's on every id the session has seen — a clone of that
+/// store, in practice.
+#[derive(Clone)]
 pub struct EvalSession {
-    prog: Program,
+    prog: Arc<Program>,
     /// `prog.has_negation()`, computed once: every resume of such a
     /// session is refused.
     has_negation: bool,
@@ -465,8 +479,10 @@ pub struct EvalSession {
     options: EvalOptions,
     /// Compiled plans, reused by every resume — the session's program is
     /// fixed, so after the first fixpoint each `push_fact`/`resume` pays
-    /// for its delta joins, not for recompilation.
-    compiled: Option<CompiledProgram>,
+    /// for its delta joins, not for recompilation. Shared with clones; a
+    /// miss compiles into a fresh `Arc`, so a shared compile is never
+    /// rewritten.
+    compiled: Option<Arc<CompiledProgram>>,
 }
 
 impl EvalSession {
@@ -491,7 +507,7 @@ impl EvalSession {
     pub fn idle(prog: Program, budget: EvalBudget) -> Self {
         EvalSession {
             has_negation: prog.has_negation(),
-            prog,
+            prog: Arc::new(prog),
             db: Database::new(),
             budget,
             watermarks: FxHashMap::default(),
@@ -780,7 +796,9 @@ fn fixpoint(
 }
 
 /// The evaluator. `cache` is the caller's compiled program for `prog`, if
-/// it has one; it must never be shown a second program.
+/// it has one; it must never be shown a second program. A miss replaces
+/// the caller's `Arc` and never writes through it, so a compile shared
+/// with other sessions stays as it was.
 #[allow(clippy::too_many_arguments)]
 fn fixpoint_cached(
     prog: &Program,
@@ -792,7 +810,7 @@ fn fixpoint_cached(
     watermarks: &mut FxHashMap<PredId, usize>,
     mut deferred: Option<&mut DeferredFacts>,
     options: &EvalOptions,
-    cache: &mut Option<CompiledProgram>,
+    cache: &mut Option<Arc<CompiledProgram>>,
 ) -> Result<EvalStats, EvalError> {
     let order = options.order;
     let collector = &options.collector;
@@ -909,7 +927,7 @@ fn fixpoint_cached(
         // one binding per head variable per match, and the merge phase
         // re-binds exactly these to intern the instantiated head.
         let head_vars: Vec<Vec<Sym>> = rules.iter().map(|r| r.head.vars(store)).collect();
-        *cache = Some(CompiledProgram {
+        *cache = Some(Arc::new(CompiledProgram {
             key,
             rule_ids,
             preds,
@@ -923,14 +941,14 @@ fn fixpoint_cached(
             head_vars,
             index_needs,
             reorders,
-            rule_labels: None,
-            profile_labels: None,
-        });
+            rule_labels: OnceLock::new(),
+            profile_labels: OnceLock::new(),
+        }));
     }
     // Telemetry labels are formatted once per *compile* (lazily, on the
     // first traced fixpoint), never inside the round loop — a disabled
     // collector costs one branch per call site.
-    let compiled = cache.as_mut().expect("compiled above");
+    let compiled: &CompiledProgram = cache.as_deref().expect("compiled above");
     let head_label = |i: usize| {
         let head = &prog.rules[i].head.pred;
         format!(
@@ -940,13 +958,14 @@ fn fixpoint_cached(
         )
     };
     let traced = collector.is_enabled();
-    if traced && compiled.rule_labels.is_none() {
-        let labels = compiled
-            .rule_ids
-            .iter()
-            .map(|&i| format!("rule {}", head_label(i)));
-        compiled.rule_labels = Some(labels.collect());
-    }
+    let rule_labels: &[String] = if traced {
+        compiled.rule_labels.get_or_init(|| {
+            let labels = compiled.rule_ids.iter();
+            labels.map(|&i| format!("rule {}", head_label(i))).collect()
+        })
+    } else {
+        &[]
+    };
     // Exact per-rule attribution: collected only when the collector can
     // observe it AND the options ask for it, into a per-(rule, variant)
     // accumulator that every round folds into. The accumulation runs in
@@ -954,27 +973,28 @@ fn fixpoint_cached(
     // even when the event ring overflows, and deterministic in everything
     // but wall time.
     let profiling = traced && options.profile;
-    if profiling && compiled.profile_labels.is_none() {
-        let labels = compiled.rule_ids.iter().enumerate();
-        let labels = labels.map(|(idx, &i)| format!("{}#{idx}", head_label(i)));
-        compiled.profile_labels = Some(labels.collect());
-    }
+    let profile_labels: &[String] = if profiling {
+        compiled.profile_labels.get_or_init(|| {
+            let labels = compiled.rule_ids.iter().enumerate();
+            labels
+                .map(|(idx, &i)| format!("{}#{idx}", head_label(i)))
+                .collect()
+        })
+    } else {
+        &[]
+    };
     let mut prof: FxHashMap<ProfKey, RuleAcc> = FxHashMap::default();
     if profiling && stats.facts_derived > 0 {
         // Facts inserted by the seed loop above, attributed to a
         // pseudo-rule so the per-rule fact sum equals `facts_derived`.
         prof.entry((SEED_RULE, 0, false)).or_default().facts += stats.facts_derived as u64;
     }
-    // The compiled program is read-only for the rest of the run.
-    let compiled: &CompiledProgram = compiled;
     stats.plan_reorders += compiled.reorders;
     let plans = &compiled.plans;
     let delta_plans = &compiled.delta_plans;
     let plan_metas = &compiled.plan_metas;
     let delta_metas = &compiled.delta_metas;
     let head_vars = &compiled.head_vars;
-    let rule_labels: &[String] = compiled.rule_labels.as_deref().unwrap_or(&[]);
-    let profile_labels: &[String] = compiled.profile_labels.as_deref().unwrap_or(&[]);
     // Seal: build (or register) every index any compiled plan will probe,
     // up front — from here on the executors only ever *read* the database.
     // Idempotent per index, so replaying the cached list on every resume
@@ -1876,6 +1896,65 @@ mod tests {
         // The session's last resume only extended by the new edge's paths;
         // it never re-derived the saturated prefix.
         assert_eq!(session.database().count(path), 7 + 6 + 5 + 4 + 3 + 2 + 1);
+    }
+
+    /// Every fact of `db`, sorted: a model comparable across databases
+    /// whose term ids come from clones of one store.
+    fn model(db: &Database) -> Vec<(PredId, Vec<TermId>)> {
+        let mut facts: Vec<_> = (db.iter())
+            .flat_map(|(p, rel)| rel.rows().iter().map(move |r| (p, r.to_vec())))
+            .collect();
+        facts.sort_unstable();
+        facts
+    }
+
+    #[test]
+    fn a_cloned_session_resumes_independently_and_shares_its_plans() {
+        let rules = r#"
+            Path@p(X, Y) :- Edge@p(X, Y).
+            Path@p(X, Y) :- Edge@p(X, Z), Path@p(Z, Y).
+        "#;
+        let mut st = TermStore::new();
+        let prog = parse_program(rules, &mut st).unwrap();
+        let edge = rescue_pred(&mut st, "Edge");
+        let n: Vec<TermId> = (0..6).map(|i| st.constant(&format!("n{i}"))).collect();
+        let e = |a: usize, b: usize| (edge, Box::from([n[a], n[b]]));
+        // Every term the sessions will meet is interned now, so each clone
+        // of `st` below assigns the same ids.
+        let prefix = [e(0, 1), e(1, 2)];
+        let (left, right) = ([e(2, 3), e(3, 4)], [e(2, 5), e(5, 0)]);
+
+        let mut st_a = st.clone();
+        let mut a = EvalSession::new(prog.clone(), &mut st_a, EvalBudget::default()).unwrap();
+        a.resume(&mut st_a, prefix.clone()).unwrap();
+        let (mut b, mut st_b) = (a.clone(), st_a.clone());
+        assert!(Arc::ptr_eq(&a.prog, &b.prog));
+        a.resume(&mut st_a, left.clone()).unwrap();
+        b.resume(&mut st_b, right.clone()).unwrap();
+
+        for (session, tail) in [(&a, &left), (&b, &right)] {
+            let mut st_f = st.clone();
+            let mut fresh =
+                EvalSession::new(prog.clone(), &mut st_f, EvalBudget::default()).unwrap();
+            fresh.resume(&mut st_f, prefix.clone()).unwrap();
+            fresh.resume(&mut st_f, tail.clone()).unwrap();
+            assert_eq!(model(session.database()), model(fresh.database()));
+            assert_eq!(session.total_stats(), fresh.total_stats());
+        }
+
+        // A cache miss on one clone compiles into its own Arc: the
+        // sibling keeps the shared compile and never recompiles.
+        let shared = a.compiled.clone().expect("compiled by the first resume");
+        b.set_options(EvalOptions {
+            plan_cache: false,
+            ..Default::default()
+        });
+        let compiled_a = a.total_stats().plans_compiled;
+        assert!(b.resume(&mut st_b, [e(4, 0)]).unwrap().plans_compiled > 0);
+        assert_eq!(a.resume(&mut st_a, [e(4, 0)]).unwrap().plans_compiled, 0);
+        assert_eq!(a.total_stats().plans_compiled, compiled_a);
+        assert!(Arc::ptr_eq(a.compiled.as_ref().unwrap(), &shared));
+        assert!(!Arc::ptr_eq(b.compiled.as_ref().unwrap(), &shared));
     }
 
     #[test]

@@ -655,6 +655,7 @@ impl SigInterner {
 /// Per-step sharing metadata of a compiled plan: the interned signature,
 /// which body positions' runtime windows must coincide for two passes to
 /// share the step, and whether the prefix may extend past it.
+#[derive(Clone)]
 pub(crate) struct StepMeta {
     pub sig: u32,
     /// The step's own atom first, then each existence check's atom.

@@ -46,9 +46,11 @@
 //! registry, evaluates under the session lock alone, and re-takes the
 //! registry for two counter bumps. `create` reserves the id and the
 //! residency slot *before* building, so the cap is never exceeded and a
-//! refused create builds nothing. `destroy` and eviction unlink under the
-//! registry, then retire the victim's stats behind whatever push is in
-//! flight on it. The session lock is also the fault boundary: a panic in
+//! refused create builds nothing. It then clones the net's zero-alarm
+//! template under that net's template lock alone, building the template
+//! first when no session of the net is resident. `destroy` and eviction
+//! unlink under the registry, then retire the victim's stats behind
+//! whatever push is in flight on it. The session lock is also the fault boundary: a panic in
 //! one session's evaluation becomes its sticky `SessionFailed`.
 
 use crate::alarm::Alarm;
@@ -61,7 +63,7 @@ use rustc_hash::FxHashMap;
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Instant;
 
 /// Manager-level policy knobs, shared by the server and the CLI.
@@ -199,6 +201,9 @@ pub struct ManagerStats {
 /// Everything one session owns, behind that session's own lock.
 struct Managed {
     session: DiagnosisSession,
+    /// The zero-alarm session this one was cloned from, kept alive for as
+    /// long as this session is, so the net's next `create` can clone it.
+    _template: Arc<DiagnosisSession>,
     failed: Option<String>,
     /// Postmortem captured at failure time.
     flight: String,
@@ -306,12 +311,23 @@ fn panic_reason(payload: &(dyn Any + Send)) -> String {
     format!("panic: {}", text.unwrap_or("<non-string payload>"))
 }
 
+/// A creatable net and the template its sessions are cloned from.
+struct Net {
+    name: String,
+    net: PetriNet,
+    /// The net's zero-alarm session, while any session cloned from it is
+    /// resident (each holds an `Arc` to it). Dead otherwise: a template
+    /// per registered net for the server's whole life would keep every
+    /// idle net's program and plans in memory.
+    template: Mutex<Weak<DiagnosisSession>>,
+}
+
 /// The registry of nets and sessions. Internally synchronised: once set
 /// up (`&mut self`), every method takes `&self`, so the server shares one
 /// manager between its connection threads and the CLI owns one outright.
 pub struct SessionManager {
     config: ManagerConfig,
-    nets: Vec<(String, PetriNet)>,
+    nets: Vec<Net>,
     collector: Collector,
     registry: Mutex<Registry>,
 }
@@ -335,12 +351,16 @@ impl SessionManager {
     /// Make `net` creatable under `name`. First registration is the
     /// default net for `create` calls that name none.
     pub fn register_net(&mut self, name: &str, net: PetriNet) {
-        self.nets.push((name.to_owned(), net));
+        self.nets.push(Net {
+            name: name.to_owned(),
+            net,
+            template: Mutex::default(),
+        });
     }
 
     /// Registered net names, registration order.
     pub fn net_names(&self) -> Vec<String> {
-        self.nets.iter().map(|(n, _)| n.clone()).collect()
+        self.nets.iter().map(|n| n.name.clone()).collect()
     }
 
     pub fn config(&self) -> &ManagerConfig {
@@ -408,17 +428,42 @@ impl SessionManager {
         }
     }
 
+    /// `net`'s live template, or a freshly built one on a miss. The slot
+    /// stays locked while building, so a second `create` of the same net
+    /// waits and reuses instead of building twice. A failed build leaves
+    /// the slot as it was: nothing is cached.
+    fn template(&self, net: &Net) -> Result<Arc<DiagnosisSession>, String> {
+        // A panicking build never wrote the slot, so a poison flag carries
+        // no information.
+        let mut slot = net.template.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(template) = slot.upgrade() {
+            self.collector.count("manager.templates_reused", 1);
+            return Ok(template);
+        }
+        let (supervisor, budget) = (&self.config.supervisor, self.config.budget);
+        let template = DiagnosisSession::with_budget(&net.net, supervisor, budget)
+            .map_err(|e| e.to_string())?;
+        let template = Arc::new(template);
+        *slot = Arc::downgrade(&template);
+        self.collector.count("manager.templates_built", 1);
+        Ok(template)
+    }
+
     /// Create a session (attached to the caller) and return its id. `id`
     /// defaults to a generated `s<N>`; `net` to the first registered net.
+    ///
+    /// The session is a clone of the net's zero-alarm template, which is
+    /// built on the first `create` while none of the net's sessions is
+    /// resident and shared by every later one.
     pub fn create(&self, id: Option<&str>, net: Option<&str>) -> Result<String, ManagerError> {
         let found = match net {
-            Some(name) => self.nets.iter().find(|(n, _)| n == name),
+            Some(name) => self.nets.iter().find(|n| n.name == name),
             None => self.nets.first(),
         };
         let unknown = || ManagerError::UnknownNet(net.unwrap_or("<none registered>").to_owned());
-        let net = &found.ok_or_else(unknown)?.1;
+        let net = found.ok_or_else(unknown)?;
         let supervisor = &self.config.supervisor;
-        if net.peer_by_name(supervisor).is_some() {
+        if net.net.peer_by_name(supervisor).is_some() {
             return Err(ManagerError::SupervisorCollision(supervisor.clone()));
         }
         // Reserve the id and the residency slot before building.
@@ -457,11 +502,15 @@ impl SessionManager {
         }
         // A build that blows its budget, or panics, gives the reservation back.
         let built = catch_unwind(AssertUnwindSafe(|| {
-            let mut session = DiagnosisSession::with_budget(net, supervisor, self.config.budget)
-                .map_err(|e| e.to_string())?;
+            let t0 = Instant::now();
+            let template = self.template(net)?;
+            let mut session = DiagnosisSession::clone(&template);
             session.set_collector(self.collector.clone());
+            self.collector
+                .record("manager.create_latency_us", us_since(t0));
             Ok(Arc::new(Mutex::new(Managed {
                 session,
+                _template: template,
                 failed: None,
                 flight: String::new(),
                 retired: false,
@@ -934,6 +983,46 @@ mod tests {
         assert!(!mgr.session_flight(&sick).unwrap().is_empty());
         assert_eq!(mgr.push(&well, &seq).unwrap().alarms_total, seq.len());
         assert_eq!(mgr.stats().failed, 1);
+    }
+
+    #[test]
+    fn a_template_lives_exactly_as_long_as_a_session_of_its_net() {
+        let mut mgr = manager(8, 64);
+        let collector = Collector::enabled();
+        mgr.set_collector(collector.clone());
+        mgr.create(Some("a"), None).unwrap();
+        mgr.create(Some("b"), None).unwrap(); // a lives: reused
+        mgr.destroy("a").unwrap();
+        mgr.destroy("b").unwrap();
+        assert!(mgr.nets[0].template.lock().unwrap().upgrade().is_none());
+        mgr.create(Some("c"), None).unwrap(); // nothing resident: rebuilt
+        let snap = collector.snapshot();
+        let counts = |name: &str| snap.counter(&format!("manager.templates_{name}"));
+        assert_eq!((counts("built"), counts("reused")), (2, 1));
+        assert_eq!(snap.histogram("manager.create_latency_us").count, 3);
+    }
+
+    #[test]
+    fn a_create_that_blows_its_budget_gives_the_reservation_back() {
+        let mut mgr = SessionManager::new(ManagerConfig {
+            // Below figure1's 62 zero-alarm facts.
+            budget: EvalBudget {
+                max_facts: 30,
+                ..EvalBudget::default()
+            },
+            ..ManagerConfig::default()
+        });
+        mgr.register_net("figure1", figure1());
+        for _ in 0..2 {
+            let err = mgr.create(Some("tight"), None).unwrap_err();
+            let ManagerError::SessionFailed { reason, .. } = err else {
+                panic!("expected SessionFailed, got {err:?}");
+            };
+            assert!(reason.contains("budget"), "reason: {reason}");
+            assert_eq!(mgr.resident(), 0);
+        }
+        // The second create failed the same way: nothing was cached.
+        assert_eq!(mgr.stats().failed, 2);
     }
 
     #[test]

@@ -37,6 +37,13 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use std::time::Instant;
 
 /// A streaming diagnosis engine: feed alarms, read explanations.
+///
+/// A clone is an independent session at the same point, with its own
+/// [`TermStore`] and database; it shares the immutable program and
+/// compiled plans with the original (see [`EvalSession`]). Cloning a
+/// zero-alarm session is how [`SessionManager`](crate::SessionManager)
+/// makes a net's sessions without rebuilding them.
+#[derive(Clone)]
 pub struct DiagnosisSession {
     store: TermStore,
     eval: EvalSession,
