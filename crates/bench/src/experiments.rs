@@ -437,6 +437,7 @@ pub fn e6_messages() -> Table {
             "messages",
             "bytes",
             "tuples shipped",
+            "terms defined",
             "explanations",
         ],
     );
@@ -459,6 +460,7 @@ pub fn e6_messages() -> Table {
         let naive_run = run_distributed(&dp.program, &store, &dist_opts).unwrap();
         t.absorb_stats(&naive_run.total_stats());
         let naive_tuples: u64 = naive_run.peers.iter().map(|p| p.tuples_sent()).sum();
+        let naive_terms: u64 = naive_run.peers.iter().map(|p| p.terms_defined()).sum();
         let n_expl = {
             let rows = naive_run.facts_of("Diag", "supervisor");
             let mut ids: Vec<String> = rows.iter().map(|r| format!("{:?}", r[0])).collect();
@@ -472,6 +474,7 @@ pub fn e6_messages() -> Table {
             naive_run.net.messages.to_string(),
             naive_run.net.bytes.to_string(),
             naive_tuples.to_string(),
+            naive_terms.to_string(),
             format!("{n_expl} ids"),
         ]);
 
@@ -487,6 +490,7 @@ pub fn e6_messages() -> Table {
         .unwrap();
         t.absorb_stats(&out.run.total_stats());
         let dq_tuples: u64 = out.run.peers.iter().map(|p| p.tuples_sent()).sum();
+        let dq_terms: u64 = out.run.peers.iter().map(|p| p.terms_defined()).sum();
         let mut ids: Vec<String> = out.answers.iter().map(|r| store.display(r[0])).collect();
         ids.sort();
         ids.dedup();
@@ -496,6 +500,7 @@ pub fn e6_messages() -> Table {
             out.run.net.messages.to_string(),
             out.run.net.bytes.to_string(),
             dq_tuples.to_string(),
+            dq_terms.to_string(),
             format!("{} ids", ids.len()),
         ]);
     }
@@ -794,6 +799,7 @@ pub fn e10_sup_placement() -> Table {
             "messages",
             "bytes",
             "tuples shipped",
+            "terms defined",
             "answers equal",
         ],
     );
@@ -823,8 +829,10 @@ pub fn e10_sup_placement() -> Table {
                 .collect();
             answers.sort();
             let equal = rendered.is_empty() || rendered[0] == answers;
+            assert!(equal, "{name}: {placement:?} changed the answers");
             rendered.push(answers);
             let tuples: u64 = out.run.peers.iter().map(|p| p.tuples_sent()).sum();
+            let terms: u64 = out.run.peers.iter().map(|p| p.terms_defined()).sum();
             t.row(vec![
                 name.into(),
                 alarms.len().to_string(),
@@ -832,6 +840,7 @@ pub fn e10_sup_placement() -> Table {
                 out.run.net.messages.to_string(),
                 out.run.net.bytes.to_string(),
                 tuples.to_string(),
+                terms.to_string(),
                 equal.to_string(),
             ]);
         }

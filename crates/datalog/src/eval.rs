@@ -26,8 +26,10 @@
 //! a borrowed program over a borrowed [`Database`] and forgets everything
 //! it compiled. An [`EvalSession`] holds its program and database and
 //! **resumes**: it keeps watermarks, the depth-suppressed frontier and the
-//! compiled plans, so each resume pays for its delta. Its clones share the
-//! program and the plans.
+//! compiled plans, so each resume pays for its delta. A resume on cached
+//! plans (the warm path) also skips the per-call sweeps over the program:
+//! its facts, its index needs and its relation lengths. Its clones share
+//! the program and the plans.
 
 use crate::database::{ColMask, Database, Inserted};
 use crate::language::{Atom, PredId, Program, Rule};
@@ -396,6 +398,9 @@ struct CompiledProgram {
     /// [`Program::predicates`] — a predicate's position is its dense id,
     /// which is how the round loop addresses relation lengths.
     preds: Vec<PredId>,
+    /// The inverse of `preds`: how a warm resume finds the lengths of the
+    /// relations its queue grew.
+    pid: FxHashMap<PredId, u32>,
     /// Dense id of each rule's head predicate.
     head_pids: Vec<u32>,
     /// Dense ids of each rule's body predicates, by body position.
@@ -446,7 +451,8 @@ struct CompiledProgram {
 ///
 /// * **watermarks** — rows below a relation's watermark were saturated by a
 ///   previous resume and act as "old" from the start, so only the newer
-///   rows are initial deltas;
+///   rows are initial deltas. A resume on cached plans starts from them
+///   and recounts only the relations its queue grew;
 /// * **deferred facts** — heads skipped by the term-depth bound are
 ///   recorded, and [`EvalSession::set_depth_bound`] re-injects the ones
 ///   that fit a raised bound as fresh deltas. Any derivation missing from
@@ -468,7 +474,7 @@ pub struct EvalSession {
     has_negation: bool,
     db: Database,
     budget: EvalBudget,
-    watermarks: FxHashMap<PredId, usize>,
+    sat: Saturation,
     deferred: DeferredFacts,
     /// Facts queued for the next [`resume`](Self::resume) call.
     queue: Vec<(PredId, Box<[TermId]>)>,
@@ -510,7 +516,7 @@ impl EvalSession {
             prog: Arc::new(prog),
             db: Database::new(),
             budget,
-            watermarks: FxHashMap::default(),
+            sat: Saturation::default(),
             deferred: DeferredFacts::default(),
             queue: Vec::new(),
             total: EvalStats::default(),
@@ -598,11 +604,18 @@ impl EvalSession {
         // budget. The fact that does trip it, and everything queued behind
         // it, stays queued for a resume under a larger budget.
         let limit = self.budget.max_facts;
+        let touched = &mut self.sat.touched;
         let over = (self.queue.iter()).position(|(pred, row)| {
-            self.db.insert_within(*pred, row, limit) == Inserted::OverBudget
+            match self.db.insert_within(*pred, row, limit) {
+                Inserted::New if !touched.contains(pred) => touched.push(*pred),
+                Inserted::New | Inserted::Duplicate => {}
+                Inserted::OverBudget => return true,
+            }
+            false
         });
         self.queue.drain(..over.unwrap_or(self.queue.len()));
         if over.is_some() {
+            self.sat.warm = false;
             return Err(EvalError::FactBudgetExceeded { limit });
         }
         let stats = fixpoint_cached(
@@ -612,7 +625,7 @@ impl EvalSession {
             &self.budget,
             true,
             0,
-            &mut self.watermarks,
+            &mut self.sat,
             Some(&mut self.deferred),
             &self.options,
             &mut self.compiled,
@@ -769,6 +782,22 @@ fn count_members(node: &TrieNode) -> usize {
     node.leaves.len() + node.children.iter().map(count_members).sum::<usize>()
 }
 
+/// What a session's last saturation leaves for its next resume.
+#[derive(Clone, Default)]
+struct Saturation {
+    /// The watermarks: relation lengths by dense predicate id when the
+    /// last fixpoint saturated (empty before the first). The dense ids are
+    /// [`Program::predicates`] positions, so they outlive a recompile.
+    lens: Vec<usize>,
+    /// Whether the database is still that saturation's but for the rows
+    /// the queue added to `touched`, with every index need of the cached
+    /// compile sealed. False before the first fixpoint and after an error,
+    /// which may leave the rows of an unfinished round behind.
+    warm: bool,
+    /// The predicates the queue added rows to since that saturation.
+    touched: Vec<PredId>,
+}
+
 /// The one-shot way in: [`fixpoint_cached`] from empty watermarks, keeping
 /// nothing it compiled. [`EvalSession::resume`] is the other.
 fn fixpoint(
@@ -780,7 +809,6 @@ fn fixpoint(
     stratum: u32,
     options: &EvalOptions,
 ) -> Result<EvalStats, EvalError> {
-    let mut watermarks = FxHashMap::default();
     fixpoint_cached(
         prog,
         store,
@@ -788,7 +816,7 @@ fn fixpoint(
         budget,
         semi,
         stratum,
-        &mut watermarks,
+        &mut Saturation::default(),
         None,
         options,
         &mut None,
@@ -798,7 +826,8 @@ fn fixpoint(
 /// The evaluator. `cache` is the caller's compiled program for `prog`, if
 /// it has one; it must never be shown a second program. A miss replaces
 /// the caller's `Arc` and never writes through it, so a compile shared
-/// with other sessions stays as it was.
+/// with other sessions stays as it was. `sat` is the caller's last
+/// saturation; the call leaves its own there when it saturates.
 #[allow(clippy::too_many_arguments)]
 fn fixpoint_cached(
     prog: &Program,
@@ -807,7 +836,7 @@ fn fixpoint_cached(
     budget: &EvalBudget,
     semi: bool,
     stratum: u32,
-    watermarks: &mut FxHashMap<PredId, usize>,
+    sat: &mut Saturation,
     mut deferred: Option<&mut DeferredFacts>,
     options: &EvalOptions,
     cache: &mut Option<Arc<CompiledProgram>>,
@@ -815,34 +844,43 @@ fn fixpoint_cached(
     let order = options.order;
     let collector = &options.collector;
     let mut stats = EvalStats::default();
-    // Facts of the program itself seed the database.
-    for rule in prog.rules.iter().filter(|r| r.is_fact()) {
-        debug_assert!(rule.head.is_ground(store), "facts must be ground");
-        // Duplicates insert nothing, so they never trip the budget.
-        match db.insert_within(rule.head.pred, &rule.head.args, budget.max_facts) {
-            Inserted::New => stats.facts_derived += 1,
-            Inserted::Duplicate => {}
-            Inserted::OverBudget => {
-                return Err(EvalError::FactBudgetExceeded {
-                    limit: budget.max_facts,
-                });
-            }
-        }
-    }
-
     let sip = options.sip_filters;
     let key = PlanKey {
         order,
         sip_filters: sip,
         semi,
     };
+    let hit = options.plan_cache && cache.as_ref().is_some_and(|c| c.key == key);
+    // Warm: the last call saturated under this very compile, so the
+    // program's facts are in, every index need is sealed (the database
+    // keeps its indexes and parks the needs of absent relations), and only
+    // the touched relations changed length. Reset until this call
+    // saturates in its turn.
+    let warm = hit && sat.warm;
+    sat.warm = false;
+    // Facts of the program itself seed the database (a warm call's are in).
+    if !warm {
+        for rule in prog.rules.iter().filter(|r| r.is_fact()) {
+            debug_assert!(rule.head.is_ground(store), "facts must be ground");
+            // Duplicates insert nothing, so they never trip the budget.
+            match db.insert_within(rule.head.pred, &rule.head.args, budget.max_facts) {
+                Inserted::New => stats.facts_derived += 1,
+                Inserted::Duplicate => {}
+                Inserted::OverBudget => {
+                    return Err(EvalError::FactBudgetExceeded {
+                        limit: budget.max_facts,
+                    });
+                }
+            }
+        }
+    }
+
     // Compile on a cache miss only. A hit replays the previous fixpoint's
     // rule list, predicate ids, plans, sharing signatures, head-variable
     // maps and index needs verbatim — all of them pure functions of
     // (rules, order, sip, semi); the rules are the cache owner's and fixed,
     // the key covers the rest, so nothing on the hit path walks the
     // program.
-    let hit = options.plan_cache && cache.as_ref().is_some_and(|c| c.key == key);
     if !hit {
         let (rule_ids, rules): (Vec<usize>, Vec<&Rule>) = prog
             .rules
@@ -931,6 +969,7 @@ fn fixpoint_cached(
             key,
             rule_ids,
             preds,
+            pid,
             head_pids,
             body_pids,
             delta_deps,
@@ -997,10 +1036,11 @@ fn fixpoint_cached(
     let head_vars = &compiled.head_vars;
     // Seal: build (or register) every index any compiled plan will probe,
     // up front — from here on the executors only ever *read* the database.
-    // Idempotent per index, so replaying the cached list on every resume
-    // costs one hash probe per need.
-    for &(pred, mask) in &compiled.index_needs {
-        db.prepare_index(pred, mask);
+    // Idempotent per index; a warm resume finds them all in place.
+    if !warm {
+        for &(pred, mask) in &compiled.index_needs {
+            db.prepare_index(pred, mask);
+        }
     }
     let mut fix_span = traced.then(|| {
         let mut sp = collector.span("fixpoint", "eval");
@@ -1020,19 +1060,31 @@ fn fixpoint_cached(
     // earlier call and act as "old" from the start. The two vectors differ
     // exactly on `delta`, and after the first round only the heads that
     // derived something (`grown`) are re-counted — a round's bookkeeping
-    // is proportional to what the previous round changed.
+    // is proportional to what the previous round changed. A warm call
+    // starts the same way: it recounts only the relations its queue grew.
     let preds = &compiled.preds;
-    let watermark = |p: &PredId| watermarks.get(p).copied().unwrap_or(0);
-    let mut prev_len: Vec<usize> = preds.iter().map(watermark).collect();
-    let mut start_len: Vec<usize> = preds.iter().map(|&p| db.count(p)).collect();
+    let mut prev_len: Vec<usize> = if sat.lens.is_empty() {
+        vec![0; preds.len()]
+    } else {
+        sat.lens.clone()
+    };
+    let mut start_len: Vec<usize> = if warm {
+        let mut lens = prev_len.clone();
+        for p in &sat.touched {
+            if let Some(&i) = compiled.pid.get(p) {
+                lens[i as usize] = db.count(*p);
+            }
+        }
+        lens
+    } else {
+        preds.iter().map(|&p| db.count(p)).collect()
+    };
+    sat.touched.clear();
     let mut delta: Vec<u32> = (0..preds.len())
         .filter(|&p| prev_len[p] != start_len[p])
         .map(|p| p as u32)
         .collect();
     let mut grown: Vec<u32> = Vec::new();
-    // Every predicate that was a delta in some round: the watermarks to
-    // advance once the fixpoint is reached.
-    let mut advanced: Vec<u32> = Vec::new();
     let mut delta_sites: Vec<(u32, u32)> = Vec::new();
 
     loop {
@@ -1249,7 +1301,7 @@ fn fixpoint_cached(
         for &p in &delta {
             prev_len[p as usize] = start_len[p as usize];
         }
-        advanced.append(&mut delta);
+        delta.clear();
         grown.sort_unstable();
         grown.dedup();
         for &p in &grown {
@@ -1257,9 +1309,10 @@ fn fixpoint_cached(
         }
         std::mem::swap(&mut delta, &mut grown);
         if derived_this_round == 0 {
-            for p in advanced {
-                watermarks.insert(preds[p as usize], prev_len[p as usize]);
-            }
+            // Saturated: `prev_len` and `start_len` now agree, and each is
+            // every relation's length.
+            sat.lens = start_len;
+            sat.warm = true;
             if let Some(sp) = fix_span.as_mut() {
                 sp.arg("rounds", stats.iterations as u64);
                 sp.arg("facts_derived", stats.facts_derived as u64);
@@ -1955,6 +2008,121 @@ mod tests {
         assert_eq!(a.total_stats().plans_compiled, compiled_a);
         assert!(Arc::ptr_eq(a.compiled.as_ref().unwrap(), &shared));
         assert!(!Arc::ptr_eq(b.compiled.as_ref().unwrap(), &shared));
+    }
+
+    #[test]
+    fn a_warm_resume_equals_a_one_shot_run_over_every_fact_so_far() {
+        let src = r#"
+            Seed@p(c0).
+            Orphan@p(o1).
+            Node@p(f(X)) :- Seed@p(X).
+            Node@p(f(X)) :- Node@p(X).
+            Pair@p(X, Y) :- Node@p(X), Mark@p(Y).
+            Link@p(X, Y) :- Edge@p(X, Y).
+            Link@p(X, Z) :- Link@p(X, Y), Edge@p(Y, Z).
+            Tag@p(g(X, Y)) :- Link@p(X, Y), Pair@p(Y, Z).
+        "#;
+        let mut st = TermStore::new();
+        let prog = parse_program(src, &mut st).unwrap();
+        enum Step {
+            /// Facts to push, in program syntax.
+            Push(&'static str),
+            Depth(u32),
+            Options(EvalOptions),
+        }
+        // The session starts on source-order plans without SIP filters and
+        // switches to the default ones, whose compile needs indexes the
+        // first one never sealed.
+        let plain = EvalOptions {
+            order: JoinOrder::Leftmost,
+            sip_filters: false,
+            ..Default::default()
+        };
+        let steps = [
+            Step::Push(""),
+            Step::Push("Edge@p(a, b). Edge@p(b, f(c0))."),
+            Step::Push(""),
+            // `Noise` is in no rule; `Orphan` is in the program, read by none.
+            Step::Push("Noise@q(z). Orphan@p(o2)."),
+            Step::Depth(4),
+            Step::Push("Mark@p(m1)."),
+            Step::Push(""),
+            Step::Options(EvalOptions::default()),
+            Step::Push("Edge@p(d, a)."),
+            Step::Depth(6),
+            Step::Push("Mark@p(a). Edge@p(f(c0), d)."),
+            Step::Push(""),
+        ];
+
+        let mut depth = 3;
+        let mut session = EvalSession::idle(prog.clone(), EvalBudget::depth_bounded(depth));
+        session.set_options(plain);
+        session.resume(&mut st, []).unwrap();
+        let mut pushed: Vec<(PredId, Box<[TermId]>)> = Vec::new();
+        // Heads the session re-queued from its deferred frontier. A one-shot
+        // run at the raised bound derives each of them, where the session
+        // counted its derivations as depth-skipped and then inserted it.
+        let mut replayed = 0;
+        let mut compiles = session.total_stats().plans_compiled;
+        for (i, step) in steps.into_iter().enumerate() {
+            let miss = matches!(step, Step::Options(_));
+            match step {
+                Step::Push(src) => {
+                    let rules = parse_program(src, &mut st).unwrap().rules;
+                    let facts: Vec<(PredId, Box<[TermId]>)> = (rules.into_iter())
+                        .map(|r| (r.head.pred, r.head.args.into()))
+                        .collect();
+                    pushed.extend(facts.iter().cloned());
+                    session.resume(&mut st, facts).unwrap();
+                }
+                Step::Depth(d) => {
+                    depth = d;
+                    let before = session.deferred_len();
+                    session.set_depth_bound(&st, d);
+                    replayed += before - session.deferred_len();
+                    session.resume(&mut st, []).unwrap();
+                }
+                Step::Options(options) => {
+                    session.set_options(options);
+                    session.resume(&mut st, []).unwrap();
+                }
+            }
+            let mut db = Database::new();
+            for (p, row) in &pushed {
+                db.insert(*p, row);
+            }
+            let budget = EvalBudget::depth_bounded(depth);
+            let one_shot = seminaive(&prog, &mut st, &mut db, &budget).unwrap();
+            assert_eq!(model(session.database()), model(&db), "model at step {i}");
+            let s = session.total_stats();
+            assert_eq!(
+                (
+                    s.facts_derived + replayed,
+                    s.rule_firings,
+                    s.duplicate_derivations + s.depth_skipped - replayed,
+                ),
+                (
+                    one_shot.facts_derived,
+                    one_shot.rule_firings,
+                    one_shot.duplicate_derivations + one_shot.depth_skipped,
+                ),
+                "counters at step {i}"
+            );
+            if replayed == 0 {
+                assert_eq!(
+                    (s.facts_derived, s.duplicate_derivations, s.depth_skipped),
+                    (
+                        one_shot.facts_derived,
+                        one_shot.duplicate_derivations,
+                        one_shot.depth_skipped
+                    ),
+                    "counters at step {i}"
+                );
+            }
+            assert_eq!(s.plans_compiled > compiles, miss, "compiles at step {i}");
+            compiles = s.plans_compiled;
+        }
+        assert!(replayed > 0, "a raised bound replayed deferred heads");
     }
 
     #[test]

@@ -15,16 +15,26 @@
 //! program and the dQSQ evaluation of the rewritten one; only the program
 //! differs. That is the paper's point: the optimization is a rewrite, not a
 //! new execution engine.
+//!
+//! Terms cross a channel once. Each directed channel carries a term
+//! dictionary: a tuple batch defines the terms it is the first to ship,
+//! children first, each under the channel's next unused id, and its rows
+//! are those ids. The receiver applies batches in their channel order, so
+//! every id it reads is defined. The paper's channels are FIFO; a batch
+//! that overtakes its predecessor anyway waits until the predecessor
+//! arrives, and a run that quiesces with one still waiting ends in
+//! [`DistError::ChannelGap`].
 
 use crate::export::{export_rule, import_rule, ExportedRule};
 use rescue_datalog::{
     EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats, ExportedTerm, Peer, PredId,
-    Program, Relation, TermId, TermStore,
+    Program, Relation, Rows, TermData, TermId, TermStore,
 };
 use rescue_net::sim::{SimConfig, SimNet};
 use rescue_net::{NetError, NetStats, NodeId, Outbox, PeerLogic};
 use rescue_telemetry::{merged, Collector};
 use rustc_hash::FxHashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Wire messages of the distributed evaluation protocol.
@@ -33,11 +43,37 @@ pub enum DMsg {
     /// "Send me `name@peer`, now and whenever it grows."
     Subscribe { name: String, peer: String },
     /// A batch of tuples of `name@peer`.
-    Tuples {
-        name: String,
-        peer: String,
-        rows: Vec<Vec<ExportedTerm>>,
-    },
+    Tuples(TupleBatch),
+}
+
+/// A batch of tuples of `name@peer`, the `seq`-th tuple batch on its
+/// channel (counting from 0).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct TupleBatch {
+    pub name: String,
+    pub peer: String,
+    pub seq: u64,
+    /// The terms this batch is the first on its channel to ship, children
+    /// first. Each takes the channel's next unused id.
+    pub defs: Vec<TermDef>,
+    /// The tuples, as channel term ids.
+    pub rows: Vec<Vec<u32>>,
+}
+
+/// One term defined on a channel, its children given by channel id.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum TermDef {
+    Const(String),
+    App(String, Vec<u32>),
+}
+
+/// Bytes of `n` as an LEB128 varint.
+fn varint(n: u64) -> usize {
+    (64 - (n | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+fn ids_size(ids: &[u32]) -> usize {
+    ids.iter().map(|&i| varint(i.into())).sum()
 }
 
 /// Size estimate for network byte accounting.
@@ -49,17 +85,120 @@ pub enum DMsg {
 /// would not be serialized on a real wire — and counting them would make
 /// the paper-facing byte totals depend on whether a run was traced. Byte
 /// accounting measures the protocol, not the harness.
+///
+/// A string counts one tag byte plus its bytes. Ids, counts and sequence
+/// numbers count as LEB128 varints. A row's arity is its relation's, so
+/// only the row count is sent.
 pub fn dmsg_size(msg: &DMsg) -> usize {
     match msg {
         DMsg::Subscribe { name, peer } => 1 + name.len() + peer.len(),
-        DMsg::Tuples { name, peer, rows } => {
-            1 + name.len()
-                + peer.len()
-                + rows
-                    .iter()
-                    .map(|r| r.iter().map(|t| t.size_estimate()).sum::<usize>())
-                    .sum::<usize>()
+        DMsg::Tuples(b) => {
+            let def_size = |d: &TermDef| match d {
+                TermDef::Const(c) => 1 + c.len(),
+                TermDef::App(f, kids) => 1 + f.len() + varint(kids.len() as u64) + ids_size(kids),
+            };
+            1 + b.name.len()
+                + b.peer.len()
+                + varint(b.seq)
+                + varint(b.defs.len() as u64)
+                + b.defs.iter().map(def_size).sum::<usize>()
+                + varint(b.rows.len() as u64)
+                + b.rows.iter().map(|r| ids_size(r)).sum::<usize>()
         }
+    }
+}
+
+/// The sending end of one directed channel.
+#[derive(Default)]
+struct ChannelOut {
+    /// Every term defined on the channel, by the id it took.
+    ids: FxHashMap<TermId, u32>,
+    next_seq: u64,
+}
+
+impl ChannelOut {
+    /// `rows` of `pred` as the channel's next batch.
+    fn batch(&mut self, store: &TermStore, pred: PredId, rows: Rows<'_>) -> TupleBatch {
+        let mut defs = Vec::new();
+        let rows = (rows.iter())
+            .map(|row| row.iter().map(|&t| self.id(store, t, &mut defs)).collect())
+            .collect();
+        self.next_seq += 1;
+        TupleBatch {
+            name: store.sym_str(pred.name).to_owned(),
+            peer: store.sym_str(pred.peer.0).to_owned(),
+            seq: self.next_seq - 1,
+            defs,
+            rows,
+        }
+    }
+
+    /// The channel id of `t`, defining it (its undefined children first)
+    /// in `defs` if the channel has not carried it yet.
+    fn id(&mut self, store: &TermStore, t: TermId, defs: &mut Vec<TermDef>) -> u32 {
+        if let Some(&id) = self.ids.get(&t) {
+            return id;
+        }
+        let def = match store.data(t) {
+            TermData::Const(c) => TermDef::Const(store.sym_str(*c).to_owned()),
+            TermData::App(f, args) => {
+                let kids = args.iter().map(|&a| self.id(store, a, defs)).collect();
+                TermDef::App(store.sym_str(*f).to_owned(), kids)
+            }
+            TermData::Var(_) => unreachable!("stored tuples are ground"),
+        };
+        let id = self.ids.len() as u32;
+        self.ids.insert(t, id);
+        defs.push(def);
+        id
+    }
+}
+
+/// The receiving end of one directed channel.
+#[derive(Default)]
+struct ChannelIn {
+    /// The local term behind each channel id.
+    terms: Vec<TermId>,
+    /// The sequence number of the batch due next.
+    next_seq: u64,
+    /// Batches that overtook the one due, by sequence number. Only a
+    /// transport that breaks per-channel FIFO ever puts one here.
+    held: BTreeMap<u64, TupleBatch>,
+}
+
+impl ChannelIn {
+    /// `batch` if it is due; otherwise it is held back until it is.
+    fn due(&mut self, batch: TupleBatch) -> Option<TupleBatch> {
+        if batch.seq == self.next_seq {
+            return Some(batch);
+        }
+        debug_assert!(batch.seq > self.next_seq, "tuple batch delivered twice");
+        self.held.insert(batch.seq, batch);
+        None
+    }
+
+    /// Define the due `batch`'s terms in `store` and return its rows as
+    /// local terms. The batch after it becomes due.
+    fn decode(&mut self, batch: &TupleBatch, store: &mut TermStore) -> Vec<Box<[TermId]>> {
+        debug_assert_eq!(batch.seq, self.next_seq);
+        self.next_seq += 1;
+        for def in &batch.defs {
+            let t = match def {
+                TermDef::Const(c) => store.constant(c),
+                TermDef::App(f, kids) => {
+                    let args = kids.iter().map(|&k| self.terms[k as usize]).collect();
+                    store.app(f, args)
+                }
+            };
+            self.terms.push(t);
+        }
+        let local = |row: &Vec<u32>| row.iter().map(|&k| self.terms[k as usize]).collect();
+        batch.rows.iter().map(local).collect()
+    }
+
+    /// The held batch that is due now, if it has arrived.
+    fn next_held(&mut self) -> Option<TupleBatch> {
+        self.held.remove(&self.next_seq)
     }
 }
 
@@ -72,6 +211,15 @@ pub enum DistError {
         peer: String,
         error: EvalError,
     },
+    /// The run quiesced while peer `to` held back tuple batches from `from`
+    /// behind batch `missing`, which never arrived. The protocol assumes
+    /// every channel delivers each message once and in order (per-channel
+    /// FIFO); without that batch the model would be incomplete.
+    ChannelGap {
+        from: String,
+        to: String,
+        missing: u64,
+    },
 }
 
 impl fmt::Display for DistError {
@@ -79,6 +227,11 @@ impl fmt::Display for DistError {
         match self {
             DistError::Net(e) => write!(f, "network: {e}"),
             DistError::Eval { peer, error } => write!(f, "peer {peer}: {error}"),
+            DistError::ChannelGap { from, to, missing } => write!(
+                f,
+                "channel {from} -> {to} quiesced without tuple batch {missing}, \
+                 with later ones held back: dQSQ assumes per-channel FIFO delivery"
+            ),
         }
     }
 }
@@ -88,6 +241,13 @@ impl std::error::Error for DistError {}
 impl From<NetError> for DistError {
     fn from(e: NetError) -> Self {
         DistError::Net(e)
+    }
+}
+
+fn pred(store: &mut TermStore, name: &str, peer: &str) -> PredId {
+    PredId {
+        name: store.sym(name),
+        peer: Peer(store.sym(peer)),
     }
 }
 
@@ -110,9 +270,14 @@ pub struct EvalPeer {
     remote_deps: Vec<(String, String)>,
     subscribers: FxHashMap<PredId, Vec<NodeId>>,
     watermarks: FxHashMap<(PredId, NodeId), usize>,
+    /// Term dictionaries of the channels this peer sends / receives on.
+    outbound: FxHashMap<NodeId, ChannelOut>,
+    inbound: FxHashMap<NodeId, ChannelIn>,
     error: Option<EvalError>,
-    /// Tuple batches this peer sent (for experiment reporting).
+    /// Tuples this peer sent (for experiment reporting).
     tuples_sent: u64,
+    /// Term definitions this peer sent, over all its channels.
+    terms_defined: u64,
 }
 
 impl EvalPeer {
@@ -147,8 +312,11 @@ impl EvalPeer {
             remote_deps,
             subscribers: FxHashMap::default(),
             watermarks: FxHashMap::default(),
+            outbound: FxHashMap::default(),
+            inbound: FxHashMap::default(),
             error: None,
             tuples_sent: 0,
+            terms_defined: 0,
         }
     }
 
@@ -178,11 +346,25 @@ impl EvalPeer {
         self.tuples_sent
     }
 
-    fn pred(&mut self, name: &str, peer: &str) -> PredId {
-        PredId {
-            name: self.store.sym(name),
-            peer: Peer(self.store.sym(peer)),
-        }
+    /// Terms this peer defined on its channels: each distinct term it
+    /// shipped, counted once per channel that carried it.
+    pub fn terms_defined(&self) -> u64 {
+        self.terms_defined
+    }
+
+    /// The first channel into this peer left with a gap: a tuple batch
+    /// held back behind one that never arrived.
+    fn gap(&self) -> Option<DistError> {
+        let (from, missing) = (self.inbound.iter())
+            .filter(|(_, ch)| !ch.held.is_empty())
+            .map(|(&from, ch)| (from, ch.next_seq))
+            .min()?;
+        let name = self.directory.iter().find(|(_, &n)| n == from);
+        Some(DistError::ChannelGap {
+            from: name.map_or_else(|| from.to_string(), |(s, _)| s.clone()),
+            to: self.name.clone(),
+            missing,
+        })
     }
 
     fn run_local_fixpoint(&mut self) {
@@ -220,26 +402,33 @@ impl EvalPeer {
         if *wm >= len {
             return;
         }
-        let rows: Vec<Vec<ExportedTerm>> = self
-            .session
-            .database()
-            .relation(pred)
-            .expect("nonzero count implies relation")
-            .rows()
-            .range(*wm, len)
-            .iter()
-            .map(|r| export_row(&self.store, r))
-            .collect();
+        let rel = self.session.database().relation(pred);
+        let rows = rel.expect("nonzero count implies relation").rows();
+        let channel = self.outbound.entry(node).or_default();
+        let batch = channel.batch(&self.store, pred, rows.range(*wm, len));
         *wm = len;
-        self.tuples_sent += rows.len() as u64;
-        out.send(
-            node,
-            DMsg::Tuples {
-                name: self.store.sym_str(pred.name).to_owned(),
-                peer: self.store.sym_str(pred.peer.0).to_owned(),
-                rows,
-            },
-        );
+        self.tuples_sent += batch.rows.len() as u64;
+        self.terms_defined += batch.defs.len() as u64;
+        out.send(node, DMsg::Tuples(batch));
+    }
+
+    /// Take in a tuple batch from `from`, and every held batch it makes
+    /// due; `true` if any of their tuples is new here.
+    fn receive(&mut self, from: NodeId, batch: TupleBatch) -> bool {
+        let channel = self.inbound.entry(from).or_default();
+        let mut any_new = false;
+        let mut due = channel.due(batch);
+        while let Some(batch) = due {
+            let pred = pred(&mut self.store, &batch.name, &batch.peer);
+            for row in channel.decode(&batch, &mut self.store) {
+                if !self.session.database().contains(pred, &row) {
+                    any_new = true;
+                    self.session.push_fact(pred, row);
+                }
+            }
+            due = channel.next_held();
+        }
+        any_new
     }
 
     /// The stored relation `name@peer`, if this peer has any row of it.
@@ -336,24 +525,15 @@ impl PeerLogic<DMsg> for EvalPeer {
         match msg {
             DMsg::Subscribe { name, peer } => {
                 debug_assert_eq!(peer, self.name, "subscription for a relation we don't own");
-                let pred = self.pred(&name, &peer);
+                let pred = pred(&mut self.store, &name, &peer);
                 let subs = self.subscribers.entry(pred).or_default();
                 if !subs.contains(&from) {
                     subs.push(from);
                 }
                 self.flush_one(pred, from, out);
             }
-            DMsg::Tuples { name, peer, rows } => {
-                let pred = self.pred(&name, &peer);
-                let mut any_new = false;
-                for row in rows {
-                    let ids: Box<[TermId]> = row.iter().map(|t| self.store.import(t)).collect();
-                    if !self.session.database().contains(pred, &ids) {
-                        any_new = true;
-                        self.session.push_fact(pred, ids);
-                    }
-                }
-                if any_new {
+            DMsg::Tuples(batch) => {
+                if self.receive(from, batch) {
                     self.run_local_fixpoint();
                     self.flush(out);
                 }
@@ -553,7 +733,8 @@ fn finish_run(
         net,
         recordings,
     };
-    match run.first_error() {
+    let gap = || run.peers.iter().find_map(EvalPeer::gap);
+    match run.first_error().or_else(gap) {
         Some(e) => Err(e),
         None => Ok(run),
     }
@@ -620,7 +801,7 @@ pub fn run_distributed_threaded_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rescue_datalog::parse_program;
+    use rescue_datalog::{parse_program, Database};
 
     const FIG3_WITH_DATA: &str = r#"
         R@r(X, Y) :- A@r(X, Y).
@@ -797,5 +978,144 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    /// `rows` of `name@peer`, stored in `store` through a database so the
+    /// encoder reads them the way a peer does.
+    fn rows_of(store: &mut TermStore, name: &str, peer: &str, rows: &[&str]) -> (PredId, Database) {
+        let src: String = rows
+            .iter()
+            .map(|r| format!("{name}@{peer}({r}).\n"))
+            .collect();
+        let prog = parse_program(&src, store).unwrap();
+        let mut db = Database::new();
+        for rule in &prog.rules {
+            db.insert(rule.head.pred, &rule.head.args);
+        }
+        (prog.rules[0].head.pred, db)
+    }
+
+    fn batch_of(ch: &mut ChannelOut, store: &TermStore, pred: PredId, db: &Database) -> TupleBatch {
+        ch.batch(store, pred, db.relation(pred).unwrap().rows())
+    }
+
+    #[test]
+    fn channel_round_trips_shared_subterms_between_stores() {
+        let mut a = TermStore::new();
+        let (pred, db) = rows_of(
+            &mut a,
+            "R",
+            "s",
+            &["f(g(x), g(x)), h(g(x), y)", "h(g(x), y), f(g(x), g(x))"],
+        );
+        let mut out = ChannelOut::default();
+        let batch = batch_of(&mut out, &a, pred, &db);
+        // x, g(x), f(..), y, h(..): every distinct node once, children first.
+        assert_eq!(batch.defs.len(), 5);
+        assert_eq!(batch.defs[0], TermDef::Const("x".into()));
+        assert_eq!(batch.defs[1], TermDef::App("g".into(), vec![0]));
+        assert_eq!(batch.defs[2], TermDef::App("f".into(), vec![1, 1]));
+        assert_eq!(batch.rows, vec![vec![2, 4], vec![4, 2]]);
+
+        let mut b = TermStore::new();
+        b.constant("unrelated");
+        let mut inbound = ChannelIn::default();
+        let batch = inbound.due(batch).expect("first batch is due");
+        let got = inbound.decode(&batch, &mut b);
+        let got: Vec<_> = got.iter().map(|r| export_row(&b, r)).collect();
+        let sent: Vec<_> = (db.relation(pred).unwrap().rows().iter())
+            .map(|r| export_row(&a, r))
+            .collect();
+        assert_eq!(got, sent);
+        // Hash-consing holds across the boundary: one g(x) node in `b`.
+        assert_eq!(b.len(), 1 + 5);
+    }
+
+    #[test]
+    fn a_term_is_defined_at_most_once_per_channel() {
+        let mut st = TermStore::new();
+        let (pred, first) = rows_of(&mut st, "R", "s", &["f(a, b)", "f(b, a)"]);
+        let (_, second) = rows_of(&mut st, "R", "s", &["f(a, b)", "g(f(b, a), c)"]);
+        let mut to_r = ChannelOut::default();
+        let b0 = batch_of(&mut to_r, &st, pred, &first);
+        let b1 = batch_of(&mut to_r, &st, pred, &second);
+        assert_eq!((b0.seq, b1.seq), (0, 1));
+        // a, b, f(a,b), f(b,a); then only c and g(..).
+        assert_eq!(b0.defs.len(), 4);
+        assert_eq!(
+            b1.defs,
+            vec![
+                TermDef::Const("c".into()),
+                TermDef::App("g".into(), vec![3, 4])
+            ]
+        );
+        assert_eq!(b1.rows, vec![vec![2], vec![5]]);
+        // Another channel has its own dictionary and defines them again.
+        let mut to_t = ChannelOut::default();
+        assert_eq!(batch_of(&mut to_t, &st, pred, &second).defs.len(), 6);
+        assert!(dmsg_size(&DMsg::Tuples(b1.clone())) < dmsg_size(&DMsg::Tuples(b0)));
+    }
+
+    /// A peer `r` with no rules that reads tuples from `s`.
+    fn receiver() -> EvalPeer {
+        let directory = [("r".to_owned(), NodeId(0)), ("s".to_owned(), NodeId(1))];
+        EvalPeer::new(
+            "r",
+            &[],
+            directory.into_iter().collect(),
+            EvalBudget::default(),
+        )
+    }
+
+    #[test]
+    fn an_early_batch_waits_for_its_predecessor() {
+        let mut st = TermStore::new();
+        let (pred, first) = rows_of(&mut st, "R", "s", &["f(a)"]);
+        let (_, second) = rows_of(&mut st, "R", "s", &["g(f(a))"]);
+        let mut ch = ChannelOut::default();
+        let (b0, b1) = (
+            batch_of(&mut ch, &st, pred, &first),
+            batch_of(&mut ch, &st, pred, &second),
+        );
+        let mut r = receiver();
+        // b1 refers to f(a), which only b0 defines: it must wait.
+        assert!(!r.receive(NodeId(1), b1));
+        assert!(matches!(
+            r.gap(),
+            Some(DistError::ChannelGap { missing: 0, .. })
+        ));
+        assert!(r.receive(NodeId(1), b0));
+        assert!(r.gap().is_none());
+        r.run_local_fixpoint();
+        let sent: Vec<_> = [&first, &second]
+            .into_iter()
+            .flat_map(|db| db.relation(pred).unwrap().rows().iter())
+            .map(|row| export_row(&st, row))
+            .collect();
+        assert_eq!(rows_to_strings(r.facts_of("R", "s")), rows_to_strings(sent));
+    }
+
+    #[test]
+    fn a_gap_left_at_quiescence_is_an_error_not_a_smaller_model() {
+        let mut st = TermStore::new();
+        let (pred, db) = rows_of(&mut st, "R", "s", &["a"]);
+        let mut ch = ChannelOut::default();
+        batch_of(&mut ch, &st, pred, &db); // lost in transit
+        let late = batch_of(&mut ch, &st, pred, &db);
+        let mut r = receiver();
+        r.receive(NodeId(1), late);
+        let err = match finish_run(vec![r], NetStats::default(), Vec::new()) {
+            Err(e) => e,
+            Ok(_) => panic!("a run with a gap must fail"),
+        };
+        assert_eq!(
+            err,
+            DistError::ChannelGap {
+                from: "s".into(),
+                to: "r".into(),
+                missing: 0
+            }
+        );
+        assert!(err.to_string().contains("per-channel FIFO"), "{err}");
     }
 }

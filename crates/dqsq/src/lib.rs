@@ -21,7 +21,8 @@ pub mod protocol;
 
 pub use dist::{
     build_peers, dmsg_size, run_distributed, run_distributed_threaded,
-    run_distributed_threaded_opts, DMsg, DistError, DistOptions, DistRun, EvalPeer,
+    run_distributed_threaded_opts, DMsg, DistError, DistOptions, DistRun, EvalPeer, TermDef,
+    TupleBatch,
 };
 pub use dqsq::{
     check_theorem1, classify_name, delocalize, dist_breakdown, dqsq_distributed,

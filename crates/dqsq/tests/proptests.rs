@@ -1,7 +1,8 @@
 //! Property-based tests for the distributed layer: on randomly generated
 //! multi-peer programs,
 //!
-//! * distributed evaluation computes the centralized fixpoint,
+//! * distributed evaluation computes the centralized fixpoint, also over
+//!   function terms that share subterms and under reordered delivery,
 //! * the peer-local rewriting protocol generates exactly the global
 //!   rewriting,
 //! * Theorem 1 holds (dQSQ ≡ QSQ on the de-located program).
@@ -11,7 +12,7 @@ use rescue_datalog::{parse_atom, parse_program, Database, EvalBudget, TermStore}
 use rescue_dqsq::{
     canonical_rules, check_theorem1, export_program, protocol_rewrite, run_distributed, DistOptions,
 };
-use rescue_net::sim::SimConfig;
+use rescue_net::sim::{Delivery, SimConfig};
 use rescue_qsq::split_edb_facts;
 
 /// A random three-peer program: a chain/union structure over relations
@@ -61,6 +62,111 @@ fn arb_program() -> impl Strategy<Value = (String, String)> {
         };
         (src, query)
     })
+}
+
+/// A random three-peer program whose rules mint Skolem terms from the
+/// terms other peers minted, so shipped tuples share subterms: chains of
+/// nested applications, and recursion over Skolem ids. Depth stays
+/// bounded, so every engine terminates.
+fn arb_skolem_program() -> impl Strategy<Value = String> {
+    let edges = prop::collection::vec((0u8..5, 0u8..5), 1..9);
+    (edges, 0u8..2).prop_map(|(edges, shape)| {
+        let mut src = String::new();
+        for (a, b) in &edges {
+            src.push_str(&format!("E@c(n{a}, n{b}).\n"));
+        }
+        match shape {
+            0 => {
+                // A chain: each peer nests the previous peer's terms.
+                src.push_str("P@a(X, f(X, Y)) :- E@c(X, Y).\n");
+                src.push_str("Q@b(g(T, Z), Z) :- P@a(X, T), E@c(X, Z).\n");
+                src.push_str("R@c(h(U, T)) :- Q@b(U, Z), P@a(Z, T).\n");
+                src.push_str("S@a(k(V, U)) :- R@c(V), Q@b(U, Z), Z != n0.\n");
+            }
+            _ => {
+                // Reachability over Skolem ids minted at two peers.
+                src.push_str("Link@b(f(X, Y), f(Y, Z)) :- E@c(X, Y), E@c(Y, Z).\n");
+                src.push_str("Start@a(f(X, Y)) :- E@c(X, Y).\n");
+                src.push_str("Reach@a(T, T) :- Start@a(T).\n");
+                src.push_str("Reach@a(T, U) :- Reach@a(T, V), Link@b(V, U).\n");
+                src.push_str("Far@c(g(T, U)) :- Reach@a(T, U), T != U.\n");
+            }
+        }
+        src
+    })
+}
+
+/// Every relation of the model as `(relation, sorted rows)`, rendered
+/// store-independently.
+type Rendered = Vec<(String, Vec<String>)>;
+
+fn centralized(src: &str) -> Rendered {
+    let mut store = TermStore::new();
+    let prog = parse_program(src, &mut store).unwrap();
+    let mut db = Database::new();
+    rescue_datalog::seminaive(&prog, &mut store, &mut db, &EvalBudget::default()).unwrap();
+    let mut model: Rendered = db
+        .predicates()
+        .into_iter()
+        .map(|pred| {
+            let rel = db.relation(pred).unwrap();
+            let rows = rel.rows().iter().map(|r| {
+                let row: Vec<_> = r.iter().map(|&t| store.export(t)).collect();
+                format!("{row:?}")
+            });
+            let name = format!(
+                "{}@{}",
+                store.sym_str(pred.name),
+                store.sym_str(pred.peer.0)
+            );
+            (name, sorted(rows.collect()))
+        })
+        .collect();
+    model.sort();
+    model
+}
+
+fn distributed(src: &str, sim: SimConfig) -> Rendered {
+    let mut store = TermStore::new();
+    let prog = parse_program(src, &mut store).unwrap();
+    let opts = DistOptions {
+        sim,
+        ..Default::default()
+    };
+    let run = run_distributed(&prog, &store, &opts).unwrap();
+    let mut model: Rendered = Vec::new();
+    for peer in &run.peers {
+        for (name, rows) in peer.owned_facts() {
+            let rows = rows.iter().map(|r| format!("{r:?}")).collect();
+            model.push((format!("{name}@{}", peer.name()), sorted(rows)));
+        }
+    }
+    model.sort();
+    model
+}
+
+fn sorted(mut rows: Vec<String>) -> Vec<String> {
+    rows.sort();
+    rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn distributed_model_over_shared_subterms_matches_centralized(src in arb_skolem_program()) {
+        let expected = centralized(&src);
+        for delivery in [Delivery::FifoPerChannel, Delivery::Random] {
+            for seed in 0..20 {
+                let sim = SimConfig { seed, delivery, ..Default::default() };
+                prop_assert_eq!(
+                    &distributed(&src, sim),
+                    &expected,
+                    "{:?} delivery, seed {}", delivery, seed
+                );
+            }
+        }
+    }
 }
 
 proptest! {

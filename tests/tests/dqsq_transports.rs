@@ -81,9 +81,11 @@ fn sim_counters_are_pinned_and_threaded_reproduces_every_peer_model() {
         per_rule: Vec::new(),
     };
     assert_eq!(run.total_stats().with_walls_zeroed(), pinned);
+    // `bytes` measures the wire format (per-channel term dictionaries);
+    // the message and step counts predate it.
     let pinned_net = NetStats {
         messages: 555,
-        bytes: 91475,
+        bytes: 18777,
         sim_steps: 555,
         events_processed: 0,
     };
