@@ -12,14 +12,15 @@
 //! Each driver reports the *distinct unfolding nodes it materialized*
 //! (events = first-column terms of any `Trans1`/`Trans2`-derived relation,
 //! conditions likewise from `Places`), the quantity Theorem 4 compares
-//! with the dedicated diagnoser of \[8\].
+//! with the dedicated diagnoser of \[8\], and the distinct explanation ids
+//! of `ConfigPrefixes`, the supervisor's counterpart of \[8\]'s states.
 
 use crate::alarm::AlarmSeq;
 use crate::direct::Diagnosis;
 use crate::encode::names;
-use crate::supervisor::{diagnosis_program, extract_diagnosis, extract_from_db};
+use crate::supervisor::{diagnosis_program, extract_diagnosis, extract_from_db, sup_names};
 use rescue_datalog::{
-    seminaive_opts, Database, EvalBudget, EvalError, EvalOptions, EvalStats, ExportedTerm,
+    seminaive_opts, Database, EvalBudget, EvalError, EvalOptions, EvalStats, ExportedTerm, TermId,
     TermStore,
 };
 use rescue_dqsq::{dqsq_distributed, DistOptions, DqsqError};
@@ -79,6 +80,8 @@ pub struct EngineReport {
     pub distinct_events: usize,
     /// Distinct unfolding condition nodes materialized.
     pub distinct_conditions: usize,
+    /// Distinct `ConfigPrefixes` ids (explanation prefixes) materialized.
+    pub explanation_ids: usize,
     /// Engine counters (summed over peers for dQSQ).
     pub stats: EvalStats,
     /// Network statistics (dQSQ only).
@@ -107,12 +110,75 @@ fn base_name(name: &str) -> &str {
     name.split("__").next().unwrap_or(name)
 }
 
-fn is_event_relation(name: &str) -> bool {
-    names::is_trans(base_name(name))
+fn is_explanation_relation(name: &str) -> bool {
+    base_name(name) == sup_names::CONFIG_PREFIXES
 }
 
-fn is_condition_relation(name: &str) -> bool {
-    base_name(name) == names::PLACES
+/// The distinct node ids read off one engine's model.
+#[derive(Default)]
+struct Census {
+    events: FxHashSet<String>,
+    conditions: FxHashSet<String>,
+    explanation_ids: usize,
+}
+
+impl Census {
+    /// The set relation `name` feeds and the column holding its node id:
+    /// the event of `Trans*`, the condition of `Places`. `None` for every
+    /// other relation.
+    fn column(&mut self, name: &str) -> Option<(&mut FxHashSet<String>, usize)> {
+        let base = base_name(name);
+        if names::is_trans(base) {
+            Some((&mut self.events, 1))
+        } else if base == names::PLACES {
+            Some((&mut self.conditions, 0))
+        } else {
+            None
+        }
+    }
+
+    /// The census of a central model, over the relations `counted` admits.
+    /// Explanation ids are counted as interned terms: rendering an `h`-chain
+    /// would spell out every event's causal history.
+    fn of_db(db: &Database, store: &TermStore, counted: impl Fn(&str) -> bool) -> Self {
+        let mut census = Census::default();
+        let mut ids: FxHashSet<TermId> = FxHashSet::default();
+        for (pred, rel) in db.iter() {
+            let name = store.sym_str(pred.name);
+            if !counted(name) {
+                continue;
+            }
+            if is_explanation_relation(name) {
+                ids.extend(rel.rows().iter().map(|row| row[0]));
+            } else if let Some((set, col)) = census.column(name) {
+                set.extend(rel.rows().iter().map(|row| store.display(row[col])));
+            }
+        }
+        census.explanation_ids = ids.len();
+        census
+    }
+
+    /// Fill the census fields of a report.
+    fn report(self, diagnosis: Diagnosis, derived_facts: usize, stats: EvalStats) -> EngineReport {
+        EngineReport {
+            diagnosis,
+            derived_facts,
+            distinct_events: self.events.len(),
+            distinct_conditions: self.conditions.len(),
+            explanation_ids: self.explanation_ids,
+            stats,
+            net: None,
+            peer_stats: Vec::new(),
+            recordings: Vec::new(),
+        }
+    }
+}
+
+/// Adorned copies only — the base relations are not populated by a
+/// rewritten program, and its `in_`/`sup_` relations hold bindings, not
+/// derivations.
+fn is_qsq_derivation(name: &str) -> bool {
+    name.contains("__") && !name.starts_with("in_") && !name.starts_with("sup_")
 }
 
 /// Render an exported term the way `TermStore::display` would.
@@ -153,31 +219,8 @@ pub fn diagnose_seminaive(
         &opts.eval_options(),
     )?;
     let diagnosis = extract_from_db(&db, &store, &dp.query);
-
-    let mut events: FxHashSet<String> = FxHashSet::default();
-    let mut conditions: FxHashSet<String> = FxHashSet::default();
-    for (pred, rel) in db.iter() {
-        let name = store.sym_str(pred.name);
-        if is_event_relation(name) {
-            for row in rel.rows() {
-                events.insert(store.display(row[1]));
-            }
-        } else if is_condition_relation(name) {
-            for row in rel.rows() {
-                conditions.insert(store.display(row[0]));
-            }
-        }
-    }
-    Ok(EngineReport {
-        diagnosis,
-        derived_facts: db.total_facts().saturating_sub(base_facts),
-        distinct_events: events.len(),
-        distinct_conditions: conditions.len(),
-        stats,
-        net: None,
-        peer_stats: Vec::new(),
-        recordings: Vec::new(),
-    })
+    let derived = db.total_facts().saturating_sub(base_facts);
+    Ok(Census::of_db(&db, &store, |_| true).report(diagnosis, derived, stats))
 }
 
 /// QSQ: rewrite for the `Diag@p0(?, ?)` query and evaluate centrally.
@@ -202,36 +245,8 @@ pub fn diagnose_qsq(
         &opts.eval_options(),
     )?;
     let diagnosis = extract_diagnosis(&run.answers, &store);
-
-    let mut events: FxHashSet<String> = FxHashSet::default();
-    let mut conditions: FxHashSet<String> = FxHashSet::default();
-    for (pred, rel) in db.iter() {
-        let name = store.sym_str(pred.name).to_owned();
-        // Adorned copies only — the base relations are not populated by
-        // the rewritten program (inputs hold bindings, not derivations).
-        if name.starts_with("in_") || name.starts_with("sup_") {
-            continue;
-        }
-        if is_event_relation(&name) && name.contains("__") {
-            for row in rel.rows() {
-                events.insert(store.display(row[1]));
-            }
-        } else if is_condition_relation(&name) && name.contains("__") {
-            for row in rel.rows() {
-                conditions.insert(store.display(row[0]));
-            }
-        }
-    }
-    Ok(EngineReport {
-        diagnosis,
-        derived_facts: run.materialized.derived_total(),
-        distinct_events: events.len(),
-        distinct_conditions: conditions.len(),
-        stats: run.stats,
-        net: None,
-        peer_stats: Vec::new(),
-        recordings: Vec::new(),
-    })
+    let derived = run.materialized.derived_total();
+    Ok(Census::of_db(&db, &store, is_qsq_derivation).report(diagnosis, derived, run.stats))
 }
 
 /// Magic Sets: the paper's sibling optimization \[7\], evaluated centrally.
@@ -251,34 +266,9 @@ pub fn diagnose_magic(
     let run = magic_answer(&dp.program, &dp.query, &mut store, &mut db, &opts.budget)?;
     drop(_sp);
     let diagnosis = extract_diagnosis(&run.answers, &store);
-
-    let mut events: FxHashSet<String> = FxHashSet::default();
-    let mut conditions: FxHashSet<String> = FxHashSet::default();
-    for (pred, rel) in db.iter() {
-        let name = store.sym_str(pred.name).to_owned();
-        if name.starts_with("m_") {
-            continue;
-        }
-        if is_event_relation(&name) && name.contains("__") {
-            for row in rel.rows() {
-                events.insert(store.display(row[1]));
-            }
-        } else if is_condition_relation(&name) && name.contains("__") {
-            for row in rel.rows() {
-                conditions.insert(store.display(row[0]));
-            }
-        }
-    }
-    Ok(EngineReport {
-        diagnosis,
-        derived_facts: run.materialized.derived_total(),
-        distinct_events: events.len(),
-        distinct_conditions: conditions.len(),
-        stats: run.stats,
-        net: None,
-        peer_stats: Vec::new(),
-        recordings: Vec::new(),
-    })
+    let derived = run.materialized.derived_total();
+    let counted = |name: &str| name.contains("__") && !name.starts_with("m_");
+    Ok(Census::of_db(&db, &store, counted).report(diagnosis, derived, run.stats))
 }
 
 /// dQSQ: the same rewriting, executed by autonomous peers over the
@@ -303,47 +293,38 @@ pub fn diagnose_dqsq(
     let out = dqsq_distributed(&dp.program, &dp.query, &mut store, &dist_opts)?;
     let diagnosis = extract_diagnosis(&out.answers, &store);
 
-    let mut events: FxHashSet<String> = FxHashSet::default();
-    let mut conditions: FxHashSet<String> = FxHashSet::default();
+    let mut census = Census::default();
+    let mut ids: FxHashSet<ExportedTerm> = FxHashSet::default();
     for peer in &out.run.peers {
         // Only the node-id column of each relation is read, so only that
         // column is exported.
         for (name, _) in peer.owned_counts() {
-            if name.starts_with("in_") || name.starts_with("sup_") {
+            if !is_qsq_derivation(name) {
                 continue;
             }
-            if is_event_relation(name) && name.contains("__") {
-                let ids = peer.owned_column(name, 1);
-                events.extend(ids.iter().map(exported_display));
-            } else if is_condition_relation(name) && name.contains("__") {
-                let ids = peer.owned_column(name, 0);
-                conditions.extend(ids.iter().map(exported_display));
+            if is_explanation_relation(name) {
+                ids.extend(peer.owned_column(name, 0));
+            } else if let Some((set, col)) = census.column(name) {
+                set.extend(peer.owned_column(name, col).iter().map(exported_display));
             }
         }
     }
-    Ok(EngineReport {
+    census.explanation_ids = ids.len();
+    let report = census.report(
         diagnosis,
-        derived_facts: out.materialized.derived_total(),
-        distinct_events: events.len(),
-        distinct_conditions: conditions.len(),
-        stats: out.run.total_stats(),
+        out.materialized.derived_total(),
+        out.run.total_stats(),
+    );
+    Ok(EngineReport {
         net: Some(out.run.net),
         peer_stats: out.run.peer_stats(),
         recordings: out.run.recordings,
+        ..report
     })
 }
 
 fn empty_report() -> EngineReport {
-    EngineReport {
-        diagnosis: Diagnosis::from_sets(vec![vec![]]),
-        derived_facts: 0,
-        distinct_events: 0,
-        distinct_conditions: 0,
-        stats: EvalStats::default(),
-        net: None,
-        peer_stats: Vec::new(),
-        recordings: Vec::new(),
-    }
+    Census::default().report(Diagnosis::from_sets(vec![vec![]]), 0, EvalStats::default())
 }
 
 #[cfg(test)]

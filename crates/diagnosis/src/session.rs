@@ -10,7 +10,9 @@
 //!   `NotParent` closures, and one extension rule per **net** peer ×
 //!   preset arity (the batch program generates them per *alarm* peer; a
 //!   session cannot know in advance which peers will raise alarms, and
-//!   silent peers' index columns simply never advance);
+//!   silent peers' index columns simply never advance). For the same
+//!   reason the `Gate<k>` tables of the greedy-interleaving reduction rank
+//!   the net peers in net order, where the batch program ranks alarm peers;
 //! * **no** `Diag` rule — its body pins the *current* last-index
 //!   constants, which change with every alarm. The session reads the
 //!   answer off `ConfigPrefixes`/`TransInConf` directly instead
