@@ -24,9 +24,11 @@
 //! There are two ways in. A **one-shot** call ([`naive`], [`seminaive`],
 //! [`seminaive_opts`], and per stratum [`seminaive_stratified`]) evaluates
 //! a borrowed program over a borrowed [`Database`] and forgets everything
-//! it compiled. An [`EvalSession`] holds its program and database and
-//! **resumes**: it keeps watermarks, the depth-suppressed frontier and the
-//! compiled plans, so each resume pays for its delta. A resume on cached
+//! it compiled, so it compiles a semi-naive Δ-plan only in the first round
+//! that schedules it. An [`EvalSession`] holds its program and database
+//! and **resumes**: it keeps watermarks, the depth-suppressed frontier and
+//! the compiled plans, all of them compiled at its first fixpoint, so each
+//! resume pays for its delta. A resume on cached
 //! plans (the warm path) also skips the per-call sweeps over the program:
 //! its facts, its index needs and its relation lengths. Its clones share
 //! the program and the plans.
@@ -42,6 +44,7 @@ use crate::term::{Subst, TermId, TermStore};
 use rescue_telemetry::profile::{ProfileReport, RuleStat};
 use rescue_telemetry::{Absorb, Collector};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -163,7 +166,10 @@ pub struct EvalStats {
     /// Candidate rows enumerated by the join executor (indexed probes plus
     /// full scans) — the paper-facing measure of join work.
     pub candidates_scanned: usize,
-    /// Compiled rule plans whose atom order differs from the source order.
+    /// Compiled rule plans whose atom order differs from the source order,
+    /// counted over the plans the run's compile holds: every Δ-plan for a
+    /// session, the Δ-plans its rounds scheduled for a one-shot semi-naive
+    /// run, and the full plans for [`naive`].
     pub plan_reorders: usize,
     /// Bindings pruned by a SIP existence probe (a later body atom had no
     /// match for the columns bound so far, so the partial binding could
@@ -172,10 +178,13 @@ pub struct EvalStats {
     /// Pass steps skipped because a shared-prefix group enumerated them
     /// once for several passes (see [`EvalOptions::subplan_sharing`]).
     pub subplans_shared: usize,
-    /// Rule plans (full and Δ variants) actually compiled by this run.
-    /// Zero on a plan-cache hit (see [`EvalOptions::plan_cache`]): a
-    /// resumed session that keeps paying compilation has lost its cache,
-    /// which is exactly what the online-latency regression test pins.
+    /// Rule plans actually compiled by this run. [`naive`] compiles one
+    /// full plan per rule. Semi-naive runs compile Δ-plans only: an
+    /// [`EvalSession`] one per positive body atom, up front, and a one-shot
+    /// run each Δ-pass in the first round that schedules it. Zero on a
+    /// plan-cache hit (see [`EvalOptions::plan_cache`]): a resumed session
+    /// that keeps paying compilation has lost its cache, which is exactly
+    /// what the online-latency regression test pins.
     pub plans_compiled: usize,
     /// Exact per-`(stratum, rule, plan-variant)` attribution: wall µs,
     /// rounds fired, candidates scanned, facts derived, SIP prunes — the
@@ -298,7 +307,7 @@ pub struct EvalOptions {
     /// experiment E16). Yet another pure performance knob — a cache hit
     /// replays byte-identical plans, so the model and every counter except
     /// [`EvalStats::plans_compiled`] are unchanged. One-shot calls compile
-    /// once per call either way.
+    /// what they run, once per call, either way.
     pub plan_cache: bool,
     /// Accumulate exact per-rule attribution ([`EvalStats::per_rule`])
     /// when the run is traced. On by default; only active together with an
@@ -403,34 +412,22 @@ struct CompiledProgram {
     pid: FxHashMap<PredId, u32>,
     /// Dense id of each rule's head predicate.
     head_pids: Vec<u32>,
-    /// Dense ids of each rule's body predicates, by body position.
-    body_pids: Vec<Vec<u32>>,
+    /// Each rule's body atoms by body position: the dense predicate id and
+    /// whether the atom is positive. A round reads a Δ-pass's windows and
+    /// their emptiness off these, before any plan exists for it.
+    body_pids: Vec<Vec<(u32, bool)>>,
     /// `delta_deps[pred]`: every `(rule, body position)` where `pred`
     /// occurs positively, ascending — the Δ-passes a round owes when
     /// `pred` grew, found without walking the rules that do not read it.
     delta_deps: Vec<Vec<(u32, u32)>>,
-    /// Full plans, one per non-fact rule (used by naive evaluation and as
-    /// the source of each rule's index needs).
-    plans: Vec<RulePlan>,
-    /// `delta_plans[rule][j]`: the Δ-pass variant with body position `j`
-    /// as the delta (None when position `j` is negated).
-    delta_plans: Vec<Vec<Option<RulePlan>>>,
-    /// Per-step sharing signatures of every plan, interned through one
-    /// [`SigInterner`] at compile time. The dense signature ids are only
-    /// ever compared *within* a round, so replaying them across fixpoints
-    /// groups exactly the passes a fresh interner would group.
-    plan_metas: Vec<Vec<StepMeta>>,
-    delta_metas: Vec<Vec<Option<Vec<StepMeta>>>>,
+    /// The compiled plans. A caller that keeps the compile (an
+    /// [`EvalSession`]) gets every plan its fixpoints can run, compiled
+    /// here; a one-shot run gets an empty Δ-plan table, which its rounds
+    /// fill on first use.
+    table: PlanTable,
     /// Rule-head variables in first-occurrence order (what the merge phase
     /// re-binds).
     head_vars: Vec<Vec<Sym>>,
-    /// Deduplicated `(predicate, column mask)` pairs across every plan —
-    /// the indexes to prepare before sealing each fixpoint's snapshot.
-    index_needs: Vec<(PredId, ColMask)>,
-    /// Compiled plans whose atom order differs from the source order;
-    /// counted into [`EvalStats::plan_reorders`] once per fixpoint, cache
-    /// hit or not, so the counter keeps its per-run meaning.
-    reorders: usize,
     /// Per-rule telemetry span labels, built on the first *traced*
     /// fixpoint and reused afterwards (untraced runs never pay for them).
     rule_labels: OnceLock<Vec<String>>,
@@ -438,6 +435,158 @@ struct CompiledProgram {
     /// disambiguating rules with the same head), built on the first
     /// *profiled* fixpoint and reused afterwards.
     profile_labels: OnceLock<Vec<String>>,
+}
+
+/// One compiled rule plan and its per-step sharing signatures.
+#[derive(Clone)]
+struct Slot {
+    plan: RulePlan,
+    /// Interned through the compile's [`SigInterner`], which a one-shot
+    /// run's fills share. The dense ids are only ever compared *within* a
+    /// round, so replaying a session's ids across fixpoints groups exactly
+    /// the passes a fresh interner would.
+    metas: Vec<StepMeta>,
+}
+
+/// The plans a fixpoint executes, and what is derived from exactly those
+/// plans: the indexes to seal and the reorder count.
+#[derive(Clone, Default)]
+struct PlanTable {
+    /// Full plans, one per non-fact rule. Naive evaluation is their only
+    /// user, so semi-naive compiles never fill this.
+    full: Vec<Slot>,
+    /// `delta[rule][j]`: the Δ-pass variant with body position `j` as the
+    /// delta. None when position `j` is negated, and in a one-shot run
+    /// until a round first schedules the pass.
+    delta: Vec<Vec<Option<Slot>>>,
+    /// Deduplicated `(predicate, column mask)` pairs across every plan in
+    /// the table, in compile order — the indexes to prepare before a round
+    /// runs the plans that probe them.
+    index_needs: Vec<(PredId, ColMask)>,
+    /// Membership test for `index_needs`.
+    need_set: FxHashSet<(PredId, ColMask)>,
+    /// Plans in the table whose atom order differs from the source order;
+    /// counted into [`EvalStats::plan_reorders`] once per fixpoint, cache
+    /// hit or not, so the counter keeps its per-run meaning.
+    reorders: usize,
+}
+
+impl PlanTable {
+    /// Compile `rule`'s plan with `delta` as its Δ-position (None: the full
+    /// plan), intern its step signatures, and record its index needs and
+    /// reorder. The one compile path of both callers.
+    fn compile(
+        &mut self,
+        rule: &Rule,
+        delta: Option<usize>,
+        store: &TermStore,
+        key: PlanKey,
+        sigs: &mut SigInterner,
+    ) -> Slot {
+        let plan = RulePlan::compile_opts(rule, store, key.order, &[], delta, key.sip_filters);
+        self.reorders += usize::from(plan.reordered());
+        for need in plan.index_needs() {
+            if self.need_set.insert(need) {
+                self.index_needs.push(need);
+            }
+        }
+        let metas = plan.step_metas(sigs);
+        Slot { plan, metas }
+    }
+
+    /// Fill the Δ-slot of rule `r` at body position `j`.
+    fn fill(
+        &mut self,
+        r: usize,
+        j: usize,
+        rule: &Rule,
+        store: &TermStore,
+        key: PlanKey,
+        sigs: &mut SigInterner,
+    ) {
+        let slot = self.compile(rule, Some(j), store, key, sigs);
+        self.delta[r][j] = Some(slot);
+    }
+
+    /// Plans compiled into the table.
+    fn len(&self) -> usize {
+        self.full.len() + self.delta.iter().flatten().flatten().count()
+    }
+}
+
+impl CompiledProgram {
+    /// Compile `prog` under `key`. Naive evaluation's full plans compile
+    /// here. The Δ-plans compile here too when `eager` — for a caller that
+    /// keeps the compile, whose later fixpoints must not compile — and are
+    /// otherwise left to the rounds that first schedule them.
+    fn new(
+        prog: &Program,
+        store: &TermStore,
+        key: PlanKey,
+        eager: bool,
+        sigs: &mut SigInterner,
+    ) -> CompiledProgram {
+        let (rule_ids, rules): (Vec<usize>, Vec<&Rule>) = prog
+            .rules
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !r.is_fact())
+            .unzip();
+        let preds: Vec<PredId> = prog.predicates().into_iter().map(|(p, _)| p).collect();
+        let pid: FxHashMap<PredId, u32> = preds.iter().zip(0u32..).map(|(&p, i)| (p, i)).collect();
+        let head_pids: Vec<u32> = rules.iter().map(|r| pid[&r.head.pred]).collect();
+        let body_pids: Vec<Vec<(u32, bool)>> = rules
+            .iter()
+            .map(|r| r.body.iter().map(|a| (pid[&a.pred], !a.negated)).collect())
+            .collect();
+        // Negated atoms reference lower strata, which do not grow during
+        // this fixpoint — never a delta.
+        let mut delta_deps: Vec<Vec<(u32, u32)>> = vec![Vec::new(); preds.len()];
+        for (r, body) in body_pids.iter().enumerate() {
+            for (j, &(p, positive)) in body.iter().enumerate() {
+                if positive {
+                    delta_deps[p as usize].push((r as u32, j as u32));
+                }
+            }
+        }
+        // Naive evaluation runs a full plan per rule; semi-naive one
+        // Δ-pass variant per positive body position — the delta atom is
+        // the smallest window of its pass, so the planned order enumerates
+        // it first.
+        let mut table = PlanTable::default();
+        if key.semi {
+            table.delta = rules.iter().map(|r| vec![None; r.body.len()]).collect();
+            if eager {
+                for (r, rule) in rules.iter().enumerate() {
+                    for j in (0..rule.body.len()).filter(|&j| !rule.body[j].negated) {
+                        table.fill(r, j, rule, store, key, sigs);
+                    }
+                }
+            }
+        } else {
+            for rule in &rules {
+                let slot = table.compile(rule, None, store, key, sigs);
+                table.full.push(slot);
+            }
+        }
+        // Rule-head variables in first-occurrence order: a pass emits
+        // one binding per head variable per match, and the merge phase
+        // re-binds exactly these to intern the instantiated head.
+        let head_vars: Vec<Vec<Sym>> = rules.iter().map(|r| r.head.vars(store)).collect();
+        CompiledProgram {
+            key,
+            rule_ids,
+            preds,
+            pid,
+            head_pids,
+            body_pids,
+            delta_deps,
+            table,
+            head_vars,
+            rule_labels: OnceLock::new(),
+            profile_labels: OnceLock::new(),
+        }
+    }
 }
 
 /// A resumable semi-naive evaluation: the database, per-predicate
@@ -628,7 +777,7 @@ impl EvalSession {
             &mut self.sat,
             Some(&mut self.deferred),
             &self.options,
-            &mut self.compiled,
+            Some(&mut self.compiled),
         )?;
         self.total.absorb(&stats);
         Ok(stats)
@@ -639,12 +788,11 @@ impl EvalSession {
 /// row windows per original body position.
 struct Pass<'p> {
     rule_idx: usize,
-    plan: &'p RulePlan,
+    slot: &'p Slot,
     /// `(delta body position, delta rows)` for semi-naive Δ-passes.
     delta: Option<(usize, usize)>,
-    ranges: Vec<(usize, usize)>,
-    /// Per-step sharing signatures of `plan` (computed once per fixpoint).
-    metas: &'p [StepMeta],
+    /// This pass's stretch of the round's window buffer.
+    ranges: &'p [(usize, usize)],
 }
 
 /// Pseudo rule index attributing program seed-fact inserts in the
@@ -671,115 +819,147 @@ struct RuleAcc {
 
 fn plan_label(pass: &Pass<'_>) -> String {
     match pass.delta {
-        Some((j, _)) if pass.plan.reordered() => format!("delta#{j} reordered"),
+        Some((j, _)) if pass.slot.plan.reordered() => format!("delta#{j} reordered"),
         Some((j, _)) => format!("delta#{j}"),
-        None if pass.plan.reordered() => "full reordered".to_owned(),
+        None if pass.slot.plan.reordered() => "full reordered".to_owned(),
         None => "full".to_owned(),
     }
 }
 
-/// The sharing key of a pass at one plan step: the step's interned
-/// signature plus the runtime row windows it (and its SIP probes) read.
-/// Two passes whose keys agree enumerate identical candidates and extend
-/// the substitution identically at that step.
-type ShareKey = (u32, Vec<(usize, usize)>);
-
-fn share_key(pass: &Pass<'_>, depth: usize) -> Option<ShareKey> {
-    let m = pass.metas.get(depth)?;
-    if !m.shareable {
-        return None;
-    }
-    Some((
-        m.sig,
-        m.range_idxs.iter().map(|&i| pass.ranges[i]).collect(),
-    ))
+/// The pass's sharing metadata at plan step `depth`, if the step can be
+/// shared at all.
+fn share_meta<'p>(pass: &Pass<'p>, depth: usize) -> Option<&'p StepMeta> {
+    pass.slot.metas.get(depth).filter(|m| m.shareable)
 }
 
-/// Recursively partition `ids` (passes sharing a common prefix up to
-/// `depth`, exclusive) into leaves — passes whose sharing ends here, each
+/// A pass being bucketed at some trie depth: the sort key of its step
+/// there (0 when the step cannot be shared, else its interned signature
+/// plus one) and its index in the round's pass list.
+type Keyed = (u32, usize);
+
+/// Order two keyed passes by what they do at plan step `depth`: passes
+/// that cannot share the step first, then by the step's signature and the
+/// runtime row windows it (and its SIP probes) reads, compared in place.
+/// Two passes that compare equal and can share enumerate identical
+/// candidates and extend the substitution identically there.
+fn step_order(passes: &[Pass<'_>], depth: usize, a: Keyed, b: Keyed) -> Ordering {
+    a.0.cmp(&b.0).then_with(|| {
+        if a.0 == 0 {
+            return Ordering::Equal;
+        }
+        let (pa, pb) = (&passes[a.1], &passes[b.1]);
+        let (ma, mb) = (&pa.slot.metas[depth], &pb.slot.metas[depth]);
+        let wa = ma.range_idxs.iter().map(|&i| pa.ranges[i]);
+        wa.cmp(mb.range_idxs.iter().map(|&i| pb.ranges[i]))
+    })
+}
+
+/// Key `ids` at `depth`, sort them by [`step_order`] (pass index last, so
+/// the order is total) and hand each maximal run of passes that share the
+/// step to `visit`; a pass that cannot share it is a run of one. Nothing
+/// is allocated.
+fn for_each_run(
+    ids: &mut [Keyed],
+    depth: usize,
+    passes: &[Pass<'_>],
+    mut visit: impl FnMut(&mut [Keyed]),
+) {
+    for id in ids.iter_mut() {
+        id.0 = share_meta(&passes[id.1], depth).map_or(0, |m| m.sig + 1);
+    }
+    ids.sort_unstable_by(|&a, &b| step_order(passes, depth, a, b).then(a.1.cmp(&b.1)));
+    let mut rest = ids;
+    while let Some(&first) = rest.first() {
+        let same = |&&id: &&Keyed| step_order(passes, depth, first, id).is_eq();
+        let len = match first.0 {
+            0 => 1,
+            _ => 1 + rest[1..].iter().take_while(same).count(),
+        };
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        visit(run);
+        rest = tail;
+    }
+}
+
+/// Partition `ids` (passes sharing a common prefix up to `depth`,
+/// exclusive) into leaves — passes whose sharing ends here, each
 /// continuing solo from `depth` — and shared child nodes executing step
-/// `depth` once per group. Bucketing preserves first-occurrence order, so
-/// the trie shape is a pure function of the pass list.
-fn split_group(ids: &[usize], depth: usize, passes: &[Pass<'_>]) -> (Vec<usize>, Vec<TrieNode>) {
-    let mut leaves = Vec::new();
-    let mut buckets: Vec<(ShareKey, Vec<usize>)> = Vec::new();
-    for &i in ids {
-        match share_key(&passes[i], depth) {
-            None => leaves.push(i),
-            Some(k) => match buckets.iter_mut().find(|(bk, _)| *bk == k) {
-                Some((_, members)) => members.push(i),
-                None => buckets.push((k, vec![i])),
-            },
+/// `depth` once per run, adding each node's saved steps to `shared`. The
+/// trie is a pure function of the pass list.
+fn split_group(
+    ids: &mut [Keyed],
+    depth: usize,
+    passes: &[Pass<'_>],
+    shared: &mut usize,
+) -> (Vec<usize>, Vec<TrieNode>) {
+    let (mut leaves, mut children) = (Vec::new(), Vec::new());
+    for_each_run(ids, depth, passes, |run| {
+        if let [(_, only)] = run {
+            leaves.push(*only);
+            return;
         }
-    }
-    let mut children = Vec::new();
-    for (_, members) in buckets {
-        if members.len() == 1 {
-            leaves.push(members[0]);
-        } else {
-            let (sub_leaves, sub_children) = split_group(&members, depth + 1, passes);
-            children.push(TrieNode {
-                rep: members[0],
-                depth,
-                children: sub_children,
-                leaves: sub_leaves,
-            });
-        }
-    }
+        *shared += run.len() - 1;
+        let rep = run[0].1;
+        let (sub_leaves, sub_children) = split_group(run, depth + 1, passes, shared);
+        children.push(TrieNode {
+            rep,
+            depth,
+            children: sub_children,
+            leaves: sub_leaves,
+        });
+    });
     (leaves, children)
 }
 
 /// Partition the round's passes into shared-prefix groups and solo passes.
 /// Only passes that are eligible (sharing enabled, no pre-step checks,
-/// nonempty windows) enter groups; everything else stays solo.
+/// nonempty windows, a shareable first step) enter groups; everything else
+/// stays solo, and so does an eligible pass whose first step no other
+/// eligible pass shares.
 fn build_share_groups(passes: &[Pass<'_>], sharing: bool) -> (Vec<ShareGroup>, Vec<usize>) {
     let mut solo = Vec::new();
     let mut eligible = Vec::new();
     for (i, pass) in passes.iter().enumerate() {
         let can = sharing
-            && !pass.plan.share_blocked()
-            && !pass.plan.has_empty_window(&pass.ranges)
-            && share_key(pass, 0).is_some();
+            && !pass.slot.plan.share_blocked()
+            && !pass.slot.plan.has_empty_window(pass.ranges)
+            && share_meta(pass, 0).is_some();
         if can {
-            eligible.push(i);
+            eligible.push((0, i));
         } else {
             solo.push(i);
         }
     }
     let mut groups = Vec::new();
-    if !eligible.is_empty() {
-        let (top_leaves, roots) = split_group(&eligible, 0, passes);
-        solo.extend(top_leaves);
-        for root in roots {
-            let mut members = Vec::new();
-            let mut max_depth = 0usize;
-            let mut stack = vec![&root];
-            let mut shared = 0usize;
-            while let Some(node) = stack.pop() {
-                let through =
-                    node.leaves.len() + node.children.iter().map(count_members).sum::<usize>();
-                shared += through - 1;
-                for &l in &node.leaves {
-                    members.push(l);
-                    max_depth = max_depth.max(passes[l].plan.num_steps());
-                }
-                stack.extend(node.children.iter());
-            }
-            members.sort_unstable();
-            groups.push(ShareGroup {
-                root,
-                members,
-                shared_steps: shared,
-                max_depth,
-            });
+    for_each_run(&mut eligible, 0, passes, |run| {
+        if let [(_, only)] = run {
+            solo.push(*only);
+            return;
         }
-    }
+        let rep = run[0].1;
+        let mut shared = run.len() - 1;
+        let (leaves, children) = split_group(run, 1, passes, &mut shared);
+        // Every member is a leaf of the trie, and the run holds them all.
+        let mut members: Vec<usize> = run.iter().map(|&(_, p)| p).collect();
+        members.sort_unstable();
+        let max_depth = (members.iter())
+            .map(|&m| passes[m].slot.plan.num_steps())
+            .max()
+            .unwrap_or(0);
+        groups.push(ShareGroup {
+            root: TrieNode {
+                rep,
+                depth: 0,
+                children,
+                leaves,
+            },
+            members,
+            shared_steps: shared,
+            max_depth,
+        });
+    });
     solo.sort_unstable();
     (groups, solo)
-}
-
-fn count_members(node: &TrieNode) -> usize {
-    node.leaves.len() + node.children.iter().map(count_members).sum::<usize>()
 }
 
 /// What a session's last saturation leaves for its next resume.
@@ -799,7 +979,8 @@ struct Saturation {
 }
 
 /// The one-shot way in: [`fixpoint_cached`] from empty watermarks, keeping
-/// nothing it compiled. [`EvalSession::resume`] is the other.
+/// nothing it compiled — so its rounds compile only the Δ-plans they run.
+/// [`EvalSession::resume`] is the other.
 fn fixpoint(
     prog: &Program,
     store: &mut TermStore,
@@ -819,15 +1000,18 @@ fn fixpoint(
         &mut Saturation::default(),
         None,
         options,
-        &mut None,
+        None,
     )
 }
 
-/// The evaluator. `cache` is the caller's compiled program for `prog`, if
-/// it has one; it must never be shown a second program. A miss replaces
-/// the caller's `Arc` and never writes through it, so a compile shared
-/// with other sessions stays as it was. `sat` is the caller's last
-/// saturation; the call leaves its own there when it saturates.
+/// The evaluator. `cache` is the caller's compiled program for `prog` when
+/// the caller keeps one (None for a one-shot run); it must never be shown a
+/// second program. A miss replaces the caller's `Arc` and never writes
+/// through it, so a compile shared with other sessions stays as it was. A
+/// kept compile holds every plan a fixpoint can run, so a hit compiles
+/// nothing; a one-shot run compiles each Δ-plan in the first round that
+/// schedules it. `sat` is the caller's last saturation; the call leaves its
+/// own there when it saturates.
 #[allow(clippy::too_many_arguments)]
 fn fixpoint_cached(
     prog: &Program,
@@ -839,18 +1023,19 @@ fn fixpoint_cached(
     sat: &mut Saturation,
     mut deferred: Option<&mut DeferredFacts>,
     options: &EvalOptions,
-    cache: &mut Option<Arc<CompiledProgram>>,
+    cache: Option<&mut Option<Arc<CompiledProgram>>>,
 ) -> Result<EvalStats, EvalError> {
-    let order = options.order;
     let collector = &options.collector;
     let mut stats = EvalStats::default();
-    let sip = options.sip_filters;
     let key = PlanKey {
-        order,
-        sip_filters: sip,
+        order: options.order,
+        sip_filters: options.sip_filters,
         semi,
     };
-    let hit = options.plan_cache && cache.as_ref().is_some_and(|c| c.key == key);
+    let hit = options.plan_cache
+        && (cache.as_deref())
+            .and_then(Option::as_deref)
+            .is_some_and(|c| c.key == key);
     // Warm: the last call saturated under this very compile, so the
     // program's facts are in, every index need is sealed (the database
     // keeps its indexes and parks the needs of absent relations), and only
@@ -880,114 +1065,30 @@ fn fixpoint_cached(
     // maps and index needs verbatim — all of them pure functions of
     // (rules, order, sip, semi); the rules are the cache owner's and fixed,
     // the key covers the rest, so nothing on the hit path walks the
-    // program.
-    if !hit {
-        let (rule_ids, rules): (Vec<usize>, Vec<&Rule>) = prog
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.is_fact())
-            .unzip();
-        let preds: Vec<PredId> = prog.predicates().into_iter().map(|(p, _)| p).collect();
-        let pid: FxHashMap<PredId, u32> = preds.iter().zip(0u32..).map(|(&p, i)| (p, i)).collect();
-        let head_pids: Vec<u32> = rules.iter().map(|r| pid[&r.head.pred]).collect();
-        let body_pids: Vec<Vec<u32>> = rules
-            .iter()
-            .map(|r| r.body.iter().map(|a| pid[&a.pred]).collect())
-            .collect();
-        // Negated atoms reference lower strata, which do not grow during
-        // this fixpoint — never a delta.
-        let mut delta_deps: Vec<Vec<(u32, u32)>> = vec![Vec::new(); preds.len()];
-        for (r, rule) in rules.iter().enumerate() {
-            for (j, atom) in rule.body.iter().enumerate().filter(|(_, a)| !a.negated) {
-                delta_deps[pid[&atom.pred] as usize].push((r as u32, j as u32));
+    // program. A one-shot run takes its compile's plan table out, Δ-slots
+    // empty, to fill them as its rounds go.
+    let mut sigs = SigInterner::default();
+    let mut one_shot = None;
+    let (compiled, mut table): (&CompiledProgram, Cow<PlanTable>) = match cache {
+        Some(cache) => {
+            if !hit {
+                let c = CompiledProgram::new(prog, store, key, true, &mut sigs);
+                stats.plans_compiled += c.table.len();
+                *cache = Some(Arc::new(c));
             }
+            let c: &CompiledProgram = cache.as_deref().expect("compiled above");
+            (c, Cow::Borrowed(&c.table))
         }
-        // Each rule gets a full plan (used by naive evaluation) plus, for
-        // semi-naive, one Δ-pass variant per positive body position — the
-        // delta atom is the smallest window of its pass, so the planned
-        // order enumerates it first.
-        let plans: Vec<RulePlan> = rules
-            .iter()
-            .map(|r| RulePlan::compile_opts(r, store, order, &[], None, sip))
-            .collect();
-        let delta_plans: Vec<Vec<Option<RulePlan>>> = if semi {
-            rules
-                .iter()
-                .map(|r| {
-                    (0..r.body.len())
-                        .map(|j| {
-                            (!r.body[j].negated)
-                                .then(|| RulePlan::compile_opts(r, store, order, &[], Some(j), sip))
-                        })
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        stats.plans_compiled +=
-            plans.len() + delta_plans.iter().flatten().filter(|p| p.is_some()).count();
-        let reorders = plans.iter().filter(|p| p.reordered()).count()
-            + delta_plans
-                .iter()
-                .flatten()
-                .filter(|p| p.as_ref().is_some_and(|p| p.reordered()))
-                .count();
-        // Sharing signatures, interned once per compile: the round loop
-        // compares steps by dense id, never by structure. The ids stay
-        // valid across fixpoints because they are only ever compared to
-        // each other, and the interner that assigned them saw exactly
-        // these plans.
-        let mut sigs = SigInterner::default();
-        let plan_metas: Vec<Vec<StepMeta>> =
-            plans.iter().map(|p| p.step_metas(&mut sigs)).collect();
-        let delta_metas: Vec<Vec<Option<Vec<StepMeta>>>> = delta_plans
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|p| p.as_ref().map(|p| p.step_metas(&mut sigs)))
-                    .collect()
-            })
-            .collect();
-        let mut index_needs: Vec<(PredId, ColMask)> = Vec::new();
-        for plan in plans
-            .iter()
-            .chain(delta_plans.iter().flatten().filter_map(|p| p.as_ref()))
-        {
-            for need in plan.index_needs() {
-                if !index_needs.contains(&need) {
-                    index_needs.push(need);
-                }
-            }
+        None => {
+            let mut c = CompiledProgram::new(prog, store, key, false, &mut sigs);
+            stats.plans_compiled += c.table.len();
+            let table = std::mem::take(&mut c.table);
+            (&*one_shot.insert(c), Cow::Owned(table))
         }
-        // Rule-head variables in first-occurrence order: a pass emits
-        // one binding per head variable per match, and the merge phase
-        // re-binds exactly these to intern the instantiated head.
-        let head_vars: Vec<Vec<Sym>> = rules.iter().map(|r| r.head.vars(store)).collect();
-        *cache = Some(Arc::new(CompiledProgram {
-            key,
-            rule_ids,
-            preds,
-            pid,
-            head_pids,
-            body_pids,
-            delta_deps,
-            plans,
-            delta_plans,
-            plan_metas,
-            delta_metas,
-            head_vars,
-            index_needs,
-            reorders,
-            rule_labels: OnceLock::new(),
-            profile_labels: OnceLock::new(),
-        }));
-    }
+    };
     // Telemetry labels are formatted once per *compile* (lazily, on the
     // first traced fixpoint), never inside the round loop — a disabled
     // collector costs one branch per call site.
-    let compiled: &CompiledProgram = cache.as_deref().expect("compiled above");
     let head_label = |i: usize| {
         let head = &prog.rules[i].head.pred;
         format!(
@@ -1028,20 +1129,12 @@ fn fixpoint_cached(
         // pseudo-rule so the per-rule fact sum equals `facts_derived`.
         prof.entry((SEED_RULE, 0, false)).or_default().facts += stats.facts_derived as u64;
     }
-    stats.plan_reorders += compiled.reorders;
-    let plans = &compiled.plans;
-    let delta_plans = &compiled.delta_plans;
-    let plan_metas = &compiled.plan_metas;
-    let delta_metas = &compiled.delta_metas;
     let head_vars = &compiled.head_vars;
-    // Seal: build (or register) every index any compiled plan will probe,
-    // up front — from here on the executors only ever *read* the database.
-    // Idempotent per index; a warm resume finds them all in place.
-    if !warm {
-        for &(pred, mask) in &compiled.index_needs {
-            db.prepare_index(pred, mask);
-        }
-    }
+    // Seal: every round first builds (or registers) the indexes its plans
+    // will probe that are not sealed yet — from there on the executors
+    // only ever *read* the database. The first round seals every need of
+    // the table as it stands; a warm resume finds them all in place.
+    let mut sealed = if warm { table.index_needs.len() } else { 0 };
     let mut fix_span = traced.then(|| {
         let mut sp = collector.span("fixpoint", "eval");
         sp.arg("rules", compiled.rule_ids.len() as u64);
@@ -1086,6 +1179,10 @@ fn fixpoint_cached(
         .collect();
     let mut grown: Vec<u32> = Vec::new();
     let mut delta_sites: Vec<(u32, u32)> = Vec::new();
+    // Reused by every round: the scheduled passes as `(rule, Δ-position,
+    // start in windows)`, and all their row windows back to back.
+    let mut sched: Vec<(usize, usize, usize)> = Vec::new();
+    let mut windows: Vec<(usize, usize)> = Vec::new();
 
     loop {
         if stats.iterations >= budget.max_iterations {
@@ -1109,7 +1206,8 @@ fn fixpoint_cached(
         let mut derived_this_round = 0usize;
 
         // Phase 1 — the round's passes, with frozen windows.
-        let mut passes: Vec<Pass> = Vec::new();
+        sched.clear();
+        windows.clear();
         if semi {
             // Δ-rewriting: one pass per rule and positive body position j
             // whose predicate grew, with
@@ -1126,48 +1224,68 @@ fn fixpoint_cached(
             delta_sites.sort_unstable();
             for &(rule_idx, j) in &delta_sites {
                 let (rule_idx, j) = (rule_idx as usize, j as usize);
-                let body = &compiled.body_pids[rule_idx];
-                let ranges: Vec<(usize, usize)> = body
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &p)| match i.cmp(&j) {
+                let start = windows.len();
+                let mut empty = false;
+                for (i, &(p, positive)) in compiled.body_pids[rule_idx].iter().enumerate() {
+                    let w = match i.cmp(&j) {
                         Ordering::Less => (0, prev_len[p as usize]),
                         Ordering::Equal => (prev_len[p as usize], start_len[p as usize]),
                         Ordering::Greater => (0, start_len[p as usize]),
-                    })
-                    .collect();
-                let plan = delta_plans[rule_idx][j]
-                    .as_ref()
-                    .expect("delta position is positive");
+                    };
+                    empty |= positive && w.0 >= w.1;
+                    windows.push(w);
+                }
                 // A join over an empty window has no matches: `execute`
                 // would return before touching any counter, so the pass is
-                // not worth a unit, a job and a merge.
-                if plan.has_empty_window(&ranges) {
+                // not worth a plan, a job and a merge.
+                if empty {
+                    windows.truncate(start);
                     continue;
                 }
-                passes.push(Pass {
-                    rule_idx,
-                    plan,
-                    delta: Some((j, ranges[j].1 - ranges[j].0)),
-                    ranges,
-                    metas: delta_metas[rule_idx][j]
-                        .as_deref()
-                        .expect("delta position is positive"),
-                });
+                if table.delta[rule_idx][j].is_none() {
+                    // Only a one-shot run's own table has holes, so this
+                    // never copies a session's.
+                    let rule = rule_at(rule_idx);
+                    table
+                        .to_mut()
+                        .fill(rule_idx, j, rule, store, key, &mut sigs);
+                    stats.plans_compiled += 1;
+                }
+                sched.push((rule_idx, j, start));
             }
-            #[cfg(debug_assertions)]
-            assert_full_walk_agrees(&passes, prog, compiled, &prev_len, db);
         } else {
-            for (rule_idx, plan) in plans.iter().enumerate() {
-                let body = &compiled.body_pids[rule_idx];
-                passes.push(Pass {
-                    rule_idx,
-                    plan,
-                    delta: None,
-                    ranges: body.iter().map(|&p| (0, start_len[p as usize])).collect(),
-                    metas: &plan_metas[rule_idx],
-                });
+            for (rule_idx, body) in compiled.body_pids.iter().enumerate() {
+                sched.push((rule_idx, 0, windows.len()));
+                windows.extend(body.iter().map(|&(p, _)| (0, start_len[p as usize])));
             }
+        }
+        for &(pred, mask) in &table.index_needs[sealed..] {
+            db.prepare_index(pred, mask);
+        }
+        sealed = table.index_needs.len();
+        let passes: Vec<Pass> = (sched.iter())
+            .map(|&(rule_idx, j, start)| {
+                let ranges = &windows[start..start + compiled.body_pids[rule_idx].len()];
+                if semi {
+                    Pass {
+                        rule_idx,
+                        slot: table.delta[rule_idx][j].as_ref().expect("filled above"),
+                        delta: Some((j, ranges[j].1 - ranges[j].0)),
+                        ranges,
+                    }
+                } else {
+                    Pass {
+                        rule_idx,
+                        slot: &table.full[rule_idx],
+                        delta: None,
+                        ranges,
+                    }
+                }
+            })
+            .collect();
+        #[cfg(debug_assertions)]
+        if semi {
+            assert_full_walk_agrees(&passes, prog, compiled, &prev_len, db);
         }
 
         // Group passes with identical join prefixes (same step signatures
@@ -1180,9 +1298,9 @@ fn fixpoint_cached(
             .iter()
             .map(|p| SharedPass {
                 rule: rule_at(p.rule_idx),
-                plan: p.plan,
+                plan: &p.slot.plan,
                 head_vars: &head_vars[p.rule_idx],
-                ranges: &p.ranges,
+                ranges: p.ranges,
             })
             .collect();
 
@@ -1313,6 +1431,7 @@ fn fixpoint_cached(
             // every relation's length.
             sat.lens = start_len;
             sat.warm = true;
+            stats.plan_reorders += table.reorders;
             if let Some(sp) = fix_span.as_mut() {
                 sp.arg("rounds", stats.iterations as u64);
                 sp.arg("facts_derived", stats.facts_derived as u64);
@@ -1328,11 +1447,11 @@ fn fixpoint_cached(
                         ("(seed)".to_owned(), "edb".to_owned())
                     } else {
                         let reordered = if vcode == 0 {
-                            plans[rule_idx].reordered()
+                            table.full[rule_idx].plan.reordered()
                         } else {
-                            delta_plans[rule_idx][vcode - 1]
+                            table.delta[rule_idx][vcode - 1]
                                 .as_ref()
-                                .is_some_and(|p| p.reordered())
+                                .is_some_and(|s| s.plan.reordered())
                         };
                         let mut v = if vcode == 0 {
                             "full".to_owned()
@@ -1402,9 +1521,9 @@ fn assert_full_walk_agrees(
             if (body.iter().zip(&ranges)).any(|(atom, &(lo, hi))| !atom.negated && lo >= hi) {
                 continue;
             }
-            let got = scheduled.next().map(|p| (p.rule_idx, p.delta, &p.ranges));
+            let got = scheduled.next().map(|p| (p.rule_idx, p.delta, p.ranges));
             let rows = ranges[j].1 - ranges[j].0;
-            assert_eq!(got, Some((rule_idx, Some((j, rows)), &ranges)));
+            assert_eq!(got, Some((rule_idx, Some((j, rows)), ranges.as_slice())));
         }
     }
     assert!(scheduled.next().is_none(), "a pass without a grown delta");
@@ -1801,6 +1920,54 @@ mod tests {
         );
         assert!(collector.event_count() > 0, "spans should be recorded");
         assert_eq!(collector.dropped_events(), 0);
+    }
+
+    /// Each entry point compiles what its fixpoints can run: naive the
+    /// full plans, a one-shot semi-naive run the Δ-passes its rounds
+    /// scheduled, and a session every Δ-plan, so no resume compiles.
+    #[test]
+    fn each_entry_point_compiles_what_it_runs() {
+        let mut st = TermStore::new();
+        let prog = parse_program(TC, &mut st).unwrap();
+        let traced = || EvalOptions {
+            collector: Collector::enabled(),
+            ..Default::default()
+        };
+        // The profile has one frame per (rule, variant) a round scheduled.
+        let variants = |stats: &EvalStats| {
+            let mut v: Vec<(String, String)> = (stats.per_rule.iter())
+                .filter(|r| r.rule != "(seed)")
+                .map(|r| (r.rule.clone(), r.variant.replace(" shared", "")))
+                .collect();
+            v.sort();
+            v.dedup();
+            v
+        };
+
+        let mut db = Database::new();
+        let budget = EvalBudget::default();
+        let naive = fixpoint(&prog, &mut st, &mut db, &budget, false, 0, &traced()).unwrap();
+        assert_eq!(naive.plans_compiled, 2, "one full plan per rule");
+        assert!(variants(&naive).iter().all(|(_, v)| v.starts_with("full")));
+
+        let mut db = Database::new();
+        let semi = seminaive_opts(&prog, &mut st, &mut db, &budget, &traced()).unwrap();
+        let scheduled = variants(&semi);
+        assert!(scheduled.iter().all(|(_, v)| v.starts_with("delta#")));
+        // Round 1 skips the recursive rule's Edge-Δ pass (Path is still
+        // empty), so 2 of the 3 Δ-slots ever run.
+        assert_eq!(scheduled.len(), 2);
+        assert_eq!(semi.plans_compiled, scheduled.len());
+
+        let session = EvalSession::new(prog, &mut st, budget).unwrap();
+        let table = &session.compiled.as_ref().unwrap().table;
+        assert!(table.full.is_empty(), "no full plan");
+        assert_eq!(
+            session.total_stats().plans_compiled,
+            3,
+            "one per positive atom"
+        );
+        assert_eq!(table.len(), 3);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! at every recursion step which columns were ground (substituting all
 //! pattern arguments), copying candidate lists through freshly allocated
 //! `Vec`s, and cloning a full [`Subst`] per complete match. This module
-//! compiles each [`Rule`] once per fixpoint into a [`RulePlan`]:
+//! compiles each [`Rule`] once, ahead of its joins, into a [`RulePlan`]:
 //!
 //! * **atom order** — positive body atoms are reordered by a bound-variable
 //!   heuristic: the ground-most atom first, then greedily the atom with the
@@ -133,11 +133,7 @@ fn ground_under(store: &TermStore, t: TermId, bound: &[Sym]) -> bool {
 }
 
 fn add_vars(store: &TermStore, t: TermId, bound: &mut Vec<Sym>) {
-    for v in store.vars(t) {
-        if !bound.contains(&v) {
-            bound.push(v);
-        }
-    }
+    store.collect_vars(t, bound);
 }
 
 fn diseq_ground(store: &TermStore, d: &Diseq, bound: &[Sym]) -> bool {
@@ -441,7 +437,7 @@ impl RulePlan {
     }
 
     /// Per-step sharing signatures (see [`StepMeta`]), interned through
-    /// `sigs`. Computed once per compiled plan per fixpoint.
+    /// `sigs`. Computed once per compiled plan.
     pub(crate) fn step_metas(&self, sigs: &mut SigInterner) -> Vec<StepMeta> {
         self.steps
             .iter()
@@ -638,8 +634,9 @@ struct StepSig {
     exists: Vec<ExistCheck>,
 }
 
-/// Interner mapping [`StepSig`]s to dense ids, one per fixpoint — the
-/// round driver compares steps by id instead of re-hashing structures.
+/// Interner mapping [`StepSig`]s to dense ids, one per compile (a one-shot
+/// run's plans, compiled as its rounds first schedule them, share one) —
+/// the round driver compares steps by id instead of re-hashing structures.
 #[derive(Default)]
 pub(crate) struct SigInterner {
     map: FxHashMap<StepSig, u32>,
