@@ -1,27 +1,83 @@
-//! The §4.4 extensions: hidden transitions, alarm patterns, and
-//! constraints — "as soon as the problem can be stated in Datalog terms,
-//! dQSQ can be applied to optimize the evaluation".
+//! The supervisor encoding: diagnosis as a dDatalog query at a supervisor
+//! peer `p0`, generated for the general problem of §4.4 — "as soon as the
+//! problem can be stated in Datalog terms, dQSQ can be applied to optimize
+//! the evaluation" — of which the alarm sequence of §4.2 is one instance.
 //!
-//! One generalized supervisor program covers all of them:
+//! The problem is an [`ExtendedSpec`]:
 //!
-//! * each peer's observation is an **automaton** over alarm symbols (a
+//! * each peer's observation is an [`Automaton`] over alarm symbols (a
 //!   plain sequence is the chain automaton; patterns like `α.β*.α` are
 //!   arbitrary NFAs; constraints are complements of pattern automata);
-//! * transitions whose alarms are **hidden** may be inserted at any point
-//!   without advancing any automaton;
-//! * because automata may loop (and hidden transitions always may), the
-//!   explanation length is no longer bounded by the observation — the
-//!   paper's termination "gadget" is realized as a **fuel column**:
-//!   explanation prefixes carry a fuel constant that every extension
-//!   decrements, bounding the unfolding depth explored. Fuel keeps the
-//!   program finite under *both* bottom-up and (d)QSQ evaluation.
+//! * transitions whose alarms are **hidden** may occur at any point
+//!   without moving any automaton;
+//! * an explanation has at most `max_events` events.
+//!
+//! [`extended_program`] is the one generator. On top of the §4.1 unfolding
+//! rules and the net's facts it emits:
+//!
+//! * `AlarmSeq@p0(q, a, p, q′)` — peer `p`'s automaton moves from state
+//!   `q` to `q′` on alarm `a`; states are constants `st_{p}_{q}`;
+//! * `ConfigPrefixes@p0(id, id′, x, q₁…q_k, [n,] l)` — explanation
+//!   prefixes: `id` (a Skolem `h`-term) leaves the automata in states
+//!   `(q₁…q_k)` and was obtained from `id′` by appending event `x`, which
+//!   explains an alarm of peer `l` (`l = r` for the empty explanation
+//!   `h(r)` and after a hidden event). The k state columns are the paper's
+//!   multi-peer index; `n` is the fuel column (below);
+//! * `TransInConf@p0(id, x, f)` — event `x` participates in prefix `id`;
+//!   the flag `f` is `last` when `x` is `id`'s last event (and for the
+//!   root marker of `h(r)`), `old` otherwise. It is a function of
+//!   `(id, x)`, so the relation has exactly the rows it would have
+//!   without it;
+//! * `NotParent@p0(id, m)` — condition `m` is not consumed within `id`;
+//! * `Gate<k>@p0(l, p, f₀…f_(k-1))` — a static table per preset arity
+//!   `k` (below);
+//! * `Diag@p0(id, x)` — the answer relation: `id` ranges over full
+//!   explanations (every automaton in a final state), `x` over their
+//!   events. A peer with one final state has it pinned as a constant;
+//!   any other peer's state is joined with `AlarmFinal@p0(p, q)`.
+//!
+//! The extension rule follows the paper with one repair and two
+//! refinements (see DESIGN.md): the transition constant `t` is carried
+//! through `Trans<k>` so that the alarm symbol constrains *which* event is
+//! requested (making the dQSQ-materialized event set coincide with the
+//! dedicated algorithm's, Theorem 4), and the rule, like every rule that
+//! reads `Trans<k>@p`, is generated only for the preset arities `k` of
+//! peer `p`'s transitions. An observable extension moves one automaton; a
+//! hidden one (`HiddenAlarm@p0(a)`) moves none.
+//!
+//! **Fuel**, the paper's termination "gadget": where automata loop or
+//! transitions are hidden, the observation no longer bounds the
+//! explanation length. Prefixes then carry a fuel constant `fuel_n`
+//! counting their events, every extension steps it along
+//! `FuelStep@p0(fuel_n, fuel_{n+1})` for `n < max_events`, and the program
+//! stays finite under bottom-up *and* (d)QSQ evaluation. Raising the
+//! budget only adds `FuelStep` facts. When fuel cannot bind — nothing
+//! hidden, every automaton acyclic, and `max_events` at least the sum of
+//! their longest paths — the column is omitted.
+//!
+//! The second refinement is a partial-order reduction. Without it, every
+//! order in which concurrent alarms of different peers are consumed gets
+//! its own explanation id. Peers are ranked in `spec.patterns` order, with
+//! `r` lowest. An observable extension of `id` by an alarm of peer `p`
+//! ranked below `id`'s last peer `l` is admitted only if `id`'s last event
+//! produced one of the new event's parent conditions: the rule reads each
+//! parent producer's flag from `TransInConf` and joins `Gate<k>`, which
+//! holds every `(l, p, f₀…)` with `rank(l) ≤ rank(p)` or some `fᵢ = last`.
+//! Hidden extensions are not gated and set `l = r`, so the next observable
+//! step is always admitted. The greedy linearization of a configuration
+//! (always take next the enabled hidden event or, failing one, the next
+//! alarm of the lowest-ranked peer that can go) passes every gate, so
+//! every configuration keeps an id; the requests sent to the net peers do
+//! not depend on which prefix asks, so Theorem 4 is untouched.
 
 use crate::alarm::AlarmSeq;
 use crate::direct::Diagnosis;
-use crate::encode::{names, petri_facts, unfolding_program, Enc, EncodeOptions};
-use crate::supervisor::sup_names;
-use rescue_datalog::{Atom, Diseq, Program, Rule, TermId, TermStore};
-use rescue_petri::PetriNet;
+use crate::encode::{
+    names, petri_facts, petri_rel_name, trans_rel_name, unfolding_program, Enc, EncodeOptions,
+};
+use crate::supervisor::{sup_names, DiagnosisProgram};
+use rescue_datalog::{Diseq, Program, Rule, TermId, TermStore};
+use rescue_petri::{PeerId, PetriNet};
 use rustc_hash::FxHashSet;
 
 /// A finite automaton over alarm symbols (NFAs welcome — the Datalog
@@ -128,6 +184,32 @@ impl Automaton {
         }
         cur.iter().any(|q| self.finals.contains(q))
     }
+
+    /// The number of transitions on the automaton's longest path, or
+    /// `None` if it has a cycle.
+    fn longest_path(&self) -> Option<usize> {
+        // Kahn's algorithm, relaxing path lengths in topological order.
+        let mut indegree = vec![0usize; self.states];
+        for &(_, _, to) in &self.transitions {
+            indegree[to] += 1;
+        }
+        let mut ready: Vec<usize> = (0..self.states).filter(|&q| indegree[q] == 0).collect();
+        let mut length = vec![0; self.states];
+        let mut done = 0;
+        while let Some(q) = ready.pop() {
+            done += 1;
+            for &(from, _, to) in &self.transitions {
+                if from == q {
+                    length[to] = length[to].max(length[q] + 1);
+                    indegree[to] -= 1;
+                    if indegree[to] == 0 {
+                        ready.push(to);
+                    }
+                }
+            }
+        }
+        (done == self.states).then(|| length.into_iter().max().unwrap_or(0))
+    }
 }
 
 /// The generalized diagnosis problem.
@@ -174,6 +256,15 @@ impl ExtendedSpec {
             .iter()
             .all(|(_, a)| a.finals.contains(&a.initial))
     }
+
+    /// Can the `max_events` bound cut an explanation short? Not when
+    /// nothing is hidden and the automata are acyclic with longest paths
+    /// that fit in it together: every event then moves an automaton one
+    /// step along a path.
+    fn fuel_binds(&self) -> bool {
+        let longest: Option<usize> = self.patterns.iter().map(|(_, a)| a.longest_path()).sum();
+        !self.hidden.is_empty() || longest.is_none_or(|n| n > self.max_events)
+    }
 }
 
 /// Complete a Datalog-extracted diagnosis with the empty explanation when
@@ -185,131 +276,139 @@ pub fn complete_with_empty(mut d: Diagnosis, spec: &ExtendedSpec) -> Diagnosis {
     d
 }
 
-/// Generated program + query for an [`ExtendedSpec`].
-#[derive(Clone, Debug)]
-pub struct ExtendedProgram {
-    pub program: Program,
-    pub query: Atom,
-    pub supervisor: String,
-}
-
-/// Generate the generalized supervisor program.
+/// Generate the supervisor program for `spec`, with the supervisor at peer
+/// `supervisor` (must not collide with a net peer), and its query
+/// `Diag@p0(Z, X)`.
 pub fn extended_program(
     net: &PetriNet,
     spec: &ExtendedSpec,
     supervisor: &str,
     store: &mut TermStore,
-) -> ExtendedProgram {
+) -> DiagnosisProgram {
+    let program = supervisor_program(net, spec, supervisor, store, true);
+    let mut e = Enc { store };
+    let z = e.v("Z");
+    let x = e.v("X");
+    let query = e.atom(sup_names::DIAG, supervisor, vec![z, x]);
+    DiagnosisProgram {
+        program,
+        query,
+        supervisor: supervisor.to_owned(),
+    }
+}
+
+/// The program of [`extended_program`]; without `diag`, minus the `Diag`
+/// rule and the `AlarmFinal` facts only it reads.
+pub(crate) fn supervisor_program(
+    net: &PetriNet,
+    spec: &ExtendedSpec,
+    p0: &str,
+    store: &mut TermStore,
+    diag: bool,
+) -> Program {
     assert!(
-        net.peer_by_name(supervisor).is_none(),
+        net.peer_by_name(p0).is_none(),
         "supervisor peer name collides with a net peer"
     );
     let mut prog = unfolding_program(net, store, &EncodeOptions::default());
     for rule in petri_facts(net, store).rules {
         prog.push(rule);
     }
-
-    let mut e = Enc { store };
-    let p0 = supervisor;
-    let r = e.c(names::ROOT);
     let k = spec.patterns.len();
 
-    // Automaton transition facts and final-state facts.
-    let mut initial_states: Vec<TermId> = Vec::with_capacity(k);
+    // The automata: their transitions (none on a hidden symbol, which no
+    // peer reports), initial states, and per peer the one final state that
+    // `Diag` pins or the `AlarmFinal` facts it joins.
+    let mut initial = Vec::with_capacity(k);
+    let mut pinned = Vec::with_capacity(k);
     for (pj, aut) in &spec.patterns {
-        let st = |e: &mut Enc, q: usize| e.c(&format!("st_{pj}_{q}"));
-        for &(f, ref s, t) in &aut.transitions {
-            let fq = st(&mut e, f);
-            let a = e.c(s);
-            let pc = e.c(pj);
-            let tq = st(&mut e, t);
-            let head = e.atom(sup_names::ALARM_SEQ, p0, vec![fq, a, pc, tq]);
-            prog.push(Rule::fact(head));
+        for (from, symbol, to) in &aut.transitions {
+            if !spec.hidden.contains(symbol) {
+                prog.push(alarm_fact(store, p0, pj, *from, symbol, *to));
+            }
         }
-        for &q in &aut.finals {
-            let fq = st(&mut e, q);
-            let pc = e.c(pj);
-            let head = e.atom("AlarmFinal", p0, vec![pc, fq]);
-            prog.push(Rule::fact(head));
+        initial.push(state_constant(store, pj, aut.initial));
+        let single = match aut.finals[..] {
+            [q] => Some(state_constant(store, pj, q)),
+            _ => None,
+        };
+        if diag && single.is_none() {
+            for &q in &aut.finals {
+                let fq = state_constant(store, pj, q);
+                let mut e = Enc { store };
+                let pc = e.c(pj);
+                let head = e.atom(sup_names::ALARM_FINAL, p0, vec![pc, fq]);
+                prog.push(Rule::fact(head));
+            }
         }
-        let init = st(&mut e, aut.initial);
-        initial_states.push(init);
+        pinned.push(single);
     }
 
-    // Fuel constants and steps.
-    let fuels: Vec<TermId> = (0..=spec.max_events)
-        .map(|n| e.c(&format!("fuel_{n}")))
-        .collect();
-    for n in 1..=spec.max_events {
-        let head = e.atom("FuelStep", p0, vec![fuels[n], fuels[n - 1]]);
-        prog.push(Rule::fact(head));
+    let mut e = Enc { store };
+    let mut fuel0 = None;
+    if spec.fuel_binds() {
+        let fuels: Vec<TermId> = (0..=spec.max_events)
+            .map(|n| e.c(&format!("fuel_{n}")))
+            .collect();
+        for step in fuels.windows(2) {
+            let head = e.atom(sup_names::FUEL_STEP, p0, step.to_vec());
+            prog.push(Rule::fact(head));
+        }
+        fuel0 = Some(fuels[0]);
     }
-    // Hidden alarm symbols.
-    for hsym in &spec.hidden {
-        let a = e.c(hsym);
-        let head = e.atom("HiddenAlarm", p0, vec![a]);
+    for symbol in &spec.hidden {
+        let a = e.c(symbol);
+        let head = e.atom(sup_names::HIDDEN_ALARM, p0, vec![a]);
         prog.push(Rule::fact(head));
     }
 
-    // Initial explanation: states initial, fuel full.
+    // The empty explanation `h(r)`: initial states, no fuel used.
+    let r = e.c(names::ROOT);
+    let last = e.c(sup_names::LAST);
     let hr = e.store.app("h", vec![r]);
-    {
-        let mut args = vec![hr, hr, r];
-        args.extend(initial_states.iter().copied());
-        args.push(fuels[spec.max_events]);
-        let head = e.atom(sup_names::CONFIG_PREFIXES, p0, args);
-        prog.push(Rule::fact(head));
-        let head = e.atom(sup_names::TRANS_IN_CONF, p0, vec![hr, r]);
-        prog.push(Rule::fact(head));
-    }
-
-    let qvars: Vec<TermId> = (0..k).map(|j| e.v(&format!("Q{j}"))).collect();
-    let fuel = e.v("F");
-    let fuel2 = e.v("F2");
-    let z = e.v("Z");
-    let w = e.v("W");
-    let x = e.v("X");
-    let y = e.v("Y");
-    let m = e.v("M");
-
-    let cp_args = |extra: &[TermId], states: &[TermId], f: TermId| -> Vec<TermId> {
-        let mut v = extra.to_vec();
-        v.extend(states.iter().copied());
-        v.push(f);
-        v
+    let cp = |e: &mut Enc, front: [TermId; 3], states: &[TermId], n: Option<TermId>, l| {
+        let mut args = front.to_vec();
+        args.extend(states.iter().copied().chain(n));
+        args.push(l);
+        e.atom(sup_names::CONFIG_PREFIXES, p0, args)
     };
+    let head = cp(&mut e, [hr, hr, r], &initial, fuel0, r);
+    prog.push(Rule::fact(head));
+    let head = e.atom(sup_names::TRANS_IN_CONF, p0, vec![hr, r, last]);
+    prog.push(Rule::fact(head));
 
-    // TransInConf.
-    {
-        let b = e.atom(
-            sup_names::CONFIG_PREFIXES,
-            p0,
-            cp_args(&[z, w, x], &qvars, fuel),
-        );
-        let head = e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x]);
-        prog.push(Rule {
-            head,
-            body: vec![b],
-            diseqs: vec![],
-        });
-        let b1 = e.atom(
-            sup_names::CONFIG_PREFIXES,
-            p0,
-            cp_args(&[z, w, y], &qvars, fuel),
-        );
-        let b2 = e.atom(sup_names::TRANS_IN_CONF, p0, vec![w, x]);
-        let head = e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x]);
-        prog.push(Rule {
-            head,
-            body: vec![b1, b2],
-            diseqs: vec![],
-        });
-    }
+    let ivars = vars(&mut e, "I", k);
+    let [z, w, x, y, l, f] = ["Z", "W", "X", "Y", "L", "F"].map(|v| e.v(v));
+    let old = e.c(sup_names::OLD);
+    // The fuel column of a prefix and of its extension.
+    let n = fuel0.map(|_| e.v("N"));
+    let n2 = fuel0.map(|_| e.v("N2"));
 
-    // NotParent.
-    for i in 0..net.num_peers() {
-        let p = net.peer_name(rescue_petri::PeerId(i as u32)).to_owned();
-        let b = e.atom(names::PLACES, &p, vec![m, y]);
+    // TransInConf: z's last event is flagged `last`, the events it
+    // inherits from w are `old`.
+    let b = cp(&mut e, [z, w, x], &ivars, n, l);
+    let head = e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x, last]);
+    prog.push(Rule {
+        head,
+        body: vec![b],
+        diseqs: vec![],
+    });
+    let b1 = cp(&mut e, [z, w, y], &ivars, n, l);
+    let b2 = e.atom(sup_names::TRANS_IN_CONF, p0, vec![w, x, f]);
+    let head = e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x, old]);
+    prog.push(Rule {
+        head,
+        body: vec![b1, b2],
+        diseqs: vec![],
+    });
+
+    // NotParent base: nothing is consumed in the empty explanation.
+    let net_peers: Vec<(PeerId, &str)> = (0..net.num_peers() as u32)
+        .map(|i| (PeerId(i), net.peer_name(PeerId(i))))
+        .collect();
+    let m = e.v("M");
+    for &(_, p) in &net_peers {
+        let b = e.atom(names::PLACES, p, vec![m, y]);
         let head = e.atom(sup_names::NOT_PARENT, p0, vec![hr, m]);
         prog.push(Rule {
             head,
@@ -317,93 +416,103 @@ pub fn extended_program(
             diseqs: vec![],
         });
     }
-    {
-        let t = e.v("T");
-        let max_k = net.max_preset().max(1);
-        for i in 0..net.num_peers() {
-            let p = net.peer_name(rescue_petri::PeerId(i as u32)).to_owned();
-            for arity in 1..=max_k {
-                let pvars: Vec<TermId> = (0..arity).map(|i| e.v(&format!("U{i}"))).collect();
-                let mut targs = vec![t, y];
-                targs.extend(pvars.iter().copied());
-                let diseqs: Vec<Diseq> = pvars.iter().map(|&u| Diseq { lhs: m, rhs: u }).collect();
-                let rel = crate::encode::trans_rel_name(arity);
-                let b1 = e.atom(
-                    sup_names::CONFIG_PREFIXES,
-                    p0,
-                    cp_args(&[z, w, y], &qvars, fuel),
-                );
-                let b2 = e.atom(&rel, &p, targs);
-                let b3 = e.atom(sup_names::NOT_PARENT, p0, vec![w, m]);
-                let head = e.atom(sup_names::NOT_PARENT, p0, vec![z, m]);
-                prog.push(Rule {
-                    head,
-                    body: vec![b1, b2, b3],
-                    diseqs,
-                });
-            }
+    // NotParent recursion: m is unconsumed in h(w, y)=z iff it is not a
+    // parent of y and unconsumed in w.
+    let t = e.v("T");
+    for &(id, p) in &net_peers {
+        for arity in preset_arities(net, id) {
+            let uvars = vars(&mut e, "U", arity);
+            let diseqs = uvars.iter().map(|&u| Diseq { lhs: m, rhs: u }).collect();
+            let b1 = cp(&mut e, [z, w, y], &ivars, n, l);
+            let b2 = e.atom(
+                &trans_rel_name(arity),
+                p,
+                [t, y].into_iter().chain(uvars).collect(),
+            );
+            let b3 = e.atom(sup_names::NOT_PARENT, p0, vec![w, m]);
+            let head = e.atom(sup_names::NOT_PARENT, p0, vec![z, m]);
+            prog.push(Rule {
+                head,
+                body: vec![b1, b2, b3],
+                diseqs,
+            });
         }
     }
 
-    // Extension rules (generic over preset arity).
-    {
-        let t = e.v("T");
-        let a = e.v("A");
-        let qj = e.v("Qj");
-        let qj2 = e.v("Qj2");
-        let max_k = net.max_preset().max(1);
-
-        // The shared parent machinery for one arity at one peer.
-        let parent_atoms =
-            |e: &mut Enc, arity: usize, peer: &str| -> (Atom, Atom, Vec<TermId>, Vec<TermId>) {
-                let uvars: Vec<TermId> = (0..arity).map(|i| e.v(&format!("U{i}"))).collect();
-                let cvars: Vec<TermId> = (0..arity).map(|i| e.v(&format!("C{i}"))).collect();
-                let conds: Vec<TermId> = (0..arity).map(|i| e.g(uvars[i], cvars[i])).collect();
-                let mut petri_args = vec![t, a];
-                petri_args.extend(cvars.iter().copied());
-                let b_petri = e.atom(&crate::encode::petri_rel_name(arity), peer, petri_args);
-                let mut trans_args = vec![t, x];
-                trans_args.extend(conds.iter().copied());
-                let b_trans = e.atom(&crate::encode::trans_rel_name(arity), peer, trans_args);
-                (b_petri, b_trans, uvars, conds)
-            };
-
-        // Observable extensions: advance peer j's automaton, burn fuel.
-        for (j, (pj, _)) in spec.patterns.iter().enumerate() {
-            if net.peer_by_name(pj).is_none() {
-                continue;
-            }
-            let pjc = e.c(pj);
-            for arity in 1..=max_k {
-                let head_states: Vec<TermId> = (0..k)
-                    .map(|jj| if jj == j { qj2 } else { qvars[jj] })
-                    .collect();
-                let body_states: Vec<TermId> = (0..k)
-                    .map(|jj| if jj == j { qj } else { qvars[jj] })
-                    .collect();
+    // The extension rules and the gate tables the observable ones join.
+    // Alarms from a peer the net does not know can never be explained; no
+    // extension rule for them.
+    let a = e.v("A");
+    let ij = e.v("Ij");
+    let ij2 = e.v("Ij2");
+    let extending: Vec<Extending> = spec
+        .patterns
+        .iter()
+        .enumerate()
+        .filter_map(|(j, (pj, _))| {
+            let id = net.peer_by_name(pj)?;
+            Some((j, pj.as_str(), e.c(pj), preset_arities(net, id)))
+        })
+        .collect();
+    for fact in gate_facts(&mut e, p0, &extending) {
+        prog.push(fact);
+    }
+    // The body extending prefix Z by X, a `Trans<arity>@peer` event of
+    // transition T with alarm A: `lead` (what A may be), the prefix, its
+    // fuel step, T's parent places, each parent's producer in Z with its
+    // flag, the gate row of an observable extension by `gated`'s alarm,
+    // each parent unconsumed in Z, and the event.
+    let extension_body = |e: &mut Enc, peer: &str, arity, lead, prefix, gated: Option<TermId>| {
+        let uvars = vars(e, "U", arity);
+        let cvars = vars(e, "C", arity);
+        let fvars = vars(e, "F", arity);
+        let conds: Vec<TermId> = uvars.iter().zip(&cvars).map(|(&u, &c)| e.g(u, c)).collect();
+        let mut body = vec![lead, prefix];
+        if let (Some(n), Some(n2)) = (n, n2) {
+            body.push(e.atom(sup_names::FUEL_STEP, p0, vec![n, n2]));
+        }
+        let petri_args = [t, a].into_iter().chain(cvars).collect();
+        body.push(e.atom(&petri_rel_name(arity), peer, petri_args));
+        for (&u, &fu) in uvars.iter().zip(&fvars) {
+            body.push(e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, u, fu]));
+        }
+        if let Some(pc) = gated {
+            let gate_args = [l, pc].into_iter().chain(fvars).collect();
+            body.push(e.atom(&sup_names::gate_rel_name(arity), p0, gate_args));
+        }
+        for &cond in &conds {
+            body.push(e.atom(sup_names::NOT_PARENT, p0, vec![z, cond]));
+        }
+        let trans_args = [t, x].into_iter().chain(conds).collect();
+        body.push(e.atom(&trans_rel_name(arity), peer, trans_args));
+        body
+    };
+    // Observable extensions: peer j's automaton moves from Ij to Ij2.
+    for (j, pj, pjc, arities) in extending {
+        let states_at =
+            |q| -> Vec<TermId> { (0..k).map(|i| if i == j { q } else { ivars[i] }).collect() };
+        for arity in arities {
+            let hx = e.store.app("h", vec![z, x]);
+            let lead = e.atom(sup_names::ALARM_SEQ, p0, vec![ij, a, pjc, ij2]);
+            let prefix = cp(&mut e, [z, w, y], &states_at(ij), n, l);
+            let body = extension_body(&mut e, pj, arity, lead, prefix, Some(pjc));
+            let head = cp(&mut e, [hx, z, x], &states_at(ij2), n2, pjc);
+            prog.push(Rule {
+                head,
+                body,
+                diseqs: vec![],
+            });
+        }
+    }
+    // Hidden extensions, at any net peer: no automaton moves, no gate.
+    if !spec.hidden.is_empty() {
+        for &(id, p) in &net_peers {
+            for arity in preset_arities(net, id) {
                 let hx = e.store.app("h", vec![z, x]);
-
-                let b_fuel = e.atom("FuelStep", p0, vec![fuel, fuel2]);
-                let b_alarm = e.atom(sup_names::ALARM_SEQ, p0, vec![qj, a, pjc, qj2]);
-                let b_cp = e.atom(
-                    sup_names::CONFIG_PREFIXES,
-                    p0,
-                    cp_args(&[z, w, y], &body_states, fuel),
-                );
-                let (b_petri, b_trans, uvars, conds) = parent_atoms(&mut e, arity, pj);
-                let mut body = vec![b_fuel, b_alarm, b_cp, b_petri];
-                for &prod in &uvars {
-                    body.push(e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, prod]));
-                }
-                for &cond in &conds {
-                    body.push(e.atom(sup_names::NOT_PARENT, p0, vec![z, cond]));
-                }
-                body.push(b_trans);
-                let head = e.atom(
-                    sup_names::CONFIG_PREFIXES,
-                    p0,
-                    cp_args(&[hx, z, x], &head_states, fuel2),
-                );
+                let lead = e.atom(sup_names::HIDDEN_ALARM, p0, vec![a]);
+                let prefix = cp(&mut e, [z, w, y], &ivars, n, l);
+                let body = extension_body(&mut e, p, arity, lead, prefix, None);
+                let head = cp(&mut e, [hx, z, x], &ivars, n2, r);
                 prog.push(Rule {
                     head,
                     body,
@@ -411,58 +520,23 @@ pub fn extended_program(
                 });
             }
         }
-
-        // Hidden extensions: any net peer, no automaton movement, burn
-        // fuel. Generated only when hidden symbols exist.
-        if !spec.hidden.is_empty() {
-            for i in 0..net.num_peers() {
-                let p = net.peer_name(rescue_petri::PeerId(i as u32)).to_owned();
-                for arity in 1..=max_k {
-                    let hx = e.store.app("h", vec![z, x]);
-                    let b_fuel = e.atom("FuelStep", p0, vec![fuel, fuel2]);
-                    let b_hidden = e.atom("HiddenAlarm", p0, vec![a]);
-                    let b_cp = e.atom(
-                        sup_names::CONFIG_PREFIXES,
-                        p0,
-                        cp_args(&[z, w, y], &qvars, fuel),
-                    );
-                    let (b_petri, b_trans, uvars, conds) = parent_atoms(&mut e, arity, &p);
-                    let mut body = vec![b_fuel, b_hidden, b_cp, b_petri];
-                    for &prod in &uvars {
-                        body.push(e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, prod]));
-                    }
-                    for &cond in &conds {
-                        body.push(e.atom(sup_names::NOT_PARENT, p0, vec![z, cond]));
-                    }
-                    body.push(b_trans);
-                    let head = e.atom(
-                        sup_names::CONFIG_PREFIXES,
-                        p0,
-                        cp_args(&[hx, z, x], &qvars, fuel2),
-                    );
-                    prog.push(Rule {
-                        head,
-                        body,
-                        diseqs: vec![],
-                    });
-                }
-            }
-        }
     }
 
-    // Diag: all automata in final states, any remaining fuel.
-    {
-        let b1 = e.atom(
-            sup_names::CONFIG_PREFIXES,
-            p0,
-            cp_args(&[z, w, y], &qvars, fuel),
-        );
-        let mut body = vec![b1];
-        for (j, (pj, _)) in spec.patterns.iter().enumerate() {
-            let pjc = e.c(pj);
-            body.push(e.atom("AlarmFinal", p0, vec![pjc, qvars[j]]));
+    // Diag: every automaton in a final state, any fuel left.
+    if diag {
+        let finals: Vec<TermId> = pinned
+            .iter()
+            .zip(&ivars)
+            .map(|(q, &v)| q.unwrap_or(v))
+            .collect();
+        let mut body = vec![cp(&mut e, [z, w, y], &finals, n, l)];
+        for ((pj, _), (q, &v)) in spec.patterns.iter().zip(pinned.iter().zip(&ivars)) {
+            if q.is_none() {
+                let pc = e.c(pj);
+                body.push(e.atom(sup_names::ALARM_FINAL, p0, vec![pc, v]));
+            }
         }
-        body.push(e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x]));
+        body.push(e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x, f]));
         let head = e.atom(sup_names::DIAG, p0, vec![z, x]);
         prog.push(Rule {
             head,
@@ -470,15 +544,85 @@ pub fn extended_program(
             diseqs: vec![Diseq { lhs: x, rhs: r }],
         });
     }
+    prog
+}
 
-    let zq = e.v("Z");
-    let xq = e.v("X");
-    let query = e.atom(sup_names::DIAG, p0, vec![zq, xq]);
-    ExtendedProgram {
-        program: prog,
-        query,
-        supervisor: p0.to_owned(),
+/// The variables `{prefix}0 … {prefix}{n-1}`.
+fn vars(e: &mut Enc, prefix: &str, n: usize) -> Vec<TermId> {
+    (0..n).map(|i| e.v(&format!("{prefix}{i}"))).collect()
+}
+
+/// The constant naming state `q` of `peer`'s automaton.
+pub(crate) fn state_constant(store: &mut TermStore, peer: &str, q: usize) -> TermId {
+    store.constant(&format!("st_{peer}_{q}"))
+}
+
+/// `AlarmSeq@p0(st_{peer}_{from}, symbol, peer, st_{peer}_{to})`: `peer`'s
+/// automaton moves from `from` to `to` on `symbol`.
+pub(crate) fn alarm_fact(
+    store: &mut TermStore,
+    p0: &str,
+    peer: &str,
+    from: usize,
+    symbol: &str,
+    to: usize,
+) -> Rule {
+    let lo = state_constant(store, peer, from);
+    let hi = state_constant(store, peer, to);
+    let mut e = Enc { store };
+    let a = e.c(symbol);
+    let pc = e.c(peer);
+    Rule::fact(e.atom(sup_names::ALARM_SEQ, p0, vec![lo, a, pc, hi]))
+}
+
+/// A peer that gets observable extension rules: its position in
+/// `spec.patterns` (its rank), its name and constant, and its
+/// [`preset_arities`].
+type Extending<'a> = (usize, &'a str, TermId, Vec<usize>);
+
+/// The preset arities of `peer`'s transitions, ascending: the only `k`
+/// for which `PetriNet<k>@peer` and `Trans<k>@peer` can hold facts, so the
+/// only ones a rule reading them is generated for.
+fn preset_arities(net: &PetriNet, peer: PeerId) -> Vec<usize> {
+    let mut arities: Vec<usize> = net
+        .transitions()
+        .filter(|(_, tr)| tr.peer == peer && !tr.pre.is_empty())
+        .map(|(_, tr)| tr.pre.len())
+        .collect();
+    arities.sort_unstable();
+    arities.dedup();
+    arities
+}
+
+/// The `Gate<k>@p0(l, p, f₀…f_(k-1))` facts: an extension by an alarm of
+/// peer `p` after one of peer `l` whose parent producers carry the flags
+/// `fᵢ` is admitted iff `rank(l) ≤ rank(p)` or some `fᵢ = last`.
+/// Ranks follow `spec.patterns`, with the root `r` below every peer. Each
+/// `p` gets rows for its own preset arities only.
+fn gate_facts(e: &mut Enc, p0: &str, extending: &[Extending]) -> Vec<Rule> {
+    let last = e.c(sup_names::LAST);
+    let old = e.c(sup_names::OLD);
+    // (rank, constant) of every value the `L` column can hold.
+    let mut ranked = vec![(0, e.c(names::ROOT))];
+    ranked.extend(extending.iter().map(|&(j, _, pc, _)| (j + 1, pc)));
+    let mut facts = Vec::new();
+    for &(j, _, pc, ref arities) in extending {
+        for &arity in arities {
+            let rel = sup_names::gate_rel_name(arity);
+            for &(rank_l, lc) in &ranked {
+                // Every flag vector, bit i set meaning `fᵢ = last`.
+                for bits in 0u32..1 << arity {
+                    if rank_l > j + 1 && bits == 0 {
+                        continue;
+                    }
+                    let mut args = vec![lc, pc];
+                    args.extend((0..arity).map(|i| if bits >> i & 1 == 1 { last } else { old }));
+                    facts.push(Rule::fact(e.atom(&rel, p0, args)));
+                }
+            }
+        }
     }
+    facts
 }
 
 /// Reference searcher for the generalized problem — the \[8\]-style

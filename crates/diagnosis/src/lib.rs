@@ -7,14 +7,16 @@
 //!   literally (small inputs only; certifies everything else);
 //! * [`baseline`] — the dedicated incremental diagnoser of Benveniste,
 //!   Fabre, Haar & Jard \[8\] (§4.3), with materialization accounting;
-//! * [`encode`] + [`supervisor`] — the §4.1/§4.2 dDatalog encodings, whose
-//!   evaluation by any of the engines (naive / semi-naive / QSQ / dQSQ)
-//!   solves the same problem declaratively;
+//! * [`encode`] + [`extensions`] — the §4.1 unfolding encoding and the one
+//!   supervisor encoding (the §4.2 alarm sequence is its chain-automaton
+//!   case), whose evaluation by any of the engines (naive / semi-naive /
+//!   QSQ / dQSQ) solves the same problem declaratively; [`supervisor`]
+//!   reads the answer;
 //! * [`pipeline`] — drivers running the Datalog route end to end and
 //!   reporting the Theorem 3 / Theorem 4 comparisons.
 //!
-//! [`alarm`] holds the alarm-sequence machinery, [`extensions`] the §4.4
-//! generalizations (hidden transitions, alarm patterns).
+//! [`alarm`] holds the alarm-sequence machinery; [`extensions`] also states
+//! the §4.4 problem (hidden transitions, alarm patterns).
 
 pub mod alarm;
 pub mod baseline;
@@ -31,8 +33,7 @@ pub use baseline::{diagnose_baseline, BaselineStats};
 pub use direct::{diagnose_oracle, Diagnosis};
 pub use encode::{petri_facts, unfolding_program, EncodeOptions};
 pub use extensions::{
-    complete_with_empty, diagnose_extended_reference, extended_program, Automaton, ExtendedProgram,
-    ExtendedSpec,
+    complete_with_empty, diagnose_extended_reference, extended_program, Automaton, ExtendedSpec,
 };
 pub use manager::{
     ManagerConfig, ManagerError, ManagerStats, PushReply, SessionManager, SessionStats,

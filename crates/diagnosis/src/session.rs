@@ -4,34 +4,39 @@
 //! The batch route ([`crate::pipeline::diagnose_seminaive`]) rebuilds and
 //! re-saturates the whole §4.2 program for every alarm sequence. A
 //! [`DiagnosisSession`] instead owns one resumable fixpoint
-//! ([`rescue_datalog::EvalSession`]) over an alarm-independent program:
+//! ([`rescue_datalog::EvalSession`]) over an alarm-independent program,
+//! made by the one supervisor generator
+//! ([`crate::extensions::extended_program`]) from one *empty* chain
+//! automaton per **net** peer:
 //!
 //! * the unfolding rules and `PetriNet` facts, the `TransInConf` /
-//!   `NotParent` closures, and one extension rule per **net** peer ×
-//!   preset arity (the batch program generates them per *alarm* peer; a
-//!   session cannot know in advance which peers will raise alarms, and
-//!   silent peers' index columns simply never advance). For the same
-//!   reason the `Gate<k>` tables of the greedy-interleaving reduction rank
-//!   the net peers in net order, where the batch program ranks alarm peers;
-//! * **no** `Diag` rule — its body pins the *current* last-index
+//!   `NotParent` closures, and one extension rule per net peer × preset
+//!   arity (the batch program has them per *alarm* peer; a session cannot
+//!   know in advance which peers will raise alarms, and silent peers'
+//!   state columns simply never advance). For the same reason the
+//!   `Gate<k>` tables of the greedy-interleaving reduction rank the net
+//!   peers in net order, where the batch program ranks alarm peers;
+//! * **no** `Diag` rule — its body pins the *current* final-state
 //!   constants, which change with every alarm. The session reads the
 //!   answer off `ConfigPrefixes`/`TransInConf` directly instead
 //!   (`Diag` is a join of those two with constants, so this is the same
 //!   computation, done once per query instead of being re-derived).
 //!
-//! [`push_alarm`](DiagnosisSession::push_alarm) appends one `AlarmSeq`
-//! fact, raises the term-depth bound by one alarm's worth (the deferred
-//! frontier recorded by the [`EvalSession`] replays exactly the unfolding
-//! slice the new bound admits), and resumes the fixpoint — so each alarm
-//! costs a delta join, not a re-saturation.
+//! [`push_alarm`](DiagnosisSession::push_alarm) extends the pushing
+//! peer's chain by one transition — one `AlarmSeq` fact from `st_{p}_{m}`
+//! to `st_{p}_{m+1}` — raises the term-depth bound by one alarm's worth
+//! (the deferred frontier recorded by the [`EvalSession`] replays exactly
+//! the unfolding slice the new bound admits), and resumes the fixpoint —
+//! so each alarm costs a delta join, not a re-saturation.
 
 use crate::alarm::{Alarm, AlarmSeq};
 use crate::direct::Diagnosis;
-use crate::encode::{names, petri_facts, unfolding_program, EncodeOptions};
-use crate::supervisor::{alarm_fact, index_constant, initial_facts, sup_names, supervisor_rules};
+use crate::encode::names;
+use crate::extensions::{alarm_fact, state_constant, supervisor_program, Automaton, ExtendedSpec};
+use crate::supervisor::sup_names;
 use rescue_datalog::{
-    Database, EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats, Peer, PredId, TermId,
-    TermStore,
+    Database, EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats, Peer, PredId, Rule,
+    TermId, TermStore,
 };
 use rescue_petri::{PeerId, PetriNet};
 use rescue_telemetry::Collector;
@@ -50,13 +55,13 @@ pub struct DiagnosisSession {
     store: TermStore,
     eval: EvalSession,
     supervisor: String,
-    /// Net peer names, in index-vector order (one `ConfigPrefixes` column
+    /// Net peer names, in state-vector order (one `ConfigPrefixes` column
     /// each).
     peers: Vec<String>,
     /// Alarms pushed so far, per peer.
     counts: Vec<usize>,
-    /// Current last-index constant per peer (`ix_{pj}_{counts[j]}`).
-    last_index: Vec<TermId>,
+    /// Current final state per peer (`st_{pj}_{counts[j]}`).
+    finals: Vec<TermId>,
     cp_pred: PredId,
     tic_pred: PredId,
     root: TermId,
@@ -83,28 +88,23 @@ impl DiagnosisSession {
         supervisor: &str,
         base: EvalBudget,
     ) -> Result<Self, EvalError> {
-        assert!(
-            net.peer_by_name(supervisor).is_none(),
-            "supervisor peer name collides with a net peer"
-        );
-        let mut store = TermStore::new();
-        let mut prog = unfolding_program(net, &mut store, &EncodeOptions::default());
-        for rule in petri_facts(net, &mut store).rules {
-            prog.push(rule);
-        }
         let peers: Vec<String> = (0..net.num_peers())
             .map(|i| net.peer_name(PeerId(i as u32)).to_owned())
             .collect();
-        let first_index: Vec<TermId> = peers
+        let spec = ExtendedSpec {
+            patterns: peers
+                .iter()
+                .map(|p| (p.clone(), Automaton::chain(&[])))
+                .collect(),
+            hidden: Vec::new(),
+            max_events: 0,
+        };
+        let mut store = TermStore::new();
+        let prog = supervisor_program(net, &spec, supervisor, &mut store, false);
+        let finals: Vec<TermId> = peers
             .iter()
-            .map(|p| index_constant(&mut store, p, 0))
+            .map(|p| state_constant(&mut store, p, 0))
             .collect();
-        for rule in initial_facts(&mut store, supervisor, &first_index) {
-            prog.push(rule);
-        }
-        for rule in supervisor_rules(net, &peers, supervisor, &mut store) {
-            prog.push(rule);
-        }
 
         let root = store.constant(names::ROOT);
         let p0 = Peer(store.sym(supervisor));
@@ -131,7 +131,7 @@ impl DiagnosisSession {
             supervisor: supervisor.to_owned(),
             peers,
             counts,
-            last_index: first_index,
+            finals,
             cp_pred,
             tic_pred,
             root,
@@ -179,33 +179,16 @@ impl DiagnosisSession {
                 "session",
             )
         });
-        match self.peers.iter().position(|p| *p == alarm.peer) {
-            None => {
-                // The §4.2 program has no extension rule for unknown
-                // peers, so their alarms are forever unexplainable; the
-                // model need not grow at all.
-                self.unexplainable = true;
-            }
-            Some(j) => {
-                let m = self.counts[j];
-                let fact = alarm_fact(
-                    &mut self.store,
-                    &self.supervisor,
-                    &alarm.symbol,
-                    &alarm.peer,
-                    m,
-                );
-                self.counts[j] += 1;
-                self.last_index[j] = index_constant(&mut self.store, &alarm.peer, self.counts[j]);
-                // One more alarm admits one more unfolding layer: the
-                // batch driver's 2·(|A|+1)+2.
-                let depth = 2 * (self.n_alarms as u32 + 1) + 2;
-                self.eval.set_depth_bound(&self.store, depth);
-                self.eval.resume(
-                    &mut self.store,
-                    [(fact.head.pred, fact.head.args.into_boxed_slice())],
-                )?;
-            }
+        // An unknown peer's alarm needs no fact: it poisons the sequence.
+        if let Some(fact) = self.chain_step(alarm) {
+            // One more alarm admits one more unfolding layer: the batch
+            // driver's 2·(|A|+1)+2.
+            let depth = 2 * (self.n_alarms as u32 + 1) + 2;
+            self.eval.set_depth_bound(&self.store, depth);
+            self.eval.resume(
+                &mut self.store,
+                [(fact.head.pred, fact.head.args.into_boxed_slice())],
+            )?;
         }
         if traced {
             let facts_delta = self.eval.database().total_facts() - facts_before;
@@ -285,28 +268,10 @@ impl DiagnosisSession {
         let mut queued = 0usize;
         for alarm in alarms {
             self.n_alarms += 1;
-            match self.peers.iter().position(|p| *p == alarm.peer) {
-                None => {
-                    // Same poisoning as push_alarm: no extension rule can
-                    // ever explain an unknown peer's alarm.
-                    self.unexplainable = true;
-                }
-                Some(j) => {
-                    let m = self.counts[j];
-                    let fact = alarm_fact(
-                        &mut self.store,
-                        &self.supervisor,
-                        &alarm.symbol,
-                        &alarm.peer,
-                        m,
-                    );
-                    self.counts[j] += 1;
-                    self.last_index[j] =
-                        index_constant(&mut self.store, &alarm.peer, self.counts[j]);
-                    self.eval
-                        .push_fact(fact.head.pred, fact.head.args.into_boxed_slice());
-                    queued += 1;
-                }
+            if let Some(fact) = self.chain_step(alarm) {
+                self.eval
+                    .push_fact(fact.head.pred, fact.head.args.into_boxed_slice());
+                queued += 1;
             }
         }
         if queued > 0 {
@@ -344,6 +309,29 @@ impl DiagnosisSession {
         Ok(self.diagnosis())
     }
 
+    /// Extend the pushing peer's chain automaton by `alarm`: the
+    /// `AlarmSeq` fact of its next transition. `None` for a peer the net
+    /// does not know — no extension rule can ever explain its alarm, so it
+    /// poisons the sequence and the model need not grow at all.
+    fn chain_step(&mut self, alarm: &Alarm) -> Option<Rule> {
+        let Some(j) = self.peers.iter().position(|p| *p == alarm.peer) else {
+            self.unexplainable = true;
+            return None;
+        };
+        let m = self.counts[j];
+        let fact = alarm_fact(
+            &mut self.store,
+            &self.supervisor,
+            &alarm.peer,
+            m,
+            &alarm.symbol,
+            m + 1,
+        );
+        self.counts[j] += 1;
+        self.finals[j] = state_constant(&mut self.store, &alarm.peer, m + 1);
+        Some(fact)
+    }
+
     /// The diagnosis of the alarms pushed so far. Zero alarms are
     /// explained by the empty configuration; a sequence containing an
     /// alarm from an unknown peer by nothing.
@@ -353,12 +341,12 @@ impl DiagnosisSession {
         }
         let db = self.eval.database();
         let k = self.peers.len();
-        // Complete explanations: ConfigPrefixes rows whose index vector
-        // equals the current last indexes (what the batch Diag rule pins).
+        // Complete explanations: ConfigPrefixes rows whose state vector
+        // equals the current final states (what the batch Diag rule pins).
         let mut by_id: FxHashMap<TermId, Vec<String>> = FxHashMap::default();
         if let Some(rel) = db.relation(self.cp_pred) {
             for row in rel.rows() {
-                if row[3..3 + k] == self.last_index[..] {
+                if row[3..3 + k] == self.finals[..] {
                     by_id.entry(row[0]).or_default();
                 }
             }
