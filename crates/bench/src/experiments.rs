@@ -1,7 +1,7 @@
 //! The experiments (one per paper figure / formal claim — DESIGN.md §4).
 
 use crate::Table;
-use rescue::datalog::{parse_atom, parse_program, Database, EvalBudget, TermStore};
+use rescue::datalog::{parse_atom, parse_program, Database, EvalBudget, TermId, TermStore};
 use rescue::diagnosis::pipeline::{
     diagnose_dqsq, diagnose_qsq, diagnose_seminaive, PipelineOptions,
 };
@@ -752,6 +752,16 @@ pub fn e9_magic_vs_qsq() -> Table {
         ]);
         let mut db = Database::new();
         let m = magic_answer(&prog, &query, &mut store, &mut db, &EvalBudget::default()).unwrap();
+        let sorted = |rows: &[Vec<TermId>]| {
+            let mut rows = rows.to_vec();
+            rows.sort();
+            rows
+        };
+        assert_eq!(
+            sorted(&q.answers),
+            sorted(&m.answers),
+            "figure3: QSQ and Magic Sets answers differ"
+        );
         t.absorb_stats(&m.stats);
         t.row(vec![
             "figure3 n=160".into(),
@@ -776,6 +786,10 @@ pub fn e9_magic_vs_qsq() -> Table {
             q.stats.rule_firings.to_string(),
         ]);
         let m = diagnose_magic(&net, &alarms, &opts).unwrap();
+        assert_eq!(
+            q.diagnosis, m.diagnosis,
+            "diagnosis: QSQ and Magic Sets diagnoses differ"
+        );
         t.absorb_stats(&m.stats);
         t.row(vec![
             "diagnosis figure1 |A|=3".into(),

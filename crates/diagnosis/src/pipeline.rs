@@ -26,7 +26,9 @@ use rescue_datalog::{
 use rescue_dqsq::{dqsq_distributed, DistOptions, DqsqError};
 use rescue_net::NetStats;
 use rescue_petri::PetriNet;
-use rescue_qsq::{magic_answer, qsq_answer_traced_opts, QsqError};
+use rescue_qsq::{
+    base_name, classify_name, magic_answer, qsq_answer_traced_opts, QsqError, RelKind, Scheme,
+};
 use rescue_telemetry::Collector;
 use rustc_hash::FxHashSet;
 
@@ -105,11 +107,6 @@ impl EngineReport {
     }
 }
 
-/// Strip a QSQ adornment suffix: `Trans2__bfbb` → `Trans2`.
-fn base_name(name: &str) -> &str {
-    name.split("__").next().unwrap_or(name)
-}
-
 fn is_explanation_relation(name: &str) -> bool {
     base_name(name) == sup_names::CONFIG_PREFIXES
 }
@@ -178,7 +175,7 @@ impl Census {
 /// rewritten program, and its `in_`/`sup_` relations hold bindings, not
 /// derivations.
 fn is_qsq_derivation(name: &str) -> bool {
-    name.contains("__") && !name.starts_with("in_") && !name.starts_with("sup_")
+    classify_name(name) == RelKind::Adorned
 }
 
 /// Render an exported term the way `TermStore::display` would.
@@ -267,7 +264,7 @@ pub fn diagnose_magic(
     drop(_sp);
     let diagnosis = extract_diagnosis(&run.answers, &store);
     let derived = run.materialized.derived_total();
-    let counted = |name: &str| name.contains("__") && !name.starts_with("m_");
+    let counted = |name: &str| Scheme::Magic.classify(name) == RelKind::Adorned;
     Ok(Census::of_db(&db, &store, counted).report(diagnosis, derived, run.stats))
 }
 

@@ -11,7 +11,7 @@
 
 use crate::dist::{run_distributed, DistError, DistOptions, DistRun};
 use rescue_datalog::{Atom, Database, Peer, PredId, Program, Rule, Subst, TermId, TermStore};
-use rescue_qsq::{qsq_answer, split_edb_facts, QsqError, RelKind, RewriteOutput};
+use rescue_qsq::{classify_name, qsq_answer, split_edb_facts, QsqError, RelKind, RewriteOutput};
 use rustc_hash::FxHashMap;
 use std::fmt;
 
@@ -42,21 +42,6 @@ impl From<rescue_qsq::RewriteError> for DqsqError {
 impl From<DistError> for DqsqError {
     fn from(e: DistError) -> Self {
         DqsqError::Dist(e)
-    }
-}
-
-/// Classify a relation of a rewritten program by its mangled name. The
-/// rewriter's naming scheme is `sup_<i>_<j>__<ad>`, `in_<R>__<ad>` and
-/// `<R>__<ad>`; anything else is a base relation.
-pub fn classify_name(name: &str) -> RelKind {
-    if name.starts_with("sup_") {
-        RelKind::Supplementary
-    } else if name.starts_with("in_") && name.contains("__") {
-        RelKind::Input
-    } else if name.contains("__") {
-        RelKind::Adorned
-    } else {
-        RelKind::Base
     }
 }
 

@@ -25,8 +25,8 @@ pub use dist::{
     TupleBatch,
 };
 pub use dqsq::{
-    check_theorem1, classify_name, delocalize, dist_breakdown, dqsq_distributed,
-    dqsq_distributed_with, DistMaterialized, DqsqError, DqsqOutcome, Theorem1Report,
+    check_theorem1, delocalize, dist_breakdown, dqsq_distributed, dqsq_distributed_with,
+    DistMaterialized, DqsqError, DqsqOutcome, Theorem1Report,
 };
 pub use export::{
     canonical_rules, export_atom, export_program, export_rule, import_atom, import_rule,

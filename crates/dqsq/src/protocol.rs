@@ -2,27 +2,30 @@
 //!
 //! "An important point is that in dQSQ the rewriting is performed locally
 //! at each peer without any global knowledge." This module realizes that
-//! claim as a message protocol:
+//! claim as a message protocol that drives `rescue-qsq`'s body walk
+//! ([`rescue_qsq::Cursor`]) — the same walk the global rewriter drives:
 //!
-//! * an [`RwMsg::AdornReq`] asks the peer owning a relation to rewrite
-//!   *its own* rules for a given binding pattern;
-//! * while walking a rule body left to right, a peer that reaches an atom
-//!   owned elsewhere sends the **remainder of the rule** — the paper's rule
-//!   (†) — as an [`RwMsg::Delegate`] to that peer, which continues the
-//!   rewriting with its local knowledge (in particular, only the owner
-//!   knows whether its relation is intensional or extensional).
+//! * an [`RwMsg::AdornReq`] asks the peer owning a relation to start the
+//!   walk of *its own* rules for a given binding pattern;
+//! * a peer steps the cursor over the atoms it owns, since only the owner
+//!   knows whether its relation is intensional; at an atom owned
+//!   elsewhere it ships the cursor — the **remainder of the rule**, the
+//!   paper's rule (†) — as an [`RwMsg::Delegate`] to that peer, which
+//!   continues the walk.
 //!
 //! Each peer uses only: its own rules, the delegated context, and the
-//! globally agreed naming scheme. The test suite checks that the union of
-//! all locally generated rules is **exactly** the program produced by the
-//! global rewriter in `rescue-qsq` — which is how we validate that the
-//! global rewriter is faithful to the distributed construction (and vice
-//! versa).
+//! naming scheme of `rescue-qsq`. It dedups the sups it defines itself;
+//! the cursor carries the canonical name downstream. The test suite checks
+//! that the union of all locally generated rules is **exactly** the
+//! program produced by the global rewriter, rule for rule.
 
-use crate::export::{export_atom, export_rule, import_atom, ExportedAtom, ExportedRule};
-use rescue_datalog::{Atom, Diseq, ExportedTerm, Peer, PredId, Program, Rule, Sym, TermStore};
+use crate::export::{
+    export_atom, export_rule, import_atom, import_rule, ExportedAtom, ExportedRule,
+};
+use rescue_datalog::{Atom, Diseq, ExportedTerm, Peer, Program, Rule, Sym, TermStore};
 use rescue_net::sim::{SimConfig, SimNet};
 use rescue_net::{NetError, NetStats, NodeId, Outbox, PeerLogic};
+use rescue_qsq::{Adornment, Cursor, Emitted};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// The rewriting-protocol messages.
@@ -35,7 +38,8 @@ pub enum RwMsg {
     Delegate(Box<DelegateCtx>),
 }
 
-/// Everything a peer needs to continue rewriting a rule mid-body.
+/// Everything a peer needs to continue rewriting a rule mid-body: a
+/// [`Cursor`] in store-independent form.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DelegateCtx {
     /// Global id of the rule being rewritten (carried by every rule; peers
@@ -56,6 +60,48 @@ pub struct DelegateCtx {
     pub pending_diseqs: Vec<(ExportedTerm, ExportedTerm)>,
     /// The original rule head.
     pub head: ExportedAtom,
+}
+
+impl DelegateCtx {
+    fn export(c: &Cursor, store: &TermStore) -> Self {
+        let pattern = |d: &Diseq| (store.export_pattern(d.lhs), store.export_pattern(d.rhs));
+        DelegateCtx {
+            rule_idx: c.rule_idx,
+            label: c.adornment.label(),
+            pos: c.pos,
+            prev_sup: export_atom(&c.prev_sup, store),
+            bound: c
+                .bound
+                .iter()
+                .map(|&v| store.sym_str(v).to_owned())
+                .collect(),
+            remainder: c.rest.iter().map(|a| export_atom(a, store)).collect(),
+            pending_diseqs: c.pending.iter().map(pattern).collect(),
+            head: export_atom(&c.head, store),
+        }
+    }
+
+    fn import(&self, store: &mut TermStore) -> Cursor {
+        Cursor {
+            rule_idx: self.rule_idx,
+            adornment: Adornment::parse(&self.label).expect("valid adornment label"),
+            pos: self.pos,
+            bound: self.bound.iter().map(|n| store.sym(n)).collect(),
+            pending: (self.pending_diseqs.iter())
+                .map(|(l, r)| Diseq {
+                    lhs: store.import(l),
+                    rhs: store.import(r),
+                })
+                .collect(),
+            prev_sup: import_atom(&self.prev_sup, store),
+            head: import_atom(&self.head, store),
+            rest: self
+                .remainder
+                .iter()
+                .map(|a| import_atom(a, store))
+                .collect(),
+        }
+    }
 }
 
 /// Wire-size estimate for [`RwMsg`].
@@ -83,338 +129,82 @@ pub fn rwmsg_size(msg: &RwMsg) -> usize {
 
 /// One peer of the rewriting protocol.
 pub struct RwPeer {
-    name: String,
+    peer: Peer,
     directory: FxHashMap<String, NodeId>,
     store: TermStore,
     /// This site's rules, tagged with their global rule ids, in id order.
     rules: Vec<(usize, Rule)>,
     /// Names of relations defined by some local rule (local intensional
     /// knowledge — all a peer ever needs).
-    local_idb: FxHashSet<String>,
+    local_idb: FxHashSet<Sym>,
     seen: FxHashSet<(String, String)>,
-    generated: Vec<ExportedRule>,
-    /// Alpha-invariant signatures of the sup defining rules emitted here,
-    /// mapping to the canonical local sup — the peer-local half of the
-    /// global rewriter's sup dedup. A peer that is about to define a sup
-    /// structurally identical to one it already defined reuses the
-    /// existing relation instead; the delegation context then carries the
-    /// canonical name downstream, so no peer ever needs another peer's
-    /// merge decisions. Under FIFO delivery the chains of one adornment
-    /// request arrive in global rule order, which makes the kept
-    /// representative the same one the global rewriter keeps.
-    sup_sigs: FxHashMap<rescue_qsq::SupSignature, PredId>,
-    /// Set on the peer where the query is posed.
-    initial: Option<(String, String, NodeId)>,
+    /// The rules generated here, with the sups this peer merged. Under
+    /// FIFO delivery the chains of one adornment request arrive in global
+    /// rule order, which makes the kept representative the same one the
+    /// global rewriter keeps.
+    out: Emitted,
+    /// The query's adornment request, on the peer that owns it.
+    initial: Option<RwMsg>,
 }
 
 impl RwPeer {
-    /// A predicate located at this peer. Field-disjoint from `self.name`,
-    /// so callers don't need to clone the peer name first.
-    fn own_pred(&mut self, name: &str) -> PredId {
-        PredId {
-            name: self.store.sym(name),
-            peer: Peer(self.store.sym(&self.name)),
-        }
-    }
-
-    /// The rules this peer generated.
-    pub fn generated(&self) -> &[ExportedRule] {
-        &self.generated
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn emit(&mut self, rule: Rule) {
-        let exported = export_rule(&rule, &self.store);
-        self.generated.push(exported);
-    }
-
-    /// Emit a sup defining rule — unless a structurally identical sup is
-    /// already defined at this peer, in which case the existing relation
-    /// carries for both and the duplicate rule is never generated.
-    /// Returns the canonical sup predicate to reference downstream.
-    fn define_sup(&mut self, rule: Rule) -> PredId {
-        let sig = rescue_qsq::sup_signature(&rule, &self.store);
-        if let Some(&canonical) = self.sup_sigs.get(&sig) {
-            return canonical;
-        }
-        let pred = rule.head.pred;
-        self.sup_sigs.insert(sig, pred);
-        self.emit(rule);
-        pred
-    }
-
-    fn node_of(&self, peer: &str) -> NodeId {
-        *self
-            .directory
-            .get(peer)
-            .unwrap_or_else(|| panic!("unknown peer {peer}"))
-    }
-
     /// Handle an adornment request for a relation this peer owns.
     fn handle_adorn(&mut self, name: &str, adornment: &str, out: &mut Outbox<RwMsg>) {
         if !self.seen.insert((name.to_owned(), adornment.to_owned())) {
             return;
         }
-        let indices: Vec<usize> = (0..self.rules.len())
-            .filter(|&k| {
-                let (_, r) = &self.rules[k];
-                self.store.sym_str(r.head.pred.name) == name
-            })
-            .collect();
-        for k in indices {
-            self.start_rule(k, adornment, out);
+        let ad = Adornment::parse(adornment).expect("valid adornment label");
+        for k in 0..self.rules.len() {
+            let (i, rule) = &self.rules[k];
+            if self.store.sym_str(rule.head.pred.name) != name {
+                continue;
+            }
+            let cursor = Cursor::start(*i, rule, ad, self.peer, &mut self.store, &mut self.out);
+            self.advance(cursor, out);
         }
     }
 
-    /// Begin rewriting local rule `k` under head adornment `label`.
-    fn start_rule(&mut self, k: usize, label: &str, out: &mut Outbox<RwMsg>) {
-        let (rule_idx, rule) = self.rules[k].clone();
-        let head = rule.head.clone();
-        let ad = rescue_qsq::Adornment::parse(label).expect("valid adornment label");
-
-        // Bound variables: those of the head's bound-position arguments.
-        let mut bound: Vec<Sym> = Vec::new();
-        for pos in ad.bound_positions() {
-            self.store.collect_vars(head.args[pos], &mut bound);
-        }
-
-        // sup_{i,0}(bound ∩ needed_after_0) :- in-R^a(head bound args).
-        let in_name = format!("in_{}__{label}", self.store.sym_str(head.pred.name));
-        let in_pred = self.own_pred(&in_name);
-        let in_args: Vec<rescue_datalog::TermId> =
-            ad.bound_positions().map(|p| head.args[p]).collect();
-
-        let mut pending: Vec<Diseq> = rule.diseqs.clone();
-        let attach0 = take_ready(&self.store, &mut pending, &bound);
-        let needed0 = needed_vars(&self.store, &head, &rule.body[..], &attach0, &pending);
-        let sup0_vars: Vec<Sym> = bound
-            .iter()
-            .copied()
-            .filter(|v| needed0.contains(v))
-            .collect();
-        let sup0_name = format!("sup_{rule_idx}_0__{label}");
-        let sup0_pred = self.own_pred(&sup0_name);
-        let sup0_args: Vec<rescue_datalog::TermId> =
-            sup0_vars.iter().map(|&v| self.store.var_sym(v)).collect();
-        let sup0_pred = self.define_sup(Rule {
-            head: Atom::new(sup0_pred, sup0_args.clone()),
-            body: vec![Atom::new(in_pred, in_args)],
-            diseqs: attach0,
-        });
-
-        let prev_sup = export_atom(&Atom::new(sup0_pred, sup0_args), &self.store);
-        let bound_names: Vec<String> = bound
-            .iter()
-            .map(|&v| self.store.sym_str(v).to_owned())
-            .collect();
-        let remainder: Vec<ExportedAtom> = rule
-            .body
-            .iter()
-            .map(|a| export_atom(a, &self.store))
-            .collect();
-        let pending_exp: Vec<(ExportedTerm, ExportedTerm)> = pending
-            .iter()
-            .map(|d| {
-                (
-                    self.store.export_pattern(d.lhs),
-                    self.store.export_pattern(d.rhs),
-                )
-            })
-            .collect();
-        let ctx = DelegateCtx {
-            rule_idx,
-            label: label.to_owned(),
-            pos: 1,
-            prev_sup,
-            bound: bound_names,
-            remainder,
-            pending_diseqs: pending_exp,
-            head: export_atom(&head, &self.store),
-        };
-        self.walk(ctx, out);
-    }
-
-    /// Walk the remainder: handle local atoms, delegate at the first
-    /// remote one, emit the final rule when the body is exhausted.
-    fn walk(&mut self, mut ctx: DelegateCtx, out: &mut Outbox<RwMsg>) {
-        loop {
-            let Some(atom_exp) = ctx.remainder.first().cloned() else {
-                // Body exhausted: R^a(head args) :- sup_{i,n}(...).
-                let head = import_atom(&ctx.head, &mut self.store);
-                let adorned_name = format!("{}__{}", self.store.sym_str(head.pred.name), ctx.label);
-                let adorned = PredId {
-                    name: self.store.sym(&adorned_name),
-                    peer: head.pred.peer,
-                };
-                let prev = import_atom(&ctx.prev_sup, &mut self.store);
-                self.emit(Rule {
-                    head: Atom::new(adorned, head.args.clone()),
-                    body: vec![prev],
-                    diseqs: vec![],
-                });
-                return;
-            };
-            if atom_exp.peer != self.name {
-                // The paper's rule (†): ship the remainder to the owner of
-                // the next relation.
-                let node = self.node_of(&atom_exp.peer);
+    /// Step the cursor over local atoms, delegate at the first remote one,
+    /// finish when the body is exhausted.
+    fn advance(&mut self, mut cursor: Cursor, out: &mut Outbox<RwMsg>) {
+        let st = &mut self.store;
+        while let Some(atom) = cursor.next_atom() {
+            if atom.pred.peer != self.peer {
+                let node = self.directory[st.sym_str(atom.pred.peer.0)];
+                let ctx = DelegateCtx::export(&cursor, st);
                 out.send(node, RwMsg::Delegate(Box::new(ctx)));
                 return;
             }
-            ctx.remainder.remove(0);
-            let atom = import_atom(&atom_exp, &mut self.store);
-            let j = ctx.pos;
-            ctx.pos += 1;
-
-            let mut bound: Vec<Sym> = ctx.bound.iter().map(|n| self.store.sym(n)).collect();
-            let ad_j = rescue_qsq::adorn_args(&self.store, &atom.args, &bound);
-
-            let prev = import_atom(&ctx.prev_sup, &mut self.store);
             // Only the owner knows: is this relation defined by rules here?
-            let atom_name = self.store.sym_str(atom.pred.name).to_owned();
-            let body_pred = if self.local_idb.contains(&atom_name) {
-                let label_j = ad_j.label();
-                let in_name = format!("in_{}__{}", atom_name, label_j);
-                let in_pred = self.own_pred(&in_name);
-                let in_args: Vec<rescue_datalog::TermId> =
-                    ad_j.bound_positions().map(|p| atom.args[p]).collect();
-                self.emit(Rule {
-                    head: Atom::new(in_pred, in_args),
-                    body: vec![prev.clone()],
-                    diseqs: vec![],
-                });
-                let adorned = PredId {
-                    name: self.store.sym(&format!("{}__{}", atom_name, label_j)),
-                    peer: atom.pred.peer,
-                };
+            let idb = self.local_idb.contains(&atom.pred.name);
+            if let Some(callee) = cursor.step(idb, self.peer, st, &mut self.out) {
                 // Rewrite our own rules for this sub-request (self-message
                 // keeps the traversal iterative and observable).
-                out.send(
-                    out.me(),
-                    RwMsg::AdornReq {
-                        name: atom_name,
-                        adornment: label_j,
-                    },
-                );
-                adorned
-            } else {
-                atom.pred
-            };
-
-            for &a in &atom.args {
-                self.store.collect_vars(a, &mut bound);
+                let req = RwMsg::AdornReq {
+                    name: st.sym_str(callee.base.name).to_owned(),
+                    adornment: callee.adornment.label(),
+                };
+                out.send(out.me(), req);
             }
-            let mut pending: Vec<Diseq> = ctx
-                .pending_diseqs
-                .iter()
-                .map(|(l, r)| Diseq {
-                    lhs: self.store.import(l),
-                    rhs: self.store.import(r),
-                })
-                .collect();
-            let attach_j = take_ready(&self.store, &mut pending, &bound);
-            let head_local = import_atom(&ctx.head, &mut self.store);
-            let rest: Vec<Atom> = ctx
-                .remainder
-                .iter()
-                .map(|a| import_atom(a, &mut self.store))
-                .collect();
-            let needed = needed_vars(&self.store, &head_local, &rest, &attach_j, &pending);
-            let vars_j: Vec<Sym> = bound
-                .iter()
-                .copied()
-                .filter(|v| needed.contains(v))
-                .collect();
-
-            let sup_name = format!("sup_{}_{}__{}", ctx.rule_idx, j, ctx.label);
-            let sup_pred = self.own_pred(&sup_name);
-            let sup_args: Vec<rescue_datalog::TermId> =
-                vars_j.iter().map(|&v| self.store.var_sym(v)).collect();
-            let sup_pred = self.define_sup(Rule {
-                head: Atom::new(sup_pred, sup_args.clone()),
-                body: vec![prev, Atom::new(body_pred, atom.args.clone())],
-                diseqs: attach_j,
-            });
-
-            ctx.prev_sup = export_atom(&Atom::new(sup_pred, sup_args), &self.store);
-            ctx.bound = bound
-                .iter()
-                .map(|&v| self.store.sym_str(v).to_owned())
-                .collect();
-            ctx.pending_diseqs = pending
-                .iter()
-                .map(|d| {
-                    (
-                        self.store.export_pattern(d.lhs),
-                        self.store.export_pattern(d.rhs),
-                    )
-                })
-                .collect();
         }
+        cursor.finish(st, &mut self.out);
     }
-}
-
-/// Move the disequalities whose two sides are fully bound out of
-/// `pending`, returning them.
-fn take_ready(store: &TermStore, pending: &mut Vec<Diseq>, bound: &[Sym]) -> Vec<Diseq> {
-    let mut ready = Vec::new();
-    pending.retain(|d| {
-        let ok = store.vars(d.lhs).iter().all(|v| bound.contains(v))
-            && store.vars(d.rhs).iter().all(|v| bound.contains(v));
-        if ok {
-            ready.push(*d);
-        }
-        !ok
-    });
-    ready
-}
-
-/// Variables needed after the current position: head variables, variables
-/// of the remaining atoms, and variables of the disequalities attached here
-/// or still pending. (Must mirror `rescue-qsq`'s `needed` computation.)
-fn needed_vars(
-    store: &TermStore,
-    head: &Atom,
-    rest: &[Atom],
-    attached_here: &[Diseq],
-    pending: &[Diseq],
-) -> Vec<Sym> {
-    let mut v = Vec::new();
-    for &a in &head.args {
-        store.collect_vars(a, &mut v);
-    }
-    for atom in rest {
-        for &a in &atom.args {
-            store.collect_vars(a, &mut v);
-        }
-    }
-    for d in attached_here.iter().chain(pending.iter()) {
-        store.collect_vars(d.lhs, &mut v);
-        store.collect_vars(d.rhs, &mut v);
-    }
-    v
 }
 
 impl PeerLogic<RwMsg> for RwPeer {
     fn on_start(&mut self, out: &mut Outbox<RwMsg>) {
-        if let Some((name, ad, owner)) = self.initial.clone() {
-            out.send(
-                owner,
-                RwMsg::AdornReq {
-                    name,
-                    adornment: ad,
-                },
-            );
+        if let Some(req) = self.initial.take() {
+            out.send(out.me(), req);
         }
     }
 
     fn on_message(&mut self, _from: NodeId, msg: RwMsg, out: &mut Outbox<RwMsg>) {
         match msg {
             RwMsg::AdornReq { name, adornment } => self.handle_adorn(&name, &adornment, out),
-            RwMsg::Delegate(ctx) => self.walk(*ctx, out),
+            RwMsg::Delegate(ctx) => {
+                let cursor = ctx.import(&mut self.store);
+                self.advance(cursor, out);
+            }
         }
     }
 }
@@ -429,82 +219,50 @@ pub fn protocol_rewrite(
     store: &TermStore,
     sim: SimConfig,
 ) -> Result<(Vec<ExportedRule>, NetStats), NetError> {
-    protocol_rewrite_traced(
-        program,
-        query,
-        store,
-        sim,
-        &rescue_telemetry::Collector::disabled(),
-    )
-}
-
-/// [`protocol_rewrite`] with telemetry: every `AdornReq`/`Delegate`
-/// message of the construction is recorded as a flow pair (Lamport clock
-/// piggybacked on the envelope, like the evaluation protocol's `dmsg`s),
-/// so the rewriting phase shows up in traces with the same causal
-/// structure as the evaluation it precedes.
-pub fn protocol_rewrite_traced(
-    program: &Program,
-    query: &Atom,
-    store: &TermStore,
-    sim: SimConfig,
-    collector: &rescue_telemetry::Collector,
-) -> Result<(Vec<ExportedRule>, NetStats), NetError> {
     // Peer directory over every peer the program mentions plus the query's.
-    let mut names: Vec<String> = program
-        .peers()
-        .into_iter()
+    let mut names: Vec<String> = (program.peers().into_iter())
+        .chain([query.pred.peer])
         .map(|p| store.sym_str(p.0).to_owned())
         .collect();
-    let qpeer = store.sym_str(query.pred.peer.0).to_owned();
-    if !names.contains(&qpeer) {
-        names.push(qpeer.clone());
-    }
     names.sort();
+    names.dedup();
     let directory: FxHashMap<String, NodeId> = names
         .iter()
         .enumerate()
         .map(|(i, n)| (n.clone(), NodeId(i)))
         .collect();
 
-    let flags: Vec<bool> = query.args.iter().map(|&a| store.is_ground(a)).collect();
-    let ad = rescue_qsq::Adornment::from_bools(&flags);
-    let qname = store.sym_str(query.pred.name).to_owned();
-    let owner = directory[&qpeer];
-
+    let qpeer = store.sym_str(query.pred.peer.0);
+    let request = RwMsg::AdornReq {
+        name: store.sym_str(query.pred.name).to_owned(),
+        adornment: Adornment::of_query(store, &query.args).label(),
+    };
     let peers: Vec<RwPeer> = names
         .iter()
         .map(|n| {
             let mut ps = TermStore::new();
-            let mut rules: Vec<(usize, Rule)> = Vec::new();
-            let mut local_idb = FxHashSet::default();
-            for (i, r) in program.rules.iter().enumerate() {
-                if store.sym_str(r.site().0) == n.as_str() {
-                    let er = export_rule(r, store);
-                    local_idb.insert(er.head.name.clone());
-                    rules.push((i, crate::export::import_rule(&er, &mut ps)));
-                }
-            }
+            let rules: Vec<(usize, Rule)> = (program.rules.iter().enumerate())
+                .filter(|(_, r)| store.sym_str(r.site().0) == n)
+                .map(|(i, r)| (i, import_rule(&export_rule(r, store), &mut ps)))
+                .collect();
             RwPeer {
-                name: n.clone(),
+                peer: Peer(ps.sym(n)),
                 directory: directory.clone(),
                 store: ps,
+                local_idb: rules.iter().map(|(_, r)| r.head.pred.name).collect(),
                 rules,
-                local_idb,
                 seen: FxHashSet::default(),
-                sup_sigs: FxHashMap::default(),
-                generated: Vec::new(),
-                initial: (n == &qpeer).then(|| (qname.clone(), ad.label(), owner)),
+                out: Emitted::default(),
+                initial: (n == qpeer).then(|| request.clone()),
             }
         })
         .collect();
 
     let mut net = SimNet::new(peers, sim, rwmsg_size);
-    net.set_collector(collector.clone());
     let stats = net.run()?;
     let mut all = Vec::new();
     for p in net.into_peers() {
-        all.extend(p.generated().iter().cloned());
+        all.extend(p.out.program.rules.iter().map(|r| export_rule(r, &p.store)));
     }
     Ok((all, stats))
 }

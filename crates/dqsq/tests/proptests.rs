@@ -4,7 +4,8 @@
 //! * distributed evaluation computes the centralized fixpoint, also over
 //!   function terms that share subterms and under reordered delivery,
 //! * the peer-local rewriting protocol generates exactly the global
-//!   rewriting,
+//!   rewriting, also on random rule shapes, where Magic Sets adorns the
+//!   same predicates and QSQ, Magic Sets and semi-naive agree,
 //! * Theorem 1 holds (dQSQ ≡ QSQ on the de-located program).
 
 use proptest::prelude::*;
@@ -14,6 +15,7 @@ use rescue_dqsq::{
 };
 use rescue_net::sim::{Delivery, SimConfig};
 use rescue_qsq::split_edb_facts;
+use std::fmt::Write;
 
 /// A random three-peer program: a chain/union structure over relations
 /// R0..R3 spread across peers a/b/c, seeded with random facts. Always
@@ -225,5 +227,164 @@ proptest! {
         prop_assert!(report.answers_match);
         prop_assert!(report.relations_match, "mismatch: {:?}", report.mismatched);
         prop_assert_eq!(report.dqsq_derived, report.qsq_derived);
+    }
+}
+
+/// A random multi-peer rule set — random rule shapes, not only random
+/// data: four intensional relations `R0..R3` at random peers `a`/`b`/`c`
+/// with arity 1–2, rules of 1–4 body atoms over them and three extensional
+/// relations, constants and repeated variables, function terms in heads
+/// and bodies, disequalities and intensional facts, and a query with a
+/// random adornment. Recursion is a relation calling itself, and only with
+/// variables and constants; a rule that builds a function term in its head
+/// or passes one to an intensional atom calls only lower relations. So
+/// every term has bounded depth and every engine terminates.
+fn random_rule_set(seed: u64) -> (String, String) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut src = String::new();
+    let consts = ["k0", "k1", "k2"];
+    let edb = [("E0@a", 2), ("E1@b", 2), ("E2@c", 1)];
+    for (rel, arity) in edb {
+        for _ in 0..rng.gen_range(2..7) {
+            let args: Vec<&str> = (0..arity).map(|_| consts[rng.gen_range(0..3)]).collect();
+            writeln!(src, "{rel}({}).", args.join(", ")).unwrap();
+        }
+    }
+    let idb: Vec<(String, usize)> = (0..4)
+        .map(|i| {
+            let peer = ["a", "b", "c"][rng.gen_range(0..3)];
+            (format!("R{i}@{peer}"), rng.gen_range(1..3))
+        })
+        .collect();
+    let vars = ["X", "Y", "Z", "W"];
+    for (i, (head, arity)) in idb.iter().enumerate() {
+        if rng.gen_bool(0.3) {
+            let args: Vec<&str> = (0..*arity).map(|_| consts[rng.gen_range(0..3)]).collect();
+            writeln!(src, "{head}({}).", args.join(", ")).unwrap();
+        }
+        for _ in 0..rng.gen_range(1..3) {
+            let builds = rng.gen_bool(0.4);
+            let (mut body, mut bound) = (Vec::new(), Vec::new());
+            for _ in 0..rng.gen_range(1..5) {
+                // An extensional atom, a lower relation, or (when this
+                // rule builds no terms) the relation itself.
+                let callee = match rng.gen_range(0..3) {
+                    0 if i > 0 => Some(rng.gen_range(0..i)),
+                    1 if !builds => Some(i),
+                    _ => None,
+                };
+                let (rel, arity) = match callee {
+                    Some(j) => (idb[j].0.as_str(), idb[j].1),
+                    None => edb[rng.gen_range(0..3)],
+                };
+                let args: Vec<String> = (0..arity)
+                    .map(|_| {
+                        let v = vars[rng.gen_range(0..4)];
+                        match rng.gen_range(0..10) {
+                            0..=5 => {
+                                bound.push(v);
+                                v.to_owned()
+                            }
+                            6 | 7 => consts[rng.gen_range(0..3)].to_owned(),
+                            // Only a lower relation's heads build terms.
+                            _ if callee.is_some_and(|j| j < i) => {
+                                bound.push(v);
+                                format!("f({v})")
+                            }
+                            _ => {
+                                bound.push(v);
+                                v.to_owned()
+                            }
+                        }
+                    })
+                    .collect();
+                body.push(format!("{rel}({})", args.join(", ")));
+            }
+            let args: Vec<String> = (0..*arity)
+                .map(|_| match (bound.is_empty(), rng.gen_range(0..10)) {
+                    (true, _) | (_, 0 | 1) => consts[rng.gen_range(0..3)].to_owned(),
+                    (false, r) => {
+                        let v = bound[rng.gen_range(0..bound.len())];
+                        match r {
+                            2 | 3 if builds => format!("f({v})"),
+                            4 if builds => format!("g({v}, k1)"),
+                            5 if builds => format!("f(f({v}))"),
+                            _ => v.to_owned(),
+                        }
+                    }
+                })
+                .collect();
+            if !bound.is_empty() && rng.gen_bool(0.3) {
+                let v = bound[rng.gen_range(0..bound.len())];
+                let w = bound[rng.gen_range(0..bound.len())];
+                let other = if v == w { consts[1] } else { w };
+                body.push(format!("{v} != {other}"));
+            }
+            writeln!(src, "{head}({}) :- {}.", args.join(", "), body.join(", ")).unwrap();
+        }
+    }
+    let (query, arity) = &idb[rng.gen_range(0..4)];
+    let args: Vec<String> = (0..*arity)
+        .map(|k| match rng.gen_bool(0.5) {
+            true => consts[rng.gen_range(0..3)].to_owned(),
+            false => format!("Q{k}"),
+        })
+        .collect();
+    (src, format!("{query}({})", args.join(", ")))
+}
+
+fn rendered_answers(rows: &[Vec<rescue_datalog::TermId>], store: &TermStore) -> Vec<String> {
+    let rows = rows.iter().map(|r| {
+        let row: Vec<String> = r.iter().map(|&t| store.display(t)).collect();
+        row.join(", ")
+    });
+    sorted(rows.collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn random_rule_shapes_rewrite_alike(seed in 0u64..u64::MAX) {
+        let (src, q) = random_rule_set(seed);
+        let mut store = TermStore::new();
+        let prog = parse_program(&src, &mut store).unwrap();
+        let query = parse_atom(&q, &mut store).unwrap();
+        let (rules, _) = split_edb_facts(&prog);
+
+        // The protocol emits the global program, rule for rule, once each.
+        let global = rescue_qsq::rewrite(&rules, &query, &mut store).unwrap();
+        let by_debug = |mut rules: Vec<rescue_dqsq::ExportedRule>| {
+            rules.sort_by_cached_key(|r| format!("{r:?}"));
+            rules
+        };
+        let expected = by_debug(export_program(&global.program, &store));
+        prop_assert!(expected.windows(2).all(|w| w[0] != w[1]), "duplicate rule\n{}", src);
+        let (local, _) = protocol_rewrite(&rules, &query, &store, SimConfig::default()).unwrap();
+        prop_assert_eq!(by_debug(local), expected, "program:\n{}query: {}", src, q);
+
+        // Magic Sets adorns the same predicates.
+        let magic = rescue_qsq::magic_rewrite(&rules, &query, &mut store).unwrap();
+        let keys = |m: &rustc_hash::FxHashMap<rescue_qsq::AdornedPred, _>| {
+            let mut k: Vec<String> = m.keys().map(|ap| format!("{ap:?}")).collect();
+            k.sort();
+            k
+        };
+        prop_assert_eq!(keys(&magic.adorned), keys(&global.adorned));
+
+        // QSQ, Magic Sets and semi-naive give the same answers.
+        let budget = EvalBudget { max_facts: 200_000, ..EvalBudget::default() };
+        let mut db = Database::new();
+        let qsq = rescue_qsq::qsq_answer(&prog, &query, &mut store, &mut db, &budget).unwrap();
+        let mut db = Database::new();
+        let magic = rescue_qsq::magic_answer(&prog, &query, &mut store, &mut db, &budget).unwrap();
+        let mut db = Database::new();
+        rescue_datalog::seminaive(&prog, &mut store, &mut db, &budget).unwrap();
+        let naive = rescue_qsq::filter_answers(&db, &store, &query);
+        let naive = rendered_answers(&naive, &store);
+        prop_assert_eq!(&rendered_answers(&qsq.answers, &store), &naive, "program:\n{}query: {}", src, q);
+        prop_assert_eq!(&rendered_answers(&magic.answers, &store), &naive);
     }
 }

@@ -7,9 +7,14 @@
 //! (constants are always bound); this is the natural lifting of the classic
 //! definition to dDatalog's function terms, where e.g. `trans(f(C,U,V),U,V)`
 //! with a bound first argument binds `U` and `V` by structural matching.
+//!
+//! It also holds the adornment driver that QSQ and Magic Sets share.
 
-use rescue_datalog::{PredId, Sym, TermStore};
-use std::fmt;
+use crate::names::Names;
+use crate::rewrite::RewriteError;
+use rescue_datalog::{Atom, PredId, Program, Rule, Sym, TermId, TermStore};
+use rustc_hash::FxHashSet;
+use std::fmt::{self, Write};
 
 /// A binding pattern: bit `i` set ⇔ argument `i` is bound.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -19,35 +24,26 @@ pub struct Adornment {
 }
 
 impl Adornment {
-    /// Build from a per-argument boundness slice.
-    pub fn from_bools(bound: &[bool]) -> Self {
-        assert!(bound.len() <= 32, "arity exceeds 32");
-        let mut mask = 0u32;
-        for (i, &b) in bound.iter().enumerate() {
-            if b {
-                mask |= 1 << i;
-            }
+    /// Build from per-argument boundness flags.
+    pub fn from_bools(bound: impl IntoIterator<Item = bool>) -> Self {
+        let mut ad = Adornment { mask: 0, arity: 0 };
+        for b in bound {
+            assert!(ad.arity < 32, "arity exceeds 32");
+            ad.mask |= (b as u32) << ad.arity;
+            ad.arity += 1;
         }
-        Adornment {
-            mask,
-            arity: bound.len() as u8,
-        }
+        ad
     }
 
     /// Parse from a string like `"bf"`.
     pub fn parse(s: &str) -> Option<Self> {
-        if s.len() > 32 {
-            return None;
-        }
-        let mut bound = Vec::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                'b' => bound.push(true),
-                'f' => bound.push(false),
-                _ => return None,
-            }
-        }
-        Some(Self::from_bools(&bound))
+        let flag = |c| match c {
+            'b' => Some(true),
+            'f' => Some(false),
+            _ => None,
+        };
+        let flags: Option<Vec<bool>> = s.chars().map(flag).collect();
+        flags.filter(|f| f.len() <= 32).map(Self::from_bools)
     }
 
     pub fn arity(&self) -> usize {
@@ -66,13 +62,9 @@ impl Adornment {
         self.mask.count_ones() as usize
     }
 
-    /// The all-free adornment of a given arity.
-    pub fn all_free(arity: usize) -> Self {
-        assert!(arity <= 32);
-        Adornment {
-            mask: 0,
-            arity: arity as u8,
-        }
+    /// A query's adornment: its ground arguments are the bound ones.
+    pub fn of_query(store: &TermStore, args: &[TermId]) -> Self {
+        Self::from_bools(args.iter().map(|&a| store.is_ground(a)))
     }
 
     /// Indices of bound arguments, ascending.
@@ -82,9 +74,7 @@ impl Adornment {
 
     /// The `bf`-string of this adornment.
     pub fn label(&self) -> String {
-        (0..self.arity())
-            .map(|i| if self.is_bound(i) { 'b' } else { 'f' })
-            .collect()
+        self.to_string()
     }
 }
 
@@ -96,7 +86,7 @@ impl fmt::Debug for Adornment {
 
 impl fmt::Display for Adornment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
+        (0..self.arity()).try_for_each(|i| f.write_char(if self.is_bound(i) { 'b' } else { 'f' }))
     }
 }
 
@@ -109,12 +99,116 @@ pub struct AdornedPred {
 
 /// Compute the adornment of an atom's arguments given the currently bound
 /// variables: argument `i` is bound iff all its variables are in `bound`.
-pub fn adorn_args(store: &TermStore, args: &[rescue_datalog::TermId], bound: &[Sym]) -> Adornment {
-    let flags: Vec<bool> = args
-        .iter()
-        .map(|&a| store.vars(a).iter().all(|v| bound.contains(v)))
-        .collect();
-    Adornment::from_bools(&flags)
+pub fn adorn_args(store: &TermStore, args: &[TermId], bound: &[Sym]) -> Adornment {
+    Adornment::from_bools(
+        args.iter()
+            .map(|&a| store.vars(a).iter().all(|v| bound.contains(v))),
+    )
+}
+
+/// The variables a head called under `ad` binds: those of its bound
+/// arguments, in first-occurrence order.
+pub(crate) fn bind_head(store: &TermStore, head: &Atom, ad: Adornment) -> Vec<Sym> {
+    let mut bound = Vec::new();
+    for pos in ad.bound_positions() {
+        store.collect_vars(head.args[pos], &mut bound);
+    }
+    bound
+}
+
+/// One left-to-right step over a body atom: its adornment under `bound`,
+/// after which every variable of the atom is bound.
+pub(crate) fn adorn_and_bind(store: &TermStore, atom: &Atom, bound: &mut Vec<Sym>) -> Adornment {
+    let ad = adorn_args(store, &atom.args, bound);
+    for &a in &atom.args {
+        store.collect_vars(a, bound);
+    }
+    ad
+}
+
+/// The arguments of `atom` at the bound positions of `ad`.
+pub(crate) fn bound_args(atom: &Atom, ad: Adornment) -> Vec<TermId> {
+    ad.bound_positions().map(|p| atom.args[p]).collect()
+}
+
+/// The adornment driver both rewritings share: the query checks and seed,
+/// and the worklist of adorned predicates still to rewrite. Each rewriting
+/// walks the rules [`Adorner::pop`] hands it and [`Adorner::call`]s every
+/// intensional body atom it adorns.
+pub(crate) struct Adorner<'a> {
+    program: &'a Program,
+    idb: FxHashSet<PredId>,
+    worklist: Vec<AdornedPred>,
+    seen: FxHashSet<AdornedPred>,
+}
+
+/// The query block of a rewriting: the seed `in-Q^a(query constants)` and
+/// the adorned query atom whose rows, filtered, are the answers.
+pub(crate) struct Seed {
+    pub pred: PredId,
+    pub row: Box<[TermId]>,
+    pub answer_pred: PredId,
+    pub answer_atom: Atom,
+}
+
+impl<'a> Adorner<'a> {
+    /// Check `program` and `query`, name the query's input and adorned
+    /// relations in `names`, and queue the query's adorned predicate.
+    pub(crate) fn new(
+        program: &'a Program,
+        query: &Atom,
+        store: &mut TermStore,
+        names: &mut Names,
+    ) -> Result<(Self, Seed), RewriteError> {
+        if program.has_negation() {
+            return Err(RewriteError::NegationUnsupported);
+        }
+        let idb: FxHashSet<PredId> = program.rules.iter().map(|r| r.head.pred).collect();
+        if !idb.contains(&query.pred) {
+            return Err(RewriteError::ExtensionalQuery {
+                pred: store.sym_str(query.pred.name).to_owned(),
+            });
+        }
+        let ap = AdornedPred {
+            base: query.pred,
+            adornment: Adornment::of_query(store, &query.args),
+        };
+        let mut adorner = Adorner {
+            program,
+            idb,
+            worklist: Vec::new(),
+            seen: FxHashSet::default(),
+        };
+        adorner.call(ap);
+        let pred = names.input(store, ap);
+        let answer_pred = names.adorned(store, ap);
+        let seed = Seed {
+            pred,
+            row: bound_args(query, ap.adornment).into(),
+            answer_pred,
+            answer_atom: Atom::new(answer_pred, query.args.clone()),
+        };
+        Ok((adorner, seed))
+    }
+
+    /// Is `pred` defined by some rule?
+    pub(crate) fn is_idb(&self, pred: PredId) -> bool {
+        self.idb.contains(&pred)
+    }
+
+    /// Queue `ap` for rewriting unless it was queued before.
+    pub(crate) fn call(&mut self, ap: AdornedPred) {
+        if self.seen.insert(ap) {
+            self.worklist.push(ap);
+        }
+    }
+
+    /// The next adorned predicate to rewrite, with the ids of its rules.
+    pub(crate) fn pop(&mut self) -> Option<(AdornedPred, impl Iterator<Item = (usize, &'a Rule)>)> {
+        let ap = self.worklist.pop()?;
+        let rules = self.program.rules.iter().enumerate();
+        Some((ap, rules.filter(move |(_, r)| r.head.pred == ap.base)))
+    }
 }
 
 #[cfg(test)]

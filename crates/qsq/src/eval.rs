@@ -2,7 +2,8 @@
 //! seed, run semi-naive to fixpoint, read the answers off the adorned query
 //! relation, and report how much was materialized.
 
-use crate::rewrite::{rewrite, RelKind, RewriteError, RewriteOutput};
+use crate::names::RelKind;
+use crate::rewrite::{rewrite, RewriteError, RewriteOutput};
 use rescue_datalog::{
     seminaive_opts, Atom, Database, EvalBudget, EvalError, EvalOptions, EvalStats, PredId, Program,
     Rule, Subst, TermId, TermStore,

@@ -1,9 +1,11 @@
 //! # rescue-qsq
 //!
 //! Query-Sub-Query for dDatalog (paper §3.1), in the "rewrite then evaluate
-//! bottom-up" formulation of Figure 4: binding patterns ([`adorn`]),
-//! generation of input / supplementary relations ([`rewrite()`]) and an
-//! end-to-end driver ([`eval`]).
+//! bottom-up" formulation of Figure 4: binding patterns and the adornment
+//! driver ([`adorn`]), the naming scheme of rewritten relations
+//! ([`names`]), the one body walk ([`walk`]) that the global rewriter
+//! ([`rewrite()`]) and `rescue-dqsq`'s peer-local protocol both drive, the
+//! Magic Sets sibling ([`magic`]) and an end-to-end driver ([`eval`]).
 //!
 //! The rewriting is *placement-aware*: generated rules land at the peer
 //! that owns their head, so on a local program it is exactly QSQ (Figure 4)
@@ -13,7 +15,9 @@
 pub mod adorn;
 pub mod eval;
 pub mod magic;
+pub mod names;
 pub mod rewrite;
+pub mod walk;
 
 pub use adorn::{adorn_args, AdornedPred, Adornment};
 pub use eval::{
@@ -21,7 +25,6 @@ pub use eval::{
     Materialized, QsqError, QsqRun,
 };
 pub use magic::{magic_answer, magic_rewrite, MagicOutput, MagicRun};
-pub use rewrite::{
-    rewrite, rewrite_with, sup_signature, RelKind, RewriteError, RewriteOutput, SupPlacement,
-    SupSignature,
-};
+pub use names::{base_name, classify_name, RelKind, Scheme};
+pub use rewrite::{rewrite, rewrite_with, RewriteError, RewriteOutput, SupPlacement};
+pub use walk::{Cursor, Emitted};

@@ -12,17 +12,23 @@
 //! m_S^aj(bound args of bⱼ) :- m_R^a(…), b₁^a₁, …, bⱼ₋₁^aⱼ₋₁.   (S intensional)
 //! ```
 //!
+//! The query checks, the seed, the naming and the worklist over adorned
+//! predicates are QSQ's ([`crate::adorn::Adorner`]); so is the per-atom
+//! adornment step. Only the emission differs: the guarded rule and one
+//! magic rule per intensional atom, where QSQ emits a `sup` chain.
+//!
 //! Same answers as QSQ (both compute the query-relevant facts), different
 //! space/time trade-off: no `sup` tuples are stored, at the cost of
 //! re-joining rule prefixes once per magic rule. The `magic_vs_qsq`
 //! experiment quantifies the trade-off; the test suite checks answer
 //! equivalence on every program family we have.
 
-use crate::adorn::{adorn_args, AdornedPred, Adornment};
+use crate::adorn::{adorn_and_bind, bind_head, bound_args, AdornedPred, Adorner};
 use crate::eval::{filter_answers, split_edb_facts, Materialized, QsqError};
+use crate::names::{Names, Scheme};
 use crate::rewrite::RewriteError;
 use rescue_datalog::{
-    seminaive, Atom, Database, EvalBudget, EvalStats, PredId, Program, Rule, Sym, TermId, TermStore,
+    seminaive, Atom, Database, EvalBudget, EvalStats, PredId, Program, Rule, TermId, TermStore,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -42,168 +48,57 @@ pub struct MagicOutput {
     pub magic: FxHashMap<AdornedPred, PredId>,
 }
 
-struct MagicRewriter<'a> {
-    program: &'a Program,
-    adorned: FxHashMap<AdornedPred, PredId>,
-    magic: FxHashMap<AdornedPred, PredId>,
-    out: Program,
-    worklist: Vec<AdornedPred>,
-    seen: FxHashSet<AdornedPred>,
-}
-
-impl<'a> MagicRewriter<'a> {
-    fn adorned_pred(&mut self, store: &mut TermStore, ap: AdornedPred) -> PredId {
-        if let Some(&p) = self.adorned.get(&ap) {
-            return p;
-        }
-        let name = format!("{}__{}", store.sym_str(ap.base.name), ap.adornment.label());
-        let p = PredId {
-            name: store.sym(&name),
-            peer: ap.base.peer,
-        };
-        self.adorned.insert(ap, p);
-        p
-    }
-
-    fn magic_pred(&mut self, store: &mut TermStore, ap: AdornedPred) -> PredId {
-        if let Some(&p) = self.magic.get(&ap) {
-            return p;
-        }
-        let name = format!(
-            "m_{}__{}",
-            store.sym_str(ap.base.name),
-            ap.adornment.label()
-        );
-        let p = PredId {
-            name: store.sym(&name),
-            peer: ap.base.peer,
-        };
-        self.magic.insert(ap, p);
-        p
-    }
-
-    fn enqueue(&mut self, ap: AdornedPred) {
-        if self.seen.insert(ap) {
-            self.worklist.push(ap);
-        }
-    }
-
-    fn process(&mut self, store: &mut TermStore, ap: AdornedPred) {
-        let rules: Vec<Rule> = self
-            .program
-            .rules
-            .iter()
-            .filter(|r| r.head.pred == ap.base)
-            .cloned()
-            .collect();
-        for rule in rules {
-            self.rewrite_rule(store, ap, &rule);
-        }
-    }
-
-    fn rewrite_rule(&mut self, store: &mut TermStore, ap: AdornedPred, rule: &Rule) {
-        let head = &rule.head;
-        let magic_head = self.magic_pred(store, ap);
-        let magic_args: Vec<TermId> = ap
-            .adornment
-            .bound_positions()
-            .map(|p| head.args[p])
-            .collect();
-        let guard = Atom::new(magic_head, magic_args);
-
-        // Walk the body computing adornments, emitting one magic rule per
-        // intensional atom and collecting the adorned body.
-        let mut bound: Vec<Sym> = Vec::new();
-        for pos in ap.adornment.bound_positions() {
-            store.collect_vars(head.args[pos], &mut bound);
-        }
-        let mut adorned_body: Vec<Atom> = Vec::new();
-        for atom in &rule.body {
-            let ad_j = adorn_args(store, &atom.args, &bound);
-            if self.program.is_idb(atom.pred) {
-                let sub = AdornedPred {
-                    base: atom.pred,
-                    adornment: ad_j,
-                };
-                // Magic rule: the callee's bindings from the prefix so far.
-                let callee_magic = self.magic_pred(store, sub);
-                let m_args: Vec<TermId> = ad_j.bound_positions().map(|p| atom.args[p]).collect();
-                let mut body = vec![guard.clone()];
-                body.extend(adorned_body.iter().cloned());
-                // Prefix disequalities that are ground here are sound to
-                // include but unnecessary; Magic Sets traditionally omits
-                // them (over-approximating relevance is harmless).
-                self.out.push(Rule {
-                    head: Atom::new(callee_magic, m_args),
-                    body,
-                    diseqs: vec![],
-                });
-                self.enqueue(sub);
-                let adorned_callee = self.adorned_pred(store, sub);
-                adorned_body.push(Atom::new(adorned_callee, atom.args.clone()));
-            } else {
-                adorned_body.push(atom.clone());
-            }
-            for &a in &atom.args {
-                store.collect_vars(a, &mut bound);
-            }
-        }
-
-        // The guarded rule.
-        let adorned_head = self.adorned_pred(store, ap);
-        let mut body = vec![guard];
-        body.extend(adorned_body);
-        self.out.push(Rule {
-            head: Atom::new(adorned_head, head.args.clone()),
-            body,
-            diseqs: rule.diseqs.clone(),
-        });
-    }
-}
-
 /// Rewrite `program` for `query` with Magic Sets.
 pub fn magic_rewrite(
     program: &Program,
     query: &Atom,
     store: &mut TermStore,
 ) -> Result<MagicOutput, RewriteError> {
-    if program.has_negation() {
-        return Err(RewriteError::NegationUnsupported);
+    let mut names = Names::new(Scheme::Magic);
+    let (mut adorner, seed) = Adorner::new(program, query, store, &mut names)?;
+    let mut out = Program::new();
+    while let Some((ap, rules)) = adorner.pop() {
+        for (_, rule) in rules {
+            let magic = names.input(store, ap);
+            let mut body = vec![Atom::new(magic, bound_args(&rule.head, ap.adornment))];
+            let mut bound = bind_head(store, &rule.head, ap.adornment);
+            for atom in &rule.body {
+                let ad = adorn_and_bind(store, atom, &mut bound);
+                if !adorner.is_idb(atom.pred) {
+                    body.push(atom.clone());
+                    continue;
+                }
+                let sub = AdornedPred {
+                    base: atom.pred,
+                    adornment: ad,
+                };
+                // The callee's bindings from the prefix so far. Prefix
+                // disequalities that are ground here are sound to include
+                // but unnecessary; Magic Sets traditionally omits them
+                // (over-approximating relevance is harmless).
+                out.push(Rule {
+                    head: Atom::new(names.input(store, sub), bound_args(atom, ad)),
+                    body: body.clone(),
+                    diseqs: vec![],
+                });
+                adorner.call(sub);
+                body.push(Atom::new(names.adorned(store, sub), atom.args.clone()));
+            }
+            out.push(Rule {
+                head: Atom::new(names.adorned(store, ap), rule.head.args.clone()),
+                body,
+                diseqs: rule.diseqs.clone(),
+            });
+        }
     }
-    if !program.is_idb(query.pred) {
-        return Err(RewriteError::ExtensionalQuery {
-            pred: store.sym_str(query.pred.name).to_owned(),
-        });
-    }
-    let flags: Vec<bool> = query.args.iter().map(|&a| store.is_ground(a)).collect();
-    let ad = Adornment::from_bools(&flags);
-    let ap = AdornedPred {
-        base: query.pred,
-        adornment: ad,
-    };
-    let mut rw = MagicRewriter {
-        program,
-        adorned: FxHashMap::default(),
-        magic: FxHashMap::default(),
-        out: Program::new(),
-        worklist: Vec::new(),
-        seen: FxHashSet::default(),
-    };
-    rw.enqueue(ap);
-    let seed_pred = rw.magic_pred(store, ap);
-    let answer_pred = rw.adorned_pred(store, ap);
-    while let Some(next) = rw.worklist.pop() {
-        rw.process(store, next);
-    }
-    let seed_row: Box<[TermId]> = ad.bound_positions().map(|p| query.args[p]).collect();
     Ok(MagicOutput {
-        program: rw.out,
-        seed_pred,
-        seed_row,
-        answer_pred,
-        answer_atom: Atom::new(answer_pred, query.args.clone()),
-        adorned: rw.adorned,
-        magic: rw.magic,
+        program: out,
+        seed_pred: seed.pred,
+        seed_row: seed.row,
+        answer_pred: seed.answer_pred,
+        answer_atom: seed.answer_atom,
+        adorned: names.adorned,
+        magic: names.inputs,
     })
 }
 
@@ -234,11 +129,13 @@ pub fn magic_answer(
     let stats = seminaive(&rw.program, store, db, budget).map_err(QsqError::Eval)?;
     let answers = filter_answers(db, store, &rw.answer_atom);
     // Breakdown: adorned vs magic vs base.
+    let magic: FxHashSet<PredId> = rw.magic.values().copied().collect();
+    let adorned: FxHashSet<PredId> = rw.adorned.values().copied().collect();
     let mut m = Materialized::default();
     for (pred, rel) in db.iter() {
-        if rw.magic.values().any(|&p| p == pred) {
+        if magic.contains(&pred) {
             m.input += rel.len();
-        } else if rw.adorned.values().any(|&p| p == pred) {
+        } else if adorned.contains(&pred) {
             m.adorned += rel.len();
         } else {
             m.base += rel.len();

@@ -14,6 +14,11 @@
 //!   by their adorned versions, with a rule feeding `in-S^a` from
 //!   `sup_{i,j-1}`.
 //!
+//! [`rewrite_with`] is the global driver of the one body walk
+//! ([`crate::walk::Cursor`]): it knows every rule, so it steps every atom
+//! itself, in one `TermStore`. Structurally identical sups are merged as
+//! they are defined ([`crate::walk::Emitted`]).
+//!
 //! **Distribution for free.** Each generated rule is placed at the peer
 //! that owns its head: `sup_{i,0}` at the rule's site, `sup_{i,j}` at the
 //! peer of body atom `j`, `in-S^a` and `S^a` at S's peer. On a *local*
@@ -24,9 +29,11 @@
 //! Theorem 1, which `rescue-dqsq` verifies both structurally and
 //! semantically.
 
-use crate::adorn::{adorn_args, AdornedPred, Adornment};
-use rescue_datalog::{Atom, Peer, PredId, Program, Rule, Sym, TermData, TermId, TermStore};
-use rustc_hash::{FxHashMap, FxHashSet};
+use crate::adorn::{AdornedPred, Adorner};
+use crate::names::RelKind;
+use crate::walk::{Cursor, Emitted};
+use rescue_datalog::{Atom, PredId, Program, TermId, TermStore};
+use rustc_hash::FxHashMap;
 
 /// Where the supplementary relations live in a distributed rewriting —
 /// the design choice of the paper's Remark 1 ("one could use a different
@@ -68,6 +75,8 @@ pub struct RewriteOutput {
     /// dashboards resolve stale `sup_{i,j}` names through this so a scan
     /// is always attributed to the relation that actually ran.
     pub sup_canon: FxHashMap<PredId, PredId>,
+    /// Every rewritten relation's role, built once.
+    kinds: FxHashMap<PredId, RelKind>,
 }
 
 impl RewriteOutput {
@@ -75,37 +84,16 @@ impl RewriteOutput {
     /// if it survived dedup, its merge target if it was deduplicated
     /// away, `None` if it is not a supplementary relation.
     pub fn canonical_sup(&self, pred: PredId) -> Option<PredId> {
-        if let Some(&c) = self.sup_canon.get(&pred) {
-            return Some(c);
+        match self.sup_canon.get(&pred) {
+            Some(&c) => Some(c),
+            None => (self.kind_of(pred) == RelKind::Supplementary).then_some(pred),
         }
-        self.sups.contains(&pred).then_some(pred)
     }
 
     /// Classify a predicate of the rewritten program.
     pub fn kind_of(&self, pred: PredId) -> RelKind {
-        if self.canonical_sup(pred).is_some() {
-            RelKind::Supplementary
-        } else if self.inputs.values().any(|&p| p == pred) {
-            RelKind::Input
-        } else if self.adorned.values().any(|&p| p == pred) {
-            RelKind::Adorned
-        } else {
-            RelKind::Base
-        }
+        self.kinds.get(&pred).copied().unwrap_or(RelKind::Base)
     }
-}
-
-/// The role of a relation in a rewritten program.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RelKind {
-    /// An adorned version `R^a` of an intensional relation.
-    Adorned,
-    /// An input relation `in-R^a`.
-    Input,
-    /// A supplementary relation `sup_{i,j}`.
-    Supplementary,
-    /// An (unrewritten) extensional relation.
-    Base,
 }
 
 /// Errors from [`rewrite`].
@@ -138,391 +126,6 @@ impl std::fmt::Display for RewriteError {
 
 impl std::error::Error for RewriteError {}
 
-struct Rewriter<'a> {
-    program: &'a Program,
-    placement: SupPlacement,
-    adorned: FxHashMap<AdornedPred, PredId>,
-    inputs: FxHashMap<AdornedPred, PredId>,
-    sups: Vec<PredId>,
-    out: Program,
-    worklist: Vec<AdornedPred>,
-    seen: FxHashSet<AdornedPred>,
-}
-
-impl<'a> Rewriter<'a> {
-    fn adorned_pred(&mut self, store: &mut TermStore, ap: AdornedPred) -> PredId {
-        if let Some(&p) = self.adorned.get(&ap) {
-            return p;
-        }
-        let name = format!("{}__{}", store.sym_str(ap.base.name), ap.adornment.label());
-        let p = PredId {
-            name: store.sym(&name),
-            peer: ap.base.peer,
-        };
-        self.adorned.insert(ap, p);
-        p
-    }
-
-    fn input_pred(&mut self, store: &mut TermStore, ap: AdornedPred) -> PredId {
-        if let Some(&p) = self.inputs.get(&ap) {
-            return p;
-        }
-        let name = format!(
-            "in_{}__{}",
-            store.sym_str(ap.base.name),
-            ap.adornment.label()
-        );
-        let p = PredId {
-            name: store.sym(&name),
-            peer: ap.base.peer,
-        };
-        self.inputs.insert(ap, p);
-        p
-    }
-
-    fn sup_pred(
-        &mut self,
-        store: &mut TermStore,
-        rule_idx: usize,
-        pos: usize,
-        label: &str,
-        atom_peer: Peer,
-        rule_site: Peer,
-    ) -> PredId {
-        let name = format!("sup_{rule_idx}_{pos}__{label}");
-        let peer = match self.placement {
-            SupPlacement::AtomPeer => atom_peer,
-            SupPlacement::RuleSite => rule_site,
-        };
-        let p = PredId {
-            name: store.sym(&name),
-            peer,
-        };
-        self.sups.push(p);
-        p
-    }
-
-    fn enqueue(&mut self, ap: AdornedPred) {
-        if self.seen.insert(ap) {
-            self.worklist.push(ap);
-        }
-    }
-
-    /// Rewrite every rule defining `ap.base` under head adornment
-    /// `ap.adornment`.
-    fn process(&mut self, store: &mut TermStore, ap: AdornedPred) {
-        let label = ap.adornment.label();
-        let rule_indices: Vec<usize> = self
-            .program
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.head.pred == ap.base)
-            .map(|(i, _)| i)
-            .collect();
-        for i in rule_indices {
-            self.rewrite_rule(store, ap, i, &label);
-        }
-    }
-
-    fn rewrite_rule(
-        &mut self,
-        store: &mut TermStore,
-        ap: AdornedPred,
-        rule_idx: usize,
-        label: &str,
-    ) {
-        let rule = self.program.rules[rule_idx].clone();
-        let head = &rule.head;
-        let site = rule.site();
-        let n = rule.body.len();
-
-        // Variables of the head's bound-position arguments become bound.
-        let mut bound: Vec<Sym> = Vec::new();
-        for pos in ap.adornment.bound_positions() {
-            store.collect_vars(head.args[pos], &mut bound);
-        }
-
-        // Attach each disequality to the earliest position after which both
-        // sides are ground. `attach[j]` = diseqs checked in the sup_{i,j}
-        // rule (j = 0 means checked right at the input rule).
-        let mut attach: Vec<Vec<rescue_datalog::Diseq>> = vec![Vec::new(); n + 1];
-        {
-            let mut b = bound.clone();
-            let mut remaining: Vec<rescue_datalog::Diseq> = rule.diseqs.clone();
-            #[allow(clippy::needless_range_loop)]
-            for j in 0..=n {
-                if j > 0 {
-                    for &a in &rule.body[j - 1].args {
-                        store.collect_vars(a, &mut b);
-                    }
-                }
-                remaining.retain(|d| {
-                    let ready = store.vars(d.lhs).iter().all(|v| b.contains(v))
-                        && store.vars(d.rhs).iter().all(|v| b.contains(v));
-                    if ready {
-                        attach[j].push(*d);
-                    }
-                    !ready
-                });
-            }
-            debug_assert!(remaining.is_empty(), "validation guarantees diseq safety");
-        }
-
-        // `needed[j]` = variables still required strictly after position j:
-        // head variables, variables of later atoms, variables of later
-        // disequalities.
-        let needed: Vec<Vec<Sym>> = (0..=n)
-            .map(|j| {
-                let mut v: Vec<Sym> = Vec::new();
-                for &a in &head.args {
-                    store.collect_vars(a, &mut v);
-                }
-                for atom in &rule.body[j..] {
-                    for &a in &atom.args {
-                        store.collect_vars(a, &mut v);
-                    }
-                }
-                for ds in &attach[j.min(n)..] {
-                    for d in ds {
-                        store.collect_vars(d.lhs, &mut v);
-                        store.collect_vars(d.rhs, &mut v);
-                    }
-                }
-                v
-            })
-            .collect();
-
-        let sup_vars_at = |bound: &[Sym], j: usize| -> Vec<Sym> {
-            bound
-                .iter()
-                .copied()
-                .filter(|v| needed[j].contains(v))
-                .collect()
-        };
-
-        // sup_{i,0}(bound head vars) :- in-R^a(head args at bound positions).
-        let in_pred = self.input_pred(store, ap);
-        let sup0_vars = sup_vars_at(&bound, 0);
-        let mut prev_sup_pred = self.sup_pred(store, rule_idx, 0, label, site, site);
-        let mut prev_sup_vars = sup0_vars.clone();
-        {
-            let in_args: Vec<TermId> = ap
-                .adornment
-                .bound_positions()
-                .map(|pos| head.args[pos])
-                .collect();
-            let sup0_args: Vec<TermId> = sup0_vars.iter().map(|&v| store.var_sym(v)).collect();
-            self.out.push(Rule {
-                head: Atom::new(prev_sup_pred, sup0_args),
-                body: vec![Atom::new(in_pred, in_args)],
-                diseqs: attach[0].clone(),
-            });
-        }
-
-        // One sup rule per body atom.
-        #[allow(clippy::needless_range_loop)]
-        for j in 1..=n {
-            let atom = &rule.body[j - 1];
-            let ad_j = adorn_args(store, &atom.args, &bound);
-            let is_idb = self.program.is_idb(atom.pred);
-            let body_pred = if is_idb {
-                let sub = AdornedPred {
-                    base: atom.pred,
-                    adornment: ad_j,
-                };
-                // Feed the callee's input relation from sup_{i,j-1}.
-                let callee_in = self.input_pred(store, sub);
-                let in_args: Vec<TermId> =
-                    ad_j.bound_positions().map(|pos| atom.args[pos]).collect();
-                let prev_args: Vec<TermId> =
-                    prev_sup_vars.iter().map(|&v| store.var_sym(v)).collect();
-                self.out.push(Rule {
-                    head: Atom::new(callee_in, in_args),
-                    body: vec![Atom::new(prev_sup_pred, prev_args)],
-                    diseqs: vec![],
-                });
-                self.enqueue(sub);
-                self.adorned_pred(store, sub)
-            } else {
-                atom.pred
-            };
-
-            for &a in &atom.args {
-                store.collect_vars(a, &mut bound);
-            }
-            let vars_j = sup_vars_at(&bound, j);
-            let sup_j = self.sup_pred(store, rule_idx, j, label, atom.pred.peer, site);
-            let prev_args: Vec<TermId> = prev_sup_vars.iter().map(|&v| store.var_sym(v)).collect();
-            let sup_args: Vec<TermId> = vars_j.iter().map(|&v| store.var_sym(v)).collect();
-            self.out.push(Rule {
-                head: Atom::new(sup_j, sup_args),
-                body: vec![
-                    Atom::new(prev_sup_pred, prev_args),
-                    Atom::new(body_pred, atom.args.clone()),
-                ],
-                diseqs: attach[j].clone(),
-            });
-            prev_sup_pred = sup_j;
-            prev_sup_vars = vars_j;
-        }
-
-        // R^a(head args) :- sup_{i,n}(vars_n).
-        let head_adorned = self.adorned_pred(store, ap);
-        let prev_args: Vec<TermId> = prev_sup_vars.iter().map(|&v| store.var_sym(v)).collect();
-        self.out.push(Rule {
-            head: Atom::new(head_adorned, head.args.clone()),
-            body: vec![Atom::new(prev_sup_pred, prev_args)],
-            diseqs: vec![],
-        });
-    }
-}
-
-/// A term with variables replaced by first-occurrence indices — the
-/// alpha-invariant shape two rules must share to be structurally equal.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-enum CanonTerm {
-    Var(usize),
-    Const(Sym),
-    App(Sym, Vec<CanonTerm>),
-}
-
-fn canon_term(store: &TermStore, t: TermId, vars: &mut FxHashMap<Sym, usize>) -> CanonTerm {
-    match store.data(t) {
-        TermData::Const(s) => CanonTerm::Const(*s),
-        TermData::Var(v) => {
-            let next = vars.len();
-            CanonTerm::Var(*vars.entry(*v).or_insert(next))
-        }
-        TermData::App(f, args) => CanonTerm::App(
-            *f,
-            args.iter().map(|&a| canon_term(store, a, vars)).collect(),
-        ),
-    }
-}
-
-/// The alpha-invariant signature of a supplementary relation's defining
-/// rule. Two sups with equal signatures hold the same tuples in every
-/// model (their defining rules are the same rule up to variable names,
-/// with references to earlier sups already canonicalized), so one can
-/// carry for both. Public so the peer-local rewriting protocol in
-/// `rescue-dqsq` dedups with exactly the global rewriter's equivalence;
-/// signatures are only comparable within one `TermStore`.
-#[derive(PartialEq, Eq, Hash, Debug)]
-pub struct SupSignature {
-    peer: Peer,
-    head: Vec<CanonTerm>,
-    body: Vec<(PredId, Vec<CanonTerm>)>,
-    diseqs: Vec<(CanonTerm, CanonTerm)>,
-}
-
-/// Compute the [`SupSignature`] of a sup's defining rule. Variable
-/// indices are assigned in first-occurrence order across head args, then
-/// body args, then disequalities, so alpha-variant rules agree.
-pub fn sup_signature(rule: &Rule, store: &TermStore) -> SupSignature {
-    let mut vars = FxHashMap::default();
-    SupSignature {
-        peer: rule.head.pred.peer,
-        head: rule
-            .head
-            .args
-            .iter()
-            .map(|&a| canon_term(store, a, &mut vars))
-            .collect(),
-        body: rule
-            .body
-            .iter()
-            .map(|atom| {
-                let args = atom
-                    .args
-                    .iter()
-                    .map(|&a| canon_term(store, a, &mut vars))
-                    .collect();
-                (atom.pred, args)
-            })
-            .collect(),
-        diseqs: rule
-            .diseqs
-            .iter()
-            .map(|d| {
-                (
-                    canon_term(store, d.lhs, &mut vars),
-                    canon_term(store, d.rhs, &mut vars),
-                )
-            })
-            .collect(),
-    }
-}
-
-/// Merge structurally identical supplementary relations. The rewriting
-/// mass-produces sup chains, and rules that share a body prefix (or
-/// merely a head) produce `sup_{i,j}` families whose defining rules are
-/// identical up to variable names — each family is evaluated once per
-/// member. This pass walks the sups in creation order (a sup's defining
-/// body references only earlier sups, so one pass reaches the inductive
-/// fixpoint), keeps the first member of each signature class, rewrites
-/// every reference to the canonical sup, and drops the duplicate
-/// defining rules plus any rules the substitution made exact duplicates.
-/// Returns the provenance map merged → canonical.
-fn dedup_sups(
-    out: &mut Program,
-    sups: &mut Vec<PredId>,
-    store: &TermStore,
-) -> FxHashMap<PredId, PredId> {
-    let sup_set: FxHashSet<PredId> = sups.iter().copied().collect();
-    let mut defining: FxHashMap<PredId, usize> = FxHashMap::default();
-    for (i, r) in out.rules.iter().enumerate() {
-        if sup_set.contains(&r.head.pred) {
-            let prev = defining.insert(r.head.pred, i);
-            debug_assert!(prev.is_none(), "each sup has exactly one defining rule");
-        }
-    }
-
-    let mut canon: FxHashMap<PredId, PredId> = FxHashMap::default();
-    let mut by_sig: FxHashMap<SupSignature, PredId> = FxHashMap::default();
-    let mut dropped_rules: FxHashSet<usize> = FxHashSet::default();
-    for &sp in sups.iter() {
-        let mut rule = out.rules[defining[&sp]].clone();
-        for atom in &mut rule.body {
-            if let Some(&c) = canon.get(&atom.pred) {
-                atom.pred = c;
-            }
-        }
-        let sig = sup_signature(&rule, store);
-        if let Some(&keeper) = by_sig.get(&sig) {
-            canon.insert(sp, keeper);
-            dropped_rules.insert(defining[&sp]);
-        } else {
-            by_sig.insert(sig, sp);
-        }
-    }
-    if canon.is_empty() {
-        return canon;
-    }
-
-    // Rewrite references to merged sups, drop their defining rules, and
-    // drop any rule the substitution turned into an exact duplicate
-    // (e.g. two in-feeding rules now reading the same canonical sup).
-    let mut seen: FxHashSet<(Atom, Vec<Atom>, Vec<rescue_datalog::Diseq>)> = FxHashSet::default();
-    let rules = std::mem::take(&mut out.rules);
-    for (i, mut rule) in rules.into_iter().enumerate() {
-        if dropped_rules.contains(&i) {
-            continue;
-        }
-        for atom in &mut rule.body {
-            if let Some(&c) = canon.get(&atom.pred) {
-                atom.pred = c;
-            }
-        }
-        debug_assert!(!canon.contains_key(&rule.head.pred));
-        if seen.insert((rule.head.clone(), rule.body.clone(), rule.diseqs.clone())) {
-            out.rules.push(rule);
-        }
-    }
-    sups.retain(|s| !canon.contains_key(s));
-    canon
-}
-
 /// Rewrite `program` for `query` (an atom whose ground arguments are the
 /// bound ones). The returned program, seeded with
 /// `seed_pred(seed_row)` and the extensional facts, computes the query
@@ -543,51 +146,46 @@ pub fn rewrite_with(
     store: &mut TermStore,
     placement: SupPlacement,
 ) -> Result<RewriteOutput, RewriteError> {
-    if program.has_negation() {
-        return Err(RewriteError::NegationUnsupported);
+    let mut out = Emitted::default();
+    let (mut adorner, seed) = Adorner::new(program, query, store, &mut out.names)?;
+    while let Some((ap, rules)) = adorner.pop() {
+        for (i, rule) in rules {
+            let site = rule.site();
+            let mut cursor = Cursor::start(i, rule, ap.adornment, site, store, &mut out);
+            while let Some(atom) = cursor.next_atom() {
+                let peer = match placement {
+                    SupPlacement::AtomPeer => atom.pred.peer,
+                    SupPlacement::RuleSite => site,
+                };
+                let idb = adorner.is_idb(atom.pred);
+                if let Some(callee) = cursor.step(idb, peer, store, &mut out) {
+                    adorner.call(callee);
+                }
+            }
+            cursor.finish(store, &mut out);
+        }
     }
-    if !program.is_idb(query.pred) {
-        return Err(RewriteError::ExtensionalQuery {
-            pred: store.sym_str(query.pred.name).to_owned(),
-        });
-    }
-    let flags: Vec<bool> = query.args.iter().map(|&a| store.is_ground(a)).collect();
-    let ad = Adornment::from_bools(&flags);
-    let ap = AdornedPred {
-        base: query.pred,
-        adornment: ad,
-    };
-
-    let mut rw = Rewriter {
-        program,
-        placement,
-        adorned: FxHashMap::default(),
-        inputs: FxHashMap::default(),
-        sups: Vec::new(),
-        out: Program::new(),
-        worklist: Vec::new(),
-        seen: FxHashSet::default(),
-    };
-    rw.enqueue(ap);
-    let seed_pred = rw.input_pred(store, ap);
-    let answer_pred = rw.adorned_pred(store, ap);
-    while let Some(next) = rw.worklist.pop() {
-        rw.process(store, next);
-    }
-    let sup_canon = dedup_sups(&mut rw.out, &mut rw.sups, store);
-
-    let seed_row: Box<[TermId]> = ad.bound_positions().map(|pos| query.args[pos]).collect();
-    let answer_atom = Atom::new(answer_pred, query.args.clone());
+    let names = out.names;
+    let kinds = (names.adorned.values().map(|&p| (p, RelKind::Adorned)))
+        .chain(names.inputs.values().map(|&p| (p, RelKind::Input)))
+        .chain(
+            out.sups
+                .iter()
+                .chain(out.sup_canon.keys())
+                .map(|&p| (p, RelKind::Supplementary)),
+        )
+        .collect();
     Ok(RewriteOutput {
-        program: rw.out,
-        seed_pred,
-        seed_row,
-        answer_pred,
-        answer_atom,
-        adorned: rw.adorned,
-        inputs: rw.inputs,
-        sups: rw.sups,
-        sup_canon,
+        program: out.program,
+        seed_pred: seed.pred,
+        seed_row: seed.row,
+        answer_pred: seed.answer_pred,
+        answer_atom: seed.answer_atom,
+        adorned: names.adorned,
+        inputs: names.inputs,
+        sups: out.sups,
+        sup_canon: out.sup_canon,
+        kinds,
     })
 }
 
