@@ -1063,7 +1063,7 @@ pub fn e12_join_plan() -> Table {
 }
 
 /// E13 — telemetry: one dQSQ run recorded end-to-end. The collector's
-/// counters must byte-match the engine's own [`EvalStats`]/`NetStats`
+/// counters must byte-match the engine's own [`EvalStats`](rescue::datalog::EvalStats)/`NetStats`
 /// accounting (they are folded from the same structs, once per fixpoint /
 /// transport run), the exported Chrome trace must balance every span and
 /// pair every message send with its receive, and the disabled collector
@@ -1348,7 +1348,7 @@ pub fn e16_online_latency() -> Table {
 /// branch per call site), (b) tracing on but per-rule profiling off, and
 /// (c) tracing and profiling on. Reports the median wall of each arm and,
 /// for the profiled arm, checks that the per-rule attribution sums
-/// reproduce the run's [`EvalStats`] totals *exactly* — the property that
+/// reproduce the run's [`EvalStats`](rescue::datalog::EvalStats) totals *exactly* — the property that
 /// makes the profile trustworthy even when the event ring overflows.
 pub fn e17_profiler_overhead() -> Table {
     use rescue::datalog::{seminaive_opts, EvalOptions};

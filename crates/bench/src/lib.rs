@@ -4,10 +4,13 @@
 //! to one experiment here (see DESIGN.md §4 for the index). Each
 //! experiment returns a [`Table`] that the `report` binary renders as the
 //! markdown recorded in EXPERIMENTS.md; the Criterion benches under
-//! `benches/` measure the wall-time side of the same workloads.
+//! `benches/` measure the wall-time side of the same workloads. Tables and
+//! perf records go out as JSON through the workspace's one writer,
+//! `rescue_telemetry::json`.
 
 pub mod experiments;
 
+use rescue_telemetry::json::{self, Arr, Obj};
 use rescue_telemetry::profile::ProfileReport;
 use std::fmt::Write as _;
 
@@ -92,48 +95,29 @@ impl Table {
         s
     }
 
-    /// Render as a JSON object (hand-rolled — the build environment has no
-    /// registry access for serde, and a table of strings needs none).
+    /// Render as a JSON object.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
-        fn arr(items: &[String]) -> String {
-            let inner: Vec<String> = items.iter().map(|s| esc(s)).collect();
-            format!("[{}]", inner.join(", "))
-        }
-        let rows: Vec<String> = self.rows.iter().map(|r| arr(r)).collect();
-        format!(
-            "{{\"id\": {}, \"title\": {}, \"headers\": {}, \"rows\": [{}], \"summary\": {}}}",
-            esc(&self.id),
-            esc(&self.title),
-            arr(&self.headers),
-            rows.join(", "),
-            esc(&self.summary),
-        )
+        let rows = self
+            .rows
+            .iter()
+            .fold(Arr::new(), |a, r| a.raw(&json::strings(r)));
+        Obj::new()
+            .str("id", &self.id)
+            .str("title", &self.title)
+            .raw("headers", &json::strings(&self.headers))
+            .raw("rows", &rows.finish())
+            .str("summary", &self.summary)
+            .finish()
     }
 }
 
-/// Render a slice of tables as a JSON array (see [`Table::to_json`]).
+/// Render a slice of tables as a JSON array, one table per line (see
+/// [`Table::to_json`]).
 pub fn tables_to_json(tables: &[Table]) -> String {
-    let inner: Vec<String> = tables.iter().map(Table::to_json).collect();
-    format!("[\n  {}\n]", inner.join(",\n  "))
+    tables
+        .iter()
+        .fold(Arr::lines(), |a, t| a.raw(&t.to_json()))
+        .finish()
 }
 
 /// One experiment's machine-readable perf record: wall time of the whole
@@ -212,51 +196,36 @@ impl PerfEntry {
     }
 }
 
-/// Render the perf trajectory as JSON: experiment id → wall time, work
-/// counters, and (for profiled experiments) the top-k rule attribution.
-/// Hand-rolled like [`Table::to_json`] (no serde in the offline build).
-/// Schema v2 — v1 files (no per-rule records) are still accepted by
-/// `perfdiff`.
+/// Render the perf trajectory as JSON, one experiment per line:
+/// experiment id → wall time, work counters, and (for profiled
+/// experiments) the top-k rule attribution. Schema v2 — v1 files (no
+/// per-rule records) are still accepted by `perfdiff`.
 pub fn perf_trajectory_json(entries: &[PerfEntry]) -> String {
-    fn opt(v: Option<u64>) -> String {
-        v.map_or_else(|| "null".to_owned(), |n| n.to_string())
-    }
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let mut s = String::from("{\n  \"schema\": \"rescue-bench-perf-v2\",\n  \"experiments\": {\n");
-    let inner: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            let rules: Vec<String> = e
-                .top_rules
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{{\"frame\": \"{}\", \"wall_us\": {}, \"candidates\": {}}}",
-                        esc(&r.frame),
-                        r.wall_us,
-                        r.candidates
-                    )
-                })
-                .collect();
-            format!(
-                "    \"{}\": {{\"title\": \"{}\", \"wall_ms\": {:.3}, \
-                 \"candidates_scanned\": {}, \"facts\": {}, \
-                 \"profile_wall_us\": {}, \"top_rules\": [{}]}}",
-                e.id,
-                esc(&e.title),
-                e.wall_ms,
-                opt(e.candidates_scanned),
-                opt(e.facts),
-                opt(e.profile_wall_us),
-                rules.join(", "),
+    let opt = |v: Option<u64>| v.map_or_else(|| "null".to_owned(), |n| n.to_string());
+    let experiments = entries.iter().fold(Obj::lines(), |o, e| {
+        let rules = e.top_rules.iter().fold(Arr::new(), |a, r| {
+            a.raw(
+                &Obj::new()
+                    .str("frame", &r.frame)
+                    .num("wall_us", r.wall_us)
+                    .num("candidates", r.candidates)
+                    .finish(),
             )
-        })
-        .collect();
-    s.push_str(&inner.join(",\n"));
-    s.push_str("\n  }\n}\n");
-    s
+        });
+        let entry = Obj::new()
+            .str("title", &e.title)
+            .fixed("wall_ms", e.wall_ms, 3)
+            .raw("candidates_scanned", &opt(e.candidates_scanned))
+            .raw("facts", &opt(e.facts))
+            .raw("profile_wall_us", &opt(e.profile_wall_us))
+            .raw("top_rules", &rules.finish());
+        o.raw(&e.id, &entry.finish())
+    });
+    Obj::new()
+        .str("schema", "rescue-bench-perf-v2")
+        .raw("experiments", &experiments.finish())
+        .finish()
+        + "\n"
 }
 
 /// Merge the profiles of every table that carries one into a single

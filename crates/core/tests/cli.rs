@@ -192,6 +192,56 @@ fn diagnose_follow_accepts_hidden_transitions() {
 }
 
 #[test]
+fn diagnose_metrics_jsonl_streams_tagged_points_in_follow_mode() {
+    use rescue::telemetry::json::{parse, Value};
+    use std::process::Stdio;
+    let net = write_temp("fig1j.pn", FIG1_NET);
+    let series = write_temp("fig1j.jsonl", "");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_diagnose"))
+        .args([
+            net.to_str().unwrap(),
+            "--follow",
+            "--metrics-jsonl",
+            series.to_str().unwrap(),
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("diagnose spawns");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"b@p1\na@p2\nc@p1\n")
+        .unwrap();
+    let out = child.wait_with_output().expect("diagnose runs");
+    assert!(out.status.success(), "stderr: {:?}", out.stderr);
+    let text = std::fs::read_to_string(&series).unwrap();
+    let points: Vec<Value> = text
+        .lines()
+        .map(|l| parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect();
+    assert!(!points.is_empty(), "no series points written");
+    for (i, p) in points.iter().enumerate() {
+        assert_eq!(
+            p.get("schema").and_then(Value::as_str),
+            Some("rescue-series-v1")
+        );
+        assert_eq!(p.get("seq").and_then(Value::as_number), Some(i as f64));
+    }
+    // Follow mode pushes each input line through the session manager as a
+    // batch of one alarm, so every absorbed alarm leaves one `batch` point
+    // (the rest are the fixpoint's `round` points).
+    let label = |p: &Value| p.get("label").and_then(Value::as_str).unwrap().to_owned();
+    let per_alarm = points.iter().filter(|p| label(p) == "batch").count();
+    assert_eq!(per_alarm, 3, "{text}");
+    assert!(points
+        .iter()
+        .all(|p| ["round", "batch"].contains(&label(p).as_str())));
+}
+
+#[test]
 fn diagnose_peer_stats_prints_dashboard_and_merged_trace() {
     let net = write_temp("fig1c.pn", FIG1_NET);
     let trace = std::env::temp_dir().join("rescue-cli-tests/merged.json");

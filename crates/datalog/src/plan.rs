@@ -13,7 +13,7 @@
 //!   keeps the source order and exists as the experiment baseline;
 //! * **column masks and key slots** — which columns of each atom are ground
 //!   under the bindings of the *earlier* plan atoms is a static property, so
-//!   the index mask and the recipe for each key column ([`KeySlot`]) are
+//!   the index mask and the recipe for each key column (`KeySlot`) are
 //!   precomputed; the executor never substitutes a pattern just to discover
 //!   it is still open;
 //! * **check schedules** — every disequality and negated atom is pinned to
@@ -30,7 +30,7 @@
 //!   [`TermStore::eq_under_subst`]) and never writes a fact, so what a
 //!   pass matches is a pure function of the round's sealed snapshot
 //!   (DESIGN.md §10); matches are buffered as head-variable bindings
-//!   ([`run_job`]) for the driver's merge phase. The indexes a plan probes
+//!   (`run_job`) for the driver's merge phase. The indexes a plan probes
 //!   are a static property ([`RulePlan::index_needs`]) prepared by the
 //!   driver before execution.
 //!

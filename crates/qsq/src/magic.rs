@@ -13,7 +13,7 @@
 //! ```
 //!
 //! The query checks, the seed, the naming and the worklist over adorned
-//! predicates are QSQ's ([`crate::adorn::Adorner`]); so is the per-atom
+//! predicates are QSQ's (`adorn::Adorner`); so is the per-atom
 //! adornment step. Only the emission differs: the guarded rule and one
 //! magic rule per intensional atom, where QSQ emits a `sup` chain.
 //!

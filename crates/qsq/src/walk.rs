@@ -165,7 +165,7 @@ impl Cursor {
 
 /// What walks write: the relations they name and the rules they emit,
 /// deduplicated where they are defined. A sup whose defining rule has the
-/// [`SupSignature`] of one already defined is not emitted, and the cursor
+/// `SupSignature` of one already defined is not emitted, and the cursor
 /// carries the earlier relation on. Every reference is to an earlier sup,
 /// so this keeps the first sup of each class. A rule emitted before is
 /// not emitted again.

@@ -25,6 +25,7 @@
 use rescue_petri::parse_net;
 use rescue_server::{run_load, LoadReport, LoadSpec};
 use rescue_telemetry::export::chrome_trace;
+use rescue_telemetry::json::Obj;
 use rescue_telemetry::{Collector, DEFAULT_EVENT_CAPACITY};
 use std::process::exit;
 
@@ -104,25 +105,21 @@ fn parse_args() -> Result<(String, LoadSpec, Option<String>, Option<String>), St
 }
 
 fn report_json(r: &LoadReport) -> String {
-    format!(
-        "{{\"sessions\":{},\"pushes\":{},\"alarms\":{},\"p50_us\":{},\"p99_us\":{},\
-         \"max_us\":{},\"wall_s\":{:.3},\"sessions_per_sec\":{:.1},\"pushes_per_sec\":{:.1},\
-         \"backpressure_replies\":{},\"rejected_sessions\":{},\"failed_sessions\":{},\
-         \"mismatches\":{}}}",
-        r.sessions,
-        r.pushes,
-        r.alarms,
-        r.p50_us,
-        r.p99_us,
-        r.max_us,
-        r.wall_s,
-        r.sessions_per_sec,
-        r.pushes_per_sec,
-        r.backpressure_replies,
-        r.rejected_sessions,
-        r.failed_sessions,
-        r.mismatches,
-    )
+    Obj::new()
+        .num("sessions", r.sessions as u64)
+        .num("pushes", r.pushes)
+        .num("alarms", r.alarms)
+        .num("p50_us", r.p50_us)
+        .num("p99_us", r.p99_us)
+        .num("max_us", r.max_us)
+        .fixed("wall_s", r.wall_s, 3)
+        .fixed("sessions_per_sec", r.sessions_per_sec, 1)
+        .fixed("pushes_per_sec", r.pushes_per_sec, 1)
+        .num("backpressure_replies", r.backpressure_replies)
+        .num("rejected_sessions", r.rejected_sessions)
+        .num("failed_sessions", r.failed_sessions)
+        .num("mismatches", r.mismatches)
+        .finish()
 }
 
 fn main() {

@@ -119,7 +119,7 @@ fn main() {
             usage()
         }
     };
-    // SLO evaluation needs the series sampler, which needs the collector.
+    // SLO evaluation reads the collector's latency histograms.
     let collector = if o.trace_out.is_some() || o.metrics || !o.slo.is_empty() {
         Collector::enabled()
     } else {

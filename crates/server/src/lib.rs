@@ -21,7 +21,7 @@
 //!   local single-session batch run.
 //! * [`slo`] — declared service objectives (`--slo push_p99_ms=250`),
 //!   the `ok|degraded|failing` health state machine, and the watchdog
-//!   that evaluates them over the collector's series sampler.
+//!   that evaluates them over the delta between its own ticks.
 //!
 //! Observability (DESIGN.md §16): requests may carry a trace context
 //! (`"flow"`/`"lamport"`) that a tracing server `flow_recv`s into its

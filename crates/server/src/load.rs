@@ -20,7 +20,7 @@
 use crate::wire;
 use rescue_diagnosis::{Alarm, AlarmSeq, Diagnosis, DiagnosisSession};
 use rescue_petri::{exec::random_run, PetriNet};
-use rescue_telemetry::json::{self, Value};
+use rescue_telemetry::json::{self, Obj, Value};
 use rescue_telemetry::merge::keys;
 use rescue_telemetry::{Arg, Collector};
 use std::io::{self, BufRead, BufReader, Write};
@@ -152,11 +152,10 @@ impl Client {
 /// Send one request with the client's trace context appended: a fresh
 /// flow id plus the Lamport stamp after a local tick, recorded as a
 /// `flow_send` inside a client span covering write + reply read. With a
-/// disabled collector this is exactly [`Client::call`]. `body` is the
-/// request JSON without its closing `}`.
-fn traced_call(client: &mut Client, col: &Collector, label: &str, body: &str) -> io::Result<Value> {
+/// disabled collector this is exactly [`Client::call`].
+fn traced_call(client: &mut Client, col: &Collector, label: &str, req: Obj) -> io::Result<Value> {
     if !col.is_enabled() {
-        return client.call(&format!("{body}}}"));
+        return client.call(&req.finish());
     }
     let _span = col.span(label.to_owned(), "client");
     let flow = col.flow_id();
@@ -167,7 +166,12 @@ fn traced_call(client: &mut Client, col: &Collector, label: &str, body: &str) ->
         flow,
         vec![(keys::LAMPORT.to_owned(), Arg::Num(lamport))],
     );
-    client.call(&format!("{body},\"flow\":{flow},\"lamport\":{lamport}}}"))
+    client.call(&req.num("flow", flow).num("lamport", lamport).finish())
+}
+
+/// A request for `op` on one session, before any further fields.
+fn request(op: &str, session: &str) -> Obj {
+    Obj::new().str("op", op).str("session", session)
 }
 
 fn get_bool(v: &Value, key: &str) -> bool {
@@ -280,7 +284,12 @@ pub fn run_load(addr: &str, spec: LoadSpec) -> io::Result<LoadReport> {
     }
     if spec.shutdown {
         let mut c = Client::connect(addr)?;
-        traced_call(&mut c, &spec.collector, "shutdown", "{\"op\":\"shutdown\"")?;
+        traced_call(
+            &mut c,
+            &spec.collector,
+            "shutdown",
+            Obj::new().str("op", "shutdown"),
+        )?;
     }
     let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
     total.latencies_us.sort_unstable();
@@ -312,11 +321,6 @@ fn drive_connection(
 ) -> io::Result<Tally> {
     let mut client = Client::connect(addr)?;
     let mut tally = Tally::default();
-    let net_field = spec
-        .net_name
-        .as_deref()
-        .map(|n| format!(",\"net\":{}", wire::esc(n)))
-        .unwrap_or_default();
 
     struct Live {
         index: usize,
@@ -331,15 +335,11 @@ fn drive_connection(
     let mut live: Vec<Live> = Vec::new();
     for index in (conn..spec.sessions).step_by(spec.connections.max(1)) {
         let id = format!("load-{index}");
-        let reply = traced_call(
-            &mut client,
-            &spec.collector,
-            &format!("create {id}"),
-            &format!(
-                "{{\"op\":\"create\",\"session\":{}{net_field}",
-                wire::esc(&id)
-            ),
-        )?;
+        let mut req = request("create", &id);
+        if let Some(net) = &spec.net_name {
+            req = req.str("net", net);
+        }
+        let reply = traced_call(&mut client, &spec.collector, &format!("create {id}"), req)?;
         if !get_bool(&reply, "ok") {
             if get_str(&reply, "error") == "admission_denied" {
                 tally.rejected += 1;
@@ -376,13 +376,13 @@ fn drive_connection(
                     &mut client,
                     &spec.collector,
                     &format!("detach {}", s.id),
-                    &format!("{{\"op\":\"detach\",\"session\":{}", wire::esc(&s.id)),
+                    request("detach", &s.id),
                 )?;
                 let reply = traced_call(
                     &mut client,
                     &spec.collector,
                     &format!("attach {}", s.id),
-                    &format!("{{\"op\":\"attach\",\"session\":{}", wire::esc(&s.id)),
+                    request("attach", &s.id),
                 )?;
                 if !get_bool(&reply, "ok") {
                     // Evicted while detached (admission pressure): the
@@ -402,11 +402,9 @@ fn drive_connection(
                     &mut client,
                     &spec.collector,
                     &format!("push {}", s.id),
-                    &format!(
-                        "{{\"op\":\"push\",\"session\":{},\"alarms\":{},\"diagnosis\":false",
-                        wire::esc(&s.id),
-                        wire::esc(&alarms_payload(window)),
-                    ),
+                    request("push", &s.id)
+                        .str("alarms", &alarms_payload(window))
+                        .bool("diagnosis", false),
                 )?;
                 tally.latencies_us.push(t.elapsed().as_micros() as u64);
                 tally.pushes += 1;
@@ -442,7 +440,7 @@ fn drive_connection(
             &mut client,
             &spec.collector,
             &format!("diagnosis {}", s.id),
-            &format!("{{\"op\":\"diagnosis\",\"session\":{}", wire::esc(&s.id)),
+            request("diagnosis", &s.id),
         )?;
         if !get_bool(&reply, "ok") {
             tally.failed += 1;

@@ -20,21 +20,26 @@
 //! Input is bounded where it enters: a line may not exceed [`MAX_LINE`].
 //!
 //! Observability (DESIGN.md §16): when the collector is enabled the
-//! server additionally runs a watchdog thread that samples the collector
-//! once per tick — feeding both the SLO [`Watchdog`] (health state served
-//! by `ping`/`metrics`) and a [`RollingWindow`] whose deltas back the
-//! Prometheus-style exposition of the `metrics` verb. Requests carrying a
-//! trace context (`"flow"`/`"lamport"`) are `flow_recv`ed into the
-//! collector, linking the client's send span to the server-side op span
-//! in a merged trace.
+//! server additionally runs a watchdog thread that snapshots the
+//! collector once per tick. The tick diffs the snapshot against its own
+//! previous one for the SLO [`Watchdog`] (health state served by
+//! `ping`/`metrics`) and feeds it to a [`RollingWindow`] whose deltas
+//! back the Prometheus-style exposition of the `metrics` verb. Requests
+//! carrying a trace context (`"flow"`/`"lamport"`) are `flow_recv`ed into
+//! the collector, linking the client's send span to the server-side op
+//! span in a merged trace.
 
-use crate::slo::{Health, SloSpec, Watchdog};
-use crate::wire::{self, Obj, Request};
-use rescue_diagnosis::{ManagerConfig, ManagerError, PushReply, SessionManager, SessionStats};
+use crate::slo::{Health, Observation, SloSpec, Watchdog};
+use crate::wire::{self, Request};
+use rescue_diagnosis::{
+    ManagerConfig, ManagerError, ManagerStats, PushReply, SessionManager, SessionStats,
+};
 use rescue_petri::PetriNet;
+use rescue_telemetry::json::{self, Arr, Obj};
 use rescue_telemetry::merge::keys;
+use rescue_telemetry::series::{self, SeriesPoint};
 use rescue_telemetry::window::RollingWindow;
-use rescue_telemetry::{expose, Arg, Collector};
+use rescue_telemetry::{expose, Arg, Collector, MetricsSnapshot};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -52,7 +57,7 @@ pub struct ServerConfig {
     /// (exportable as a Chrome trace after shutdown).
     pub collector: Collector,
     /// Service objectives the watchdog evaluates (needs an enabled
-    /// collector — latency SLOs are read off its series sampler).
+    /// collector — latency SLOs are read off its histograms).
     pub slo: SloSpec,
 }
 
@@ -109,7 +114,7 @@ const POLL_MAX: Duration = Duration::from_millis(200);
 /// cannot grow server memory without bound.
 pub const MAX_LINE: usize = 1 << 20;
 
-/// Watchdog cadence: one series sample + SLO evaluation per tick.
+/// Watchdog cadence: one snapshot + SLO evaluation per tick.
 const WATCHDOG_TICK: Duration = Duration::from_millis(100);
 
 /// Serve `listener` until a `shutdown` request arrives; returns the run
@@ -198,51 +203,63 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     Ok(ServerHandle { addr, thread })
 }
 
-/// The per-tick observability loop: sample the collector's series (one
-/// [`rescue_telemetry::series::SeriesPoint`] of deltas since the last
-/// tick), evaluate the SLO spec over it, publish the health code, emit a
-/// structured instant on every state transition, and feed the rolling
-/// window behind the `metrics` exposition.
+/// The observability loop: one [`watchdog_tick`] per [`WATCHDOG_TICK`]
+/// until shutdown, publishing each tick's health code.
 fn watchdog_loop(shared: &Shared, spec: SloSpec) {
-    if !shared.collector.has_series() {
-        shared
-            .collector
-            .attach_series(rescue_telemetry::series::DEFAULT_SERIES_CAPACITY);
-    }
     let mut watchdog = Watchdog::new(spec);
+    let mut prev = MetricsSnapshot::default();
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(WATCHDOG_TICK);
-        let resident = shared.connections.load(Ordering::Relaxed);
-        shared
-            .collector
-            .sample_series("watchdog", &[("connections", resident)]);
-        let Some(point) = shared.collector.series_points().into_iter().next_back() else {
-            continue;
-        };
-        let obs = watchdog.observe(&point);
+        let obs = watchdog_tick(&shared.collector, &shared.window, &mut watchdog, &mut prev);
         shared.health.store(obs.health.as_u8(), Ordering::Relaxed);
-        if obs.changed {
-            let name = if obs.health == Health::Ok {
-                "slo.recovered"
-            } else {
-                "slo.crossed"
-            };
-            let mut args: Vec<(String, Arg)> = vec![(
-                "health".to_owned(),
-                Arg::Str(obs.health.as_str().to_owned()),
-            )];
-            for (i, b) in obs.breaches.iter().enumerate() {
-                args.push((format!("breach{i}"), Arg::Str(b.clone())));
-            }
-            shared.collector.instant(name, "slo", args);
-            shared.collector.count(&format!("server.{name}"), 1);
-        }
-        shared
-            .window
-            .lock()
-            .expect("window mutex poisoned")
-            .observe(shared.collector.elapsed_us(), shared.collector.snapshot());
     }
+}
+
+/// One watchdog tick: snapshot the collector once, evaluate the SLO spec
+/// over the delta since the previous tick's snapshot `prev`, emit a
+/// structured instant on every state transition, and feed the same
+/// snapshot to the rolling window behind the `metrics` exposition. The
+/// tick keeps its own baseline because the collector is shared with
+/// every session, and a session's per-round and per-alarm samples must
+/// not cut the tick's window short.
+fn watchdog_tick(
+    collector: &Collector,
+    window: &Mutex<RollingWindow>,
+    watchdog: &mut Watchdog,
+    prev: &mut MetricsSnapshot,
+) -> Observation {
+    let t_us = collector.elapsed_us();
+    let snap = collector.snapshot();
+    let (counters, hists) = series::delta(&snap, prev);
+    let obs = watchdog.observe(&SeriesPoint {
+        t_us,
+        label: "watchdog".to_owned(),
+        counters,
+        hists,
+        ..SeriesPoint::default()
+    });
+    if obs.changed {
+        let name = if obs.health == Health::Ok {
+            "slo.recovered"
+        } else {
+            "slo.crossed"
+        };
+        let mut args: Vec<(String, Arg)> = vec![(
+            "health".to_owned(),
+            Arg::Str(obs.health.as_str().to_owned()),
+        )];
+        for (i, b) in obs.breaches.iter().enumerate() {
+            args.push((format!("breach{i}"), Arg::Str(b.clone())));
+        }
+        collector.instant(name, "slo", args);
+        collector.count(&format!("server.{name}"), 1);
+    }
+    window
+        .lock()
+        .expect("window mutex poisoned")
+        .observe(t_us, snap.clone());
+    *prev = snap;
+    obs
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
@@ -343,9 +360,9 @@ fn manager_err(op: &str, e: &ManagerError) -> Obj {
     if let ManagerError::SessionFailed { id, flight, .. } = e {
         obj = obj.str("session", id);
         if !flight.is_empty() {
-            // The flight dump is itself JSON (pretty-printed): compact it
-            // onto the reply line, don't double-encode it as a string.
-            obj = obj.raw("flight", &wire::compact(flight));
+            // The flight dump is itself compact JSON: embed it, don't
+            // double-encode it as a string.
+            obj = obj.raw("flight", flight);
         }
     }
     if let ManagerError::AdmissionDenied { resident, cap } = e {
@@ -356,7 +373,7 @@ fn manager_err(op: &str, e: &ManagerError) -> Obj {
     obj
 }
 
-fn push_summary(req: &Request, id: &str, r: &PushReply) -> String {
+fn push_summary(req: &Request, id: &str, r: &PushReply) -> Obj {
     let ok = r.dropped == 0;
     let mut obj = Obj::new()
         .bool("ok", ok)
@@ -377,29 +394,40 @@ fn push_summary(req: &Request, id: &str, r: &PushReply) -> String {
     if req.include_diagnosis {
         obj = obj.raw("diagnosis", &wire::diagnosis_json(&r.diagnosis));
     }
-    obj.finish()
+    obj
+}
+
+/// The manager's lifetime counters, as the `stats` and `metrics` replies
+/// both carry them.
+fn rollup(obj: Obj, s: &ManagerStats) -> Obj {
+    obj.num("resident", s.resident as u64)
+        .num("attached", s.attached as u64)
+        .num("created", s.created)
+        .num("destroyed", s.destroyed)
+        .num("evicted", s.evicted)
+        .num("rejected", s.rejected)
+        .num("failed", s.failed)
+        .num("alarms_accepted", s.alarms_accepted)
+        .num("backpressure_replies", s.backpressure_replies)
 }
 
 /// The `metrics` reply's per-session table (MRU-first), one compact
 /// object per session — everything `rescue-top` renders a row from.
 fn session_rows_json(rows: &[SessionStats]) -> String {
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            Obj::new()
-                .str("id", &r.id)
-                .num("alarms", r.alarms as u64)
-                .num("facts", r.facts as u64)
-                .bool("attached", r.attached)
-                .bool("failed", r.failed.is_some())
-                .num("pushes", r.pushes)
-                .num("last_batch", r.last_batch as u64)
-                .num("push_p50_us", r.push_p50_us)
-                .num("push_p99_us", r.push_p99_us)
-                .finish()
-        })
-        .collect();
-    format!("[{}]", rendered.join(","))
+    let row = |r: &SessionStats| {
+        Obj::new()
+            .str("id", &r.id)
+            .num("alarms", r.alarms as u64)
+            .num("facts", r.facts as u64)
+            .bool("attached", r.attached)
+            .bool("failed", r.failed.is_some())
+            .num("pushes", r.pushes)
+            .num("last_batch", r.last_batch as u64)
+            .num("push_p50_us", r.push_p50_us)
+            .num("push_p99_us", r.push_p99_us)
+            .finish()
+    };
+    rows.iter().fold(Arr::new(), |a, r| a.raw(&row(r))).finish()
 }
 
 /// Execute one request against the shared state. Returns the reply lines
@@ -426,7 +454,9 @@ fn dispatch(req: &Request, shared: &Shared) -> Vec<String> {
         }
     }
     let t0 = Instant::now();
-    let replies = dispatch_op(req, shared);
+    let mut replies = Vec::new();
+    let last = reply(req, shared, &mut replies).unwrap_or_else(|e| e);
+    replies.push(last.finish());
     if traced {
         // Per-op service latency (µs) — the histograms behind the
         // `metrics` exposition and the rescue-top latency columns.
@@ -438,165 +468,136 @@ fn dispatch(req: &Request, shared: &Shared) -> Vec<String> {
     replies
 }
 
-fn dispatch_op(req: &Request, shared: &Shared) -> Vec<String> {
+/// The last reply to `req`, and for every op but a streamed push the only
+/// one: a streamed push first appends one `delta` line per alarm to
+/// `lines`. `Err` is an error reply.
+fn reply(req: &Request, shared: &Shared, lines: &mut Vec<String>) -> Result<Obj, Obj> {
     let op = req.op.as_str();
     let traced = shared.collector.is_enabled();
-    let need_session = || -> Result<&str, Vec<String>> {
+    let session = || {
         req.session
             .as_deref()
-            .ok_or_else(|| vec![wire::err(op, "bad_request", "missing \"session\"").finish()])
+            .ok_or_else(|| wire::err(op, "bad_request", "missing \"session\""))
     };
+    let failed = |e: ManagerError| manager_err(op, &e);
     let mgr = &shared.manager;
-    match op {
+    Ok(match op {
         "ping" => {
             let health = Health::from_u8(shared.health.load(Ordering::Relaxed));
-            vec![wire::ok("pong")
+            wire::ok("pong")
                 .str("health", health.as_str())
                 .num("uptime_us", shared.start.elapsed().as_micros() as u64)
-                .finish()]
         }
-        "create" => match mgr.create(req.session.as_deref(), req.net.as_deref()) {
-            Ok(id) => {
-                let net = req
-                    .net
-                    .clone()
-                    .or_else(|| mgr.net_names().first().cloned())
-                    .unwrap_or_default();
-                vec![wire::ok("create")
-                    .str("session", &id)
-                    .str("net", &net)
-                    .finish()]
-            }
-            Err(e) => vec![manager_err(op, &e).finish()],
-        },
-        "attach" => match need_session() {
-            Err(r) => r,
-            Ok(id) => match mgr.attach(id) {
-                Ok(alarms) => vec![wire::ok("attach")
-                    .str("session", id)
-                    .num("alarms", alarms as u64)
-                    .finish()],
-                Err(e) => vec![manager_err(op, &e).finish()],
-            },
-        },
-        "detach" => match need_session() {
-            Err(r) => r,
-            Ok(id) => match mgr.detach(id) {
-                Ok(()) => vec![wire::ok("detach").str("session", id).finish()],
-                Err(e) => vec![manager_err(op, &e).finish()],
-            },
-        },
-        "destroy" => match need_session() {
-            Err(r) => r,
-            Ok(id) => match mgr.destroy(id) {
-                Ok(()) => vec![wire::ok("destroy").str("session", id).finish()],
-                Err(e) => vec![manager_err(op, &e).finish()],
-            },
-        },
-        "push" => match need_session() {
-            Err(r) => r,
-            Ok(id) => {
-                let t0 = Instant::now();
-                let mut lines = Vec::new();
-                let outcome = if req.stream && !req.alarms.is_empty() {
-                    // Streaming: one delta reply per alarm, each a
-                    // singleton batch through the same manager path.
-                    let mut last: Result<PushReply, ManagerError> =
-                        Err(ManagerError::UnknownSession(id.to_owned()));
-                    let mut n_before = None;
-                    for alarm in &req.alarms {
-                        let r = mgr.push(id, std::slice::from_ref(alarm));
-                        if let Ok(ok) = &r {
-                            n_before.get_or_insert(ok.alarms_total - ok.accepted);
-                            let mut obj = wire::ok("delta")
-                                .str("session", id)
-                                .str("alarm", &format!("{}@{}", alarm.symbol, alarm.peer))
-                                .num("n", ok.alarms_total as u64)
-                                .num("explanations", ok.diagnosis.len() as u64);
-                            if req.include_diagnosis {
-                                obj = obj.raw("diagnosis", &wire::diagnosis_json(&ok.diagnosis));
-                            }
-                            lines.push(obj.finish());
+        "create" => {
+            let id = mgr
+                .create(req.session.as_deref(), req.net.as_deref())
+                .map_err(failed)?;
+            let net = req
+                .net
+                .clone()
+                .or_else(|| mgr.net_names().first().cloned())
+                .unwrap_or_default();
+            wire::ok("create").str("session", &id).str("net", &net)
+        }
+        "attach" => {
+            let id = session()?;
+            let alarms = mgr.attach(id).map_err(failed)?;
+            wire::ok("attach")
+                .str("session", id)
+                .num("alarms", alarms as u64)
+        }
+        "detach" => {
+            let id = session()?;
+            mgr.detach(id).map_err(failed)?;
+            wire::ok("detach").str("session", id)
+        }
+        "destroy" => {
+            let id = session()?;
+            mgr.destroy(id).map_err(failed)?;
+            wire::ok("destroy").str("session", id)
+        }
+        "push" => {
+            let id = session()?;
+            let t0 = Instant::now();
+            let outcome = if req.stream && !req.alarms.is_empty() {
+                // Streaming: one delta reply per alarm, each a singleton
+                // batch through the same manager path.
+                let mut last: Result<PushReply, ManagerError> =
+                    Err(ManagerError::UnknownSession(id.to_owned()));
+                let mut n_before = None;
+                for alarm in &req.alarms {
+                    let r = mgr.push(id, std::slice::from_ref(alarm));
+                    if let Ok(ok) = &r {
+                        n_before.get_or_insert(ok.alarms_total - ok.accepted);
+                        let mut obj = wire::ok("delta")
+                            .str("session", id)
+                            .str("alarm", &format!("{}@{}", alarm.symbol, alarm.peer))
+                            .num("n", ok.alarms_total as u64)
+                            .num("explanations", ok.diagnosis.len() as u64);
+                        if req.include_diagnosis {
+                            obj = obj.raw("diagnosis", &wire::diagnosis_json(&ok.diagnosis));
                         }
-                        let failed = r.is_err();
-                        last = r;
-                        if failed {
-                            break;
-                        }
+                        lines.push(obj.finish());
                     }
-                    last.map(|mut r| {
-                        // The summary line accounts for the whole payload.
-                        r.accepted = r.alarms_total - n_before.unwrap_or(r.alarms_total);
-                        r.dropped = 0;
-                        r
-                    })
-                } else {
-                    mgr.push(id, &req.alarms)
-                };
-                if traced {
-                    shared
-                        .collector
-                        .record("server.push_latency_us", t0.elapsed().as_micros() as u64);
+                    let failed = r.is_err();
+                    last = r;
+                    if failed {
+                        break;
+                    }
                 }
-                match outcome {
-                    Ok(r) => lines.push(push_summary(req, id, &r)),
-                    Err(e) => lines.push(manager_err(op, &e).finish()),
-                }
-                lines
+                last.map(|mut r| {
+                    // The summary line accounts for the whole payload.
+                    r.accepted = r.alarms_total - n_before.unwrap_or(r.alarms_total);
+                    r.dropped = 0;
+                    r
+                })
+            } else {
+                mgr.push(id, &req.alarms)
+            };
+            if traced {
+                shared
+                    .collector
+                    .record("server.push_latency_us", t0.elapsed().as_micros() as u64);
             }
-        },
-        "diagnosis" => match need_session() {
-            Err(r) => r,
-            Ok(id) => match mgr.diagnosis(id) {
-                Ok(d) => {
-                    let mut obj = wire::ok("diagnosis")
-                        .str("session", id)
-                        .num("explanations", d.len() as u64);
-                    if req.include_diagnosis {
-                        obj = obj.raw("diagnosis", &wire::diagnosis_json(&d));
-                    }
-                    vec![obj.finish()]
-                }
-                Err(e) => vec![manager_err(op, &e).finish()],
-            },
-        },
+            push_summary(req, id, &outcome.map_err(failed)?)
+        }
+        "diagnosis" => {
+            let id = session()?;
+            let d = mgr.diagnosis(id).map_err(failed)?;
+            let obj = wire::ok("diagnosis")
+                .str("session", id)
+                .num("explanations", d.len() as u64);
+            if req.include_diagnosis {
+                obj.raw("diagnosis", &wire::diagnosis_json(&d))
+            } else {
+                obj
+            }
+        }
         "stats" => match &req.session {
-            Some(id) => match mgr.session_stats(id) {
-                Ok(s) => {
-                    let mut obj = wire::ok("stats")
-                        .str("session", id)
-                        .num("alarms", s.alarms as u64)
-                        .num("facts", s.facts as u64)
-                        .bool("attached", s.attached)
-                        .num("rule_firings", s.eval.rule_firings as u64)
-                        .num("candidates_scanned", s.eval.candidates_scanned as u64)
-                        .num("facts_derived", s.eval.facts_derived as u64)
-                        .num("plans_compiled", s.eval.plans_compiled as u64)
-                        .num("iterations", s.eval.iterations as u64);
-                    if let Some(reason) = &s.failed {
-                        obj = obj.str("failed", reason);
-                    }
-                    vec![obj.finish()]
-                }
-                Err(e) => vec![manager_err(op, &e).finish()],
-            },
-            None => {
-                let s = mgr.stats();
-                vec![wire::ok("stats")
-                    .num("resident", s.resident as u64)
-                    .num("attached", s.attached as u64)
-                    .num("created", s.created)
-                    .num("destroyed", s.destroyed)
-                    .num("evicted", s.evicted)
-                    .num("rejected", s.rejected)
-                    .num("failed", s.failed)
-                    .num("alarms_accepted", s.alarms_accepted)
-                    .num("backpressure_replies", s.backpressure_replies)
+            Some(id) => {
+                let s = mgr.session_stats(id).map_err(failed)?;
+                let obj = wire::ok("stats")
+                    .str("session", id)
+                    .num("alarms", s.alarms as u64)
+                    .num("facts", s.facts as u64)
+                    .bool("attached", s.attached)
                     .num("rule_firings", s.eval.rule_firings as u64)
                     .num("candidates_scanned", s.eval.candidates_scanned as u64)
                     .num("facts_derived", s.eval.facts_derived as u64)
                     .num("plans_compiled", s.eval.plans_compiled as u64)
-                    .finish()]
+                    .num("iterations", s.eval.iterations as u64);
+                match &s.failed {
+                    Some(reason) => obj.str("failed", reason),
+                    None => obj,
+                }
+            }
+            None => {
+                let s = mgr.stats();
+                rollup(wire::ok("stats"), &s)
+                    .num("rule_firings", s.eval.rule_firings as u64)
+                    .num("candidates_scanned", s.eval.candidates_scanned as u64)
+                    .num("facts_derived", s.eval.facts_derived as u64)
+                    .num("plans_compiled", s.eval.plans_compiled as u64)
             }
         },
         "metrics" => {
@@ -604,18 +605,10 @@ fn dispatch_op(req: &Request, shared: &Shared) -> Vec<String> {
             let rows = mgr.session_table(req.top);
             let ingest_capacity = mgr.config().ingest_capacity;
             let health = Health::from_u8(shared.health.load(Ordering::Relaxed));
-            let mut obj = wire::ok("metrics")
+            let obj = wire::ok("metrics")
                 .str("health", health.as_str())
-                .num("uptime_us", shared.start.elapsed().as_micros() as u64)
-                .num("resident", s.resident as u64)
-                .num("attached", s.attached as u64)
-                .num("created", s.created)
-                .num("destroyed", s.destroyed)
-                .num("evicted", s.evicted)
-                .num("rejected", s.rejected)
-                .num("failed", s.failed)
-                .num("alarms_accepted", s.alarms_accepted)
-                .num("backpressure_replies", s.backpressure_replies)
+                .num("uptime_us", shared.start.elapsed().as_micros() as u64);
+            let mut obj = rollup(obj, &s)
                 .num("ingest_capacity", ingest_capacity as u64)
                 .raw("sessions", &session_rows_json(&rows));
             if traced {
@@ -641,47 +634,87 @@ fn dispatch_op(req: &Request, shared: &Shared) -> Vec<String> {
                 let text = expose::prometheus_text("rescue", &snap, &gauges, Some(&delta));
                 obj = obj.num("window_us", delta.span_us).str("exposition", &text);
             }
-            vec![obj.finish()]
+            obj
         }
-        "profile" => match need_session() {
-            Err(r) => r,
-            Ok(id) => match mgr.session_profile(id) {
-                Ok(p) => {
-                    let frames: Vec<String> = p
-                        .top_k(req.top)
-                        .into_iter()
-                        .map(|r| {
-                            Obj::new()
-                                .str("frame", &r.frame())
-                                .num("wall_us", r.wall_us)
-                                .num("candidates", r.candidates)
-                                .finish()
-                        })
-                        .collect();
-                    vec![wire::ok("profile")
-                        .str("session", id)
-                        .num("frames", frames.len() as u64)
-                        .raw("top", &format!("[{}]", frames.join(",")))
-                        .finish()]
-                }
-                Err(e) => vec![manager_err(op, &e).finish()],
-            },
-        },
+        "profile" => {
+            let id = session()?;
+            let profile = mgr.session_profile(id).map_err(failed)?;
+            let top = profile.top_k(req.top);
+            let frames = top.iter().fold(Arr::new(), |a, r| {
+                a.raw(
+                    &Obj::new()
+                        .str("frame", &r.frame())
+                        .num("wall_us", r.wall_us)
+                        .num("candidates", r.candidates)
+                        .finish(),
+                )
+            });
+            wire::ok("profile")
+                .str("session", id)
+                .num("frames", top.len() as u64)
+                .raw("top", &frames.finish())
+        }
         "list" => {
             let ids = mgr.session_ids();
-            let rendered: Vec<String> = ids.iter().map(|s| wire::esc(s)).collect();
-            vec![wire::ok("list")
+            wire::ok("list")
                 .num("resident", ids.len() as u64)
-                .raw("sessions", &format!("[{}]", rendered.join(",")))
-                .finish()]
+                .raw("sessions", &json::strings(&ids))
         }
         "shutdown" => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            vec![wire::ok("shutdown").finish()]
+            wire::ok("shutdown")
         }
         other => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
-            vec![wire::err(other, "unknown_op", &format!("unknown op {other}")).finish()]
+            return Err(wire::err(
+                other,
+                "unknown_op",
+                &format!("unknown op {other}"),
+            ));
         }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A traced server's sessions sample the shared collector once per
+    /// fixpoint round and once per alarm, and the push path records its
+    /// latency after those samples. A watchdog tick must still count every
+    /// push since the previous tick, so a slow push trips the objective
+    /// even when it is not the last push of the tick.
+    #[test]
+    fn a_tick_counts_every_push_between_session_samples() {
+        let collector = Collector::enabled();
+        // A series ring on the shared collector (as `diagnose
+        // --metrics-jsonl` attaches one), so the session samples below
+        // land somewhere.
+        collector.attach_series(rescue_telemetry::series::DEFAULT_SERIES_CAPACITY);
+        let window = Mutex::new(RollingWindow::default());
+        let mut spec = SloSpec::default();
+        spec.apply_flag("push_p99_ms=10").unwrap();
+        let mut watchdog = Watchdog::new(spec);
+        let mut prev = MetricsSnapshot::default();
+        let quiet = watchdog_tick(&collector, &window, &mut watchdog, &mut prev);
+        assert_eq!(quiet.health, Health::Ok);
+        for i in 0..50u64 {
+            collector.sample_series("round", &[("round", 1)]);
+            collector.sample_series("alarm", &[("alarms", i + 1)]);
+            let us = if i == 10 { 50_000 } else { 200 };
+            collector.record("server.push_latency_us", us);
+        }
+        let busy = watchdog_tick(&collector, &window, &mut watchdog, &mut prev);
+        assert_eq!(busy.health, Health::Degraded);
+        assert_eq!(
+            busy.breaches,
+            vec!["push_p99_ms: 50ms > 10ms over 50 push(es)".to_owned()]
+        );
+        let seen = window.lock().unwrap().delta();
+        assert_eq!(seen.hists["server.push_latency_us"].count, 50);
+        // The next tick diffs against this one: no pushes, no breach.
+        let idle = watchdog_tick(&collector, &window, &mut watchdog, &mut prev);
+        assert_eq!(idle.health, Health::Ok);
+        assert!(idle.changed);
     }
 }

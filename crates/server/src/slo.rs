@@ -1,12 +1,13 @@
 //! SLO thresholds, the health state machine, and the watchdog that
-//! evaluates them over the collector's series sampler.
+//! evaluates them once per tick.
 //!
 //! An operator declares objectives on the `rescue-server` command line
 //! (`--slo push_p99_ms=250 --slo backpressure_max=0`); the serving loop
-//! runs a watchdog that samples the collector's [`Series`] once per tick
-//! and feeds the latest [`SeriesPoint`] — counter deltas plus windowed
-//! latency percentiles since the previous tick — into a [`Watchdog`].
-//! The watchdog is a small hysteresis machine:
+//! snapshots the collector once per tick, diffs the snapshot against the
+//! previous tick's with [`series::delta`], and feeds the result as a
+//! [`SeriesPoint`] — counter deltas plus windowed latency percentiles
+//! since the previous tick — into a [`Watchdog`]. The watchdog is a
+//! small hysteresis machine:
 //!
 //! * no breach → [`Health::Ok`], streak resets;
 //! * any breach → [`Health::Degraded`] immediately;
@@ -20,7 +21,7 @@
 //! server left its objectives. `ping` and `metrics` replies report the
 //! current state as `"health":"ok|degraded|failing"`.
 //!
-//! [`Series`]: rescue_telemetry::series::Series
+//! [`series::delta`]: rescue_telemetry::series::delta
 //! [`SeriesPoint`]: rescue_telemetry::series::SeriesPoint
 
 use rescue_telemetry::series::SeriesPoint;

@@ -1,10 +1,9 @@
 //! The `rescue-wire-v1` protocol: line-delimited JSON over TCP.
 //!
 //! One request object per line, one (or, for streamed pushes, several)
-//! reply objects per line. The reader side reuses the workspace's own
-//! minimal JSON parser ([`rescue_telemetry::json`]); the writer side is
-//! hand-rolled like every other JSON emitter in the repo (no serde in the
-//! offline build).
+//! reply objects per line. Both sides use the workspace's one JSON codec,
+//! [`rescue_telemetry::json`]: requests are read with its parser, and
+//! replies are built with its compact writer, so every reply is one line.
 //!
 //! Grammar (all requests are objects with an `"op"` discriminator):
 //!
@@ -43,8 +42,7 @@
 //! are never echoed back.
 
 use rescue_diagnosis::{Alarm, Diagnosis};
-use rescue_telemetry::json::{self, Value};
-use std::fmt::Write as _;
+use rescue_telemetry::json::{self, Arr, Obj, Value};
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -151,107 +149,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     })
 }
 
-/// JSON string escaping, matching the emitters elsewhere in the repo.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Strip insignificant whitespace from a JSON document so it can be
-/// embedded in a single protocol line (flight dumps are pretty-printed).
-pub fn compact(json: &str) -> String {
-    let mut out = String::with_capacity(json.len());
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in json.chars() {
-        if in_string {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-        } else if c == '"' {
-            in_string = true;
-            out.push(c);
-        } else if !c.is_whitespace() {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// One reply object under construction (single line, no pretty-printing —
-/// the framing *is* the newline).
-#[derive(Default)]
-pub struct Obj {
-    buf: String,
-}
-
-impl Obj {
-    pub fn new() -> Self {
-        Obj::default()
-    }
-
-    fn sep(&mut self) {
-        if !self.buf.is_empty() {
-            self.buf.push(',');
-        }
-    }
-
-    pub fn str(mut self, key: &str, v: &str) -> Self {
-        self.sep();
-        let _ = write!(self.buf, "{}:{}", esc(key), esc(v));
-        self
-    }
-
-    pub fn num(mut self, key: &str, v: u64) -> Self {
-        self.sep();
-        let _ = write!(self.buf, "{}:{v}", esc(key));
-        self
-    }
-
-    pub fn float(mut self, key: &str, v: f64) -> Self {
-        self.sep();
-        let _ = write!(self.buf, "{}:{v:.3}", esc(key));
-        self
-    }
-
-    pub fn bool(mut self, key: &str, v: bool) -> Self {
-        self.sep();
-        let _ = write!(self.buf, "{}:{v}", esc(key));
-        self
-    }
-
-    /// A pre-rendered JSON value (array/object), embedded verbatim.
-    pub fn raw(mut self, key: &str, v: &str) -> Self {
-        self.sep();
-        let _ = write!(self.buf, "{}:{v}", esc(key));
-        self
-    }
-
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.buf)
-    }
-}
-
 /// An `"ok":true` reply echoing `op`.
 pub fn ok(op: &str) -> Obj {
     Obj::new().bool("ok", true).str("op", op)
@@ -270,22 +167,10 @@ pub fn err(op: &str, code: &str, detail: &str) -> Obj {
 /// The diagnosis as a JSON array of sorted explanation arrays — the
 /// canonical form, so two byte-identical diagnoses render byte-identically.
 pub fn diagnosis_json(d: &Diagnosis) -> String {
-    let mut out = String::from("[");
-    for (i, config) in d.configurations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, ev) in config.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&esc(ev));
-        }
-        out.push(']');
-    }
-    out.push(']');
-    out
+    d.configurations
+        .iter()
+        .fold(Arr::new(), |a, config| a.raw(&json::strings(config)))
+        .finish()
 }
 
 #[cfg(test)]
@@ -324,14 +209,6 @@ mod tests {
         assert!(parse_request(r#"{"session":"s0"}"#).is_err());
         assert!(parse_request(r#"{"op":"push","alarms":"nopeer"}"#).is_err());
         assert!(parse_request(r#"{"op":"push","alarms":[["b"]]}"#).is_err());
-    }
-
-    #[test]
-    fn compact_preserves_strings_and_drops_framing_whitespace() {
-        let pretty = "{\n  \"a\": \"x \\\" y\\n\",\n  \"b\": [1, 2]\n}\n";
-        let c = compact(pretty);
-        assert_eq!(c, "{\"a\":\"x \\\" y\\n\",\"b\":[1,2]}");
-        json::parse(&c).expect("still valid JSON");
     }
 
     #[test]

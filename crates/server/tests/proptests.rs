@@ -1,13 +1,12 @@
-//! Property-based tests for the `rescue-wire-v1` encoding helpers:
-//! whatever `esc`/`compact` emit must parse back to the same value, for
-//! arbitrary JSON trees — escaped quotes, backslashes, control
-//! characters, unicode, and the pretty-printed flight-dump payloads the
-//! server embeds in `session_failed` replies.
+//! Property-based tests for the `rescue-wire-v1` encoding: whatever the
+//! workspace's one JSON writer emits must parse back to the same value,
+//! for arbitrary JSON trees — escaped quotes, backslashes, control
+//! characters, unicode, and the flight-dump payloads the server embeds in
+//! `session_failed` replies.
 
 use proptest::prelude::*;
 use rescue_server::wire;
-use rescue_telemetry::json::{self, Value};
-use std::fmt::Write as _;
+use rescue_telemetry::json::{self, Arr, Obj, Value};
 
 // ---------- generators ----------
 
@@ -44,47 +43,30 @@ fn value() -> BoxedStrategy<Value> {
     })
 }
 
-/// Render `v` pretty-printed — newlines, indentation, spaces after
-/// colons — i.e. with exactly the insignificant whitespace `compact`
-/// must strip without touching string contents.
-fn pretty(v: &Value, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::Number(n) => {
-            let _ = write!(out, "{}", *n as u64);
-        }
-        Value::String(s) => out.push_str(&wire::esc(s)),
-        Value::Array(xs) if xs.is_empty() => out.push_str("[ ]"),
-        Value::Array(xs) => {
-            out.push_str("[\n");
-            for (i, x) in xs.iter().enumerate() {
-                let _ = write!(out, "{pad}  ");
-                pretty(x, indent + 1, out);
-                out.push_str(if i + 1 < xs.len() { ",\n" } else { "\n" });
-            }
-            let _ = write!(out, "{pad}]");
-        }
-        Value::Object(m) if m.is_empty() => out.push_str("{ }"),
-        Value::Object(m) => {
-            out.push_str("{\n");
-            for (i, (k, x)) in m.iter().enumerate() {
-                let _ = write!(out, "{pad}  {} : ", wire::esc(k));
-                pretty(x, indent + 1, out);
-                out.push_str(if i + 1 < m.len() { ",\n" } else { "\n" });
-            }
-            let _ = write!(out, "{pad}}}");
-        }
-    }
+/// `s` as a JSON string literal, through the workspace's one escaper.
+fn literal(s: &str) -> String {
+    let mut out = String::new();
+    json::quote(&mut out, s);
+    out
 }
 
+/// Render `v` compactly with the workspace's one JSON writer — what a
+/// flight dump looks like when the server embeds it.
 fn render(v: &Value) -> String {
-    let mut out = String::new();
-    pretty(v, 0, &mut out);
-    out
+    match v {
+        Value::Null => "null".to_owned(),
+        Value::Bool(b) => b.to_string(),
+        Value::Number(n) => (*n as u64).to_string(),
+        Value::String(s) => literal(s),
+        Value::Array(xs) => xs
+            .iter()
+            .fold(Arr::new(), |a, x| a.raw(&render(x)))
+            .finish(),
+        Value::Object(m) => m
+            .iter()
+            .fold(Obj::new(), |o, (k, x)| o.raw(k, &render(x)))
+            .finish(),
+    }
 }
 
 // ---------- properties ----------
@@ -93,35 +75,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn compact_preserves_the_parsed_value(v in value()) {
-        let text = render(&v);
-        // The pretty rendering itself round-trips ...
-        prop_assert_eq!(json::parse(&text).unwrap(), v.clone());
-        // ... and compacting changes the bytes but never the value.
-        let compacted = wire::compact(&text);
-        prop_assert!(!compacted.contains('\n'), "compact left a newline: {compacted:?}");
-        prop_assert_eq!(json::parse(&compacted).unwrap(), v);
-    }
-
-    #[test]
-    fn compact_is_idempotent(v in value()) {
-        let once = wire::compact(&render(&v));
-        prop_assert_eq!(wire::compact(&once), once.clone());
-    }
-
-    #[test]
     fn esc_round_trips_arbitrary_strings(s in json_string()) {
-        let lit = wire::esc(&s);
+        let lit = literal(&s);
         prop_assert!(!lit.contains('\n'), "esc left a raw newline: {lit:?}");
         prop_assert_eq!(json::parse(&lit).unwrap(), Value::String(s));
     }
 
     #[test]
     fn embedded_flight_dumps_survive_the_protocol_line(dump in value()) {
-        // What the server does for `session_failed`: compact the
-        // pretty-printed dump and splice it into a one-line reply.
+        // What the server does for `session_failed`: splice the compact
+        // dump into a one-line reply as it is.
         let line = wire::err("push", "session_failed", "budget exceeded")
-            .raw("flight", &wire::compact(&render(&dump)))
+            .raw("flight", &render(&dump))
             .finish();
         prop_assert!(!line.contains('\n'));
         let reply = json::parse(&line).unwrap();

@@ -4,52 +4,13 @@
 //! numbers in a metrics dump and the spans in a trace always describe the
 //! same run.
 //!
-//! The JSON is hand-rolled (this workspace builds offline, without serde);
-//! [`crate::json`] provides the matching parser used by the schema
-//! validator and the tests.
+//! The JSON goes through the crate's one writer ([`crate::json::Obj`]);
+//! [`crate::json::parse`] reads it back for the schema validator and the
+//! tests.
 
+use crate::json::{Arr, Obj};
 use crate::{Arg, Collector, Event};
 use std::fmt::Write as _;
-
-/// Escape a string as a JSON string literal (including the quotes).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn args_json(args: &[(String, Arg)]) -> String {
-    let mut s = String::from("{");
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&json_escape(k));
-        s.push_str(": ");
-        match v {
-            Arg::Num(n) => {
-                let _ = write!(s, "{n}");
-            }
-            Arg::Str(t) => s.push_str(&json_escape(t)),
-        }
-    }
-    s.push('}');
-    s
-}
 
 /// The recording timestamp of any event variant.
 pub(crate) fn ts_of(ev: &Event) -> u64 {
@@ -62,142 +23,127 @@ pub(crate) fn ts_of(ev: &Event) -> u64 {
     }
 }
 
-fn event_json(ev: &Event) -> String {
-    event_json_with(ev, 1, ts_of(ev))
-}
-
 /// Render one event with an explicit process id and (possibly adjusted)
 /// timestamp — the merge module maps each peer to its own `pid` and
 /// shifts timestamps onto a common causal timeline.
 pub(crate) fn event_json_with(ev: &Event, pid: u64, ts_us: u64) -> String {
-    let (name, cat, ph, tid, _ts, id, args) = match ev {
+    let (name, cat, ph, tid, id, args) = match ev {
         Event::Begin {
             name,
             cat,
             tid,
-            ts_us,
             args,
-        } => (name, cat, "B", tid, ts_us, None, args),
+            ..
+        } => (name, cat, "B", tid, None, args),
         Event::End {
             name,
             cat,
             tid,
-            ts_us,
             args,
-        } => (name, cat, "E", tid, ts_us, None, args),
+            ..
+        } => (name, cat, "E", tid, None, args),
         Event::Instant {
             name,
             cat,
             tid,
-            ts_us,
             args,
-        } => (name, cat, "i", tid, ts_us, None, args),
+            ..
+        } => (name, cat, "i", tid, None, args),
         Event::FlowSend {
             name,
             cat,
             id,
             tid,
-            ts_us,
             args,
-        } => (name, cat, "s", tid, ts_us, Some(*id), args),
+            ..
+        } => (name, cat, "s", tid, Some(*id), args),
         Event::FlowRecv {
             name,
             cat,
             id,
             tid,
-            ts_us,
             args,
-        } => (name, cat, "f", tid, ts_us, Some(*id), args),
+            ..
+        } => (name, cat, "f", tid, Some(*id), args),
     };
-    let mut s = String::from("{");
-    let _ = write!(
-        s,
-        "\"name\": {}, \"cat\": {}, \"ph\": \"{}\", \"ts\": {}, \"pid\": {}, \"tid\": {}",
-        json_escape(name),
-        json_escape(cat),
-        ph,
-        ts_us,
-        pid,
-        tid
-    );
+    let mut o = Obj::new()
+        .str("name", name)
+        .str("cat", cat)
+        .str("ph", ph)
+        .num("ts", ts_us)
+        .num("pid", pid)
+        .num("tid", *tid);
     if let Some(id) = id {
-        let _ = write!(s, ", \"id\": \"0x{id:x}\"");
+        o = o.str("id", &format!("0x{id:x}"));
     }
-    if ph == "f" {
+    match ph {
         // Bind the flow finish to the enclosing slice's end, the Perfetto
         // convention for "this event consumed the message".
-        s.push_str(", \"bp\": \"e\"");
-    }
-    if ph == "i" {
-        s.push_str(", \"s\": \"t\"");
+        "f" => o = o.str("bp", "e"),
+        "i" => o = o.str("s", "t"),
+        _ => {}
     }
     if !args.is_empty() {
-        let _ = write!(s, ", \"args\": {}", args_json(args));
+        let args = args.iter().fold(Obj::new(), |a, (k, v)| match v {
+            Arg::Num(n) => a.num(k, *n),
+            Arg::Str(t) => a.str(k, t),
+        });
+        o = o.raw("args", &args.finish());
     }
-    s.push('}');
-    s
+    o.finish()
 }
 
 /// Render the recording as Chrome `trace_event` JSON (the "JSON object
-/// format": `traceEvents` array plus metadata).
+/// format": `traceEvents` array plus metadata), one event per line.
 pub fn chrome_trace(collector: &Collector) -> String {
-    let mut s = String::from("{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n");
-    let mut first = true;
-    collector.with_events(|events| {
-        for ev in events {
-            if !first {
-                s.push_str(",\n");
-            }
-            first = false;
-            s.push_str(&event_json(ev));
-        }
+    let events = collector.with_events(|events| {
+        events.fold(Arr::lines(), |a, ev| {
+            a.raw(&event_json_with(ev, 1, ts_of(ev)))
+        })
     });
-    let _ = write!(
-        s,
-        "\n],\n\"otherData\": {{\"dropped_events\": {}, \"ring_capacity\": {}}}\n}}\n",
-        collector.dropped_events(),
-        collector.event_capacity()
-    );
-    s
+    let other = Obj::new()
+        .num("dropped_events", collector.dropped_events())
+        .num("ring_capacity", collector.event_capacity() as u64);
+    trace_doc(events, other)
+}
+
+/// The Chrome-trace envelope around rendered events and `otherData`.
+pub(crate) fn trace_doc(events: Arr, other: Obj) -> String {
+    Obj::new()
+        .str("displayTimeUnit", "ms")
+        .raw("traceEvents", &events.finish())
+        .raw("otherData", &other.finish())
+        .finish()
+        + "\n"
 }
 
 /// Render every counter and histogram as one flat JSON object.
 pub fn metrics_json(collector: &Collector) -> String {
     let snap = collector.snapshot();
-    let mut s = String::from("{\n  \"counters\": {");
-    for (i, (k, v)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\n    {}: {}", json_escape(k), v);
-    }
-    s.push_str("\n  },\n  \"histograms\": {");
-    for (i, (k, h)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
+    let counters = snap
+        .counters
+        .iter()
+        .fold(Obj::new(), |o, (k, v)| o.num(k, *v));
+    let hists = snap.histograms.iter().fold(Obj::new(), |o, (k, h)| {
         let (p50, p95, p99) = h.percentiles();
-        let _ = write!(
-            s,
-            "\n    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"last\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-            json_escape(k),
-            h.count,
-            h.sum,
-            h.min,
-            h.max,
-            h.mean(),
-            h.last,
-            p50,
-            p95,
-            p99
-        );
-    }
-    let _ = write!(
-        s,
-        "\n  }},\n  \"dropped_events\": {},\n  \"ring_capacity\": {}\n}}\n",
-        snap.dropped_events, snap.ring_capacity
-    );
-    s
+        let h = Obj::new()
+            .num("count", h.count)
+            .num("sum", h.sum)
+            .num("min", h.min)
+            .num("max", h.max)
+            .num("mean", h.mean())
+            .num("last", h.last)
+            .num("p50", p50)
+            .num("p95", p95)
+            .num("p99", p99);
+        o.raw(k, &h.finish())
+    });
+    Obj::new()
+        .raw("counters", &counters.finish())
+        .raw("histograms", &hists.finish())
+        .num("dropped_events", snap.dropped_events)
+        .num("ring_capacity", snap.ring_capacity)
+        .finish()
 }
 
 /// Render every counter and histogram as aligned text, for terminals.

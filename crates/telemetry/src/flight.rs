@@ -20,11 +20,10 @@
 //!
 //! [`Collector::flight_dump`]: crate::Collector::flight_dump
 
-use crate::export::{event_json_with, json_escape, metrics_json, ts_of};
-use crate::json::{parse, Value};
+use crate::export::{event_json_with, metrics_json, ts_of};
+use crate::json::{check_event, parse, Arr, Obj, Value};
 use crate::profile::ProfileReport;
 use crate::Collector;
-use std::fmt::Write as _;
 
 /// Schema tag of a flight-recorder dump.
 pub const FLIGHT_SCHEMA: &str = "rescue-flight-v1";
@@ -35,36 +34,29 @@ pub const DEFAULT_FLIGHT_EVENTS: usize = 256;
 /// Render a flight dump: `reason` says why the run died (panic message,
 /// budget kind), `last_n` bounds the event tail. Works on a disabled
 /// collector too (empty events/metrics), so error paths need no gating.
+/// The document is compact (one line), so a wire reply embeds it as is.
 pub fn flight_json(collector: &Collector, reason: &str, last_n: usize) -> String {
     let snap = collector.snapshot();
     let profile = ProfileReport::from_snapshot(&snap);
     let total_events = collector.event_count();
     let skip = total_events.saturating_sub(last_n);
-
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "\"schema\": {},", json_escape(FLIGHT_SCHEMA));
-    let _ = writeln!(s, "\"reason\": {},", json_escape(reason));
-    let _ = writeln!(s, "\"elapsed_us\": {},", collector.elapsed_us());
-    let _ = writeln!(s, "\"events_recorded\": {},", total_events);
-    let _ = writeln!(s, "\"events_kept\": {},", total_events - skip);
-    let _ = writeln!(s, "\"dropped_events\": {},", snap.dropped_events);
-    let _ = writeln!(s, "\"ring_capacity\": {},", snap.ring_capacity);
-    s.push_str("\"events\": [\n");
-    let mut first = true;
-    collector.with_events(|events| {
-        for ev in events.skip(skip) {
-            if !first {
-                s.push_str(",\n");
-            }
-            first = false;
-            s.push_str(&event_json_with(ev, 1, ts_of(ev)));
-        }
+    let events = collector.with_events(|events| {
+        events.skip(skip).fold(Arr::new(), |a, ev| {
+            a.raw(&event_json_with(ev, 1, ts_of(ev)))
+        })
     });
-    s.push_str("\n],\n");
-    let _ = writeln!(s, "\"metrics\": {},", metrics_json(collector).trim_end());
-    let _ = writeln!(s, "\"profile\": {}", profile.to_json());
-    s.push_str("}\n");
-    s
+    Obj::new()
+        .str("schema", FLIGHT_SCHEMA)
+        .str("reason", reason)
+        .num("elapsed_us", collector.elapsed_us())
+        .num("events_recorded", total_events as u64)
+        .num("events_kept", (total_events - skip) as u64)
+        .num("dropped_events", snap.dropped_events)
+        .num("ring_capacity", snap.ring_capacity)
+        .raw("events", &events.finish())
+        .raw("metrics", &metrics_json(collector))
+        .raw("profile", &profile.to_json())
+        .finish()
 }
 
 /// What a validated flight dump contained.
@@ -112,19 +104,7 @@ pub fn validate_flight(src: &str) -> Result<FlightSummary, String> {
         .and_then(Value::as_array)
         .ok_or("missing \"events\" array")?;
     for (i, ev) in events.iter().enumerate() {
-        let obj = ev
-            .as_object()
-            .ok_or_else(|| format!("event {i}: not an object"))?;
-        for key in ["name", "cat", "ph"] {
-            if !matches!(obj.get(key), Some(Value::String(_))) {
-                return Err(format!("event {i}: missing string field \"{key}\""));
-            }
-        }
-        for key in ["ts", "pid", "tid"] {
-            if !matches!(obj.get(key), Some(Value::Number(_))) {
-                return Err(format!("event {i}: missing numeric field \"{key}\""));
-            }
-        }
+        check_event(i, ev)?;
     }
     let metrics = doc.get("metrics").ok_or("missing \"metrics\" object")?;
     let counters = metrics

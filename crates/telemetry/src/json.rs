@@ -1,16 +1,18 @@
-//! A minimal JSON parser plus the trace schema validator.
+//! The workspace's one JSON codec: a minimal parser, a compact writer,
+//! and the trace schema validator.
 //!
-//! The workspace writes its JSON by hand (no serde offline); this module
-//! is the matching *reader*, used by the CI schema check
-//! (`validate_trace` binary), the integration tests that assert span
-//! balance and message pairing, and the export unit tests. It accepts
-//! strict JSON (no comments, no trailing commas) and parses numbers as
-//! `f64` — ample for trace timestamps and counters. It is also the
-//! server's request parser, so it bounds what the network can make it do:
-//! nesting deeper than [`MAX_DEPTH`] is an error, not a stack overflow.
+//! There is no serde in the offline build. Every JSON document the
+//! workspace emits — traces, metrics dumps, flight dumps, series lines,
+//! wire replies, load and bench reports — is built with [`Obj`] and
+//! [`Arr`] over the one string escaper [`quote`], and read back with
+//! [`parse`]. The parser accepts strict JSON (no comments, no trailing
+//! commas) and parses numbers as `f64` — ample for trace timestamps and
+//! counters. It is also the server's request parser, so it bounds what
+//! the network can make it do: nesting deeper than [`MAX_DEPTH`] is an
+//! error, not a stack overflow.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -312,6 +314,146 @@ pub fn parse(src: &str) -> Result<Value, JsonError> {
     Ok(v)
 }
 
+/// Append `s` to `out` as a JSON string literal, quotes included: `"`
+/// and `\` are backslashed, newline, return and tab take their short
+/// escapes, other control characters `\u00XX`. The workspace's one string
+/// escaper.
+pub fn quote(out: &mut String, s: &str) {
+    out.push('"');
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `i` is always a char boundary.
+        out.push_str(&s[plain..i]);
+        match short {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+    out.push('"');
+}
+
+/// A JSON container under construction: an [`Obj`] or an [`Arr`].
+/// Members come out in call order with a comma between them and no other
+/// whitespace, so a wire reply is one line; [`Json::lines`] starts each
+/// later member on a line of its own instead, for files people diff.
+pub struct Json<const OBJECT: bool> {
+    buf: String,
+    sep: &'static str,
+}
+
+/// A JSON object under construction (see [`Json`]).
+pub type Obj = Json<true>;
+
+/// A JSON array under construction (see [`Json`]).
+pub type Arr = Json<false>;
+
+impl<const OBJECT: bool> Default for Json<OBJECT> {
+    fn default() -> Self {
+        let open = if OBJECT { "{" } else { "[" };
+        Json {
+            buf: open.to_owned(),
+            sep: ",",
+        }
+    }
+}
+
+impl<const OBJECT: bool> Json<OBJECT> {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A container with one member per line.
+    pub fn lines() -> Self {
+        Json {
+            sep: ",\n",
+            ..Self::default()
+        }
+    }
+
+    /// The buffer, positioned for the next member.
+    fn next(&mut self) -> &mut String {
+        if self.buf.len() > 1 {
+            self.buf.push_str(self.sep);
+        }
+        &mut self.buf
+    }
+
+    pub fn finish(mut self) -> String {
+        self.buf.push(if OBJECT { '}' } else { ']' });
+        self.buf
+    }
+}
+
+impl Obj {
+    /// The buffer, positioned for the value of member `key`.
+    fn key(&mut self, key: &str) -> &mut String {
+        let buf = self.next();
+        quote(buf, key);
+        buf.push(':');
+        buf
+    }
+
+    pub fn str(mut self, key: &str, v: &str) -> Self {
+        quote(self.key(key), v);
+        self
+    }
+
+    pub fn num(mut self, key: &str, v: u64) -> Self {
+        let _ = write!(self.key(key), "{v}");
+        self
+    }
+
+    /// A number printed with exactly `decimals` fractional digits.
+    pub fn fixed(mut self, key: &str, v: f64, decimals: usize) -> Self {
+        let _ = write!(self.key(key), "{v:.decimals$}");
+        self
+    }
+
+    pub fn bool(self, key: &str, v: bool) -> Self {
+        self.raw(key, if v { "true" } else { "false" })
+    }
+
+    /// A pre-rendered JSON value (array, object, `null`), embedded verbatim.
+    pub fn raw(mut self, key: &str, v: &str) -> Self {
+        self.key(key).push_str(v);
+        self
+    }
+}
+
+impl Arr {
+    pub fn str(mut self, v: &str) -> Self {
+        quote(self.next(), v);
+        self
+    }
+
+    /// A pre-rendered JSON value, embedded verbatim.
+    pub fn raw(mut self, v: &str) -> Self {
+        self.next().push_str(v);
+        self
+    }
+}
+
+/// A compact array of JSON strings.
+pub fn strings<S: AsRef<str>>(items: impl IntoIterator<Item = S>) -> String {
+    items
+        .into_iter()
+        .fold(Arr::new(), |a, s| a.str(s.as_ref()))
+        .finish()
+}
+
 /// What a validated trace contained.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct TraceSummary {
@@ -337,6 +479,26 @@ pub struct TraceSummary {
     /// truncated trace never validates silently. `--strict` (in the
     /// `validate_trace` binary) promotes them back to failures.
     pub warnings: Vec<String>,
+}
+
+/// Check the fields every trace event carries — strings `name`, `cat`
+/// and `ph`, numbers `ts`, `pid` and `tid` — and return the event's
+/// members. `i` is the event's index, for the error message.
+pub(crate) fn check_event(i: usize, ev: &Value) -> Result<&BTreeMap<String, Value>, String> {
+    let obj = ev
+        .as_object()
+        .ok_or_else(|| format!("event {i}: not an object"))?;
+    for key in ["name", "cat", "ph"] {
+        if !matches!(obj.get(key), Some(Value::String(_))) {
+            return Err(format!("event {i}: missing string field \"{key}\""));
+        }
+    }
+    for key in ["ts", "pid", "tid"] {
+        if !matches!(obj.get(key), Some(Value::Number(_))) {
+            return Err(format!("event {i}: missing numeric field \"{key}\""));
+        }
+    }
+    Ok(obj)
 }
 
 /// Validate a Chrome `trace_event` JSON document against the schema this
@@ -374,19 +536,7 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
     let mut closes_without_open = 0usize;
     let mut orphan_finishes = 0usize;
     for (i, ev) in events.iter().enumerate() {
-        let obj = ev
-            .as_object()
-            .ok_or_else(|| format!("event {i}: not an object"))?;
-        for key in ["name", "cat", "ph"] {
-            if !matches!(obj.get(key), Some(Value::String(_))) {
-                return Err(format!("event {i}: missing string field \"{key}\""));
-            }
-        }
-        for key in ["ts", "pid", "tid"] {
-            if !matches!(obj.get(key), Some(Value::Number(_))) {
-                return Err(format!("event {i}: missing numeric field \"{key}\""));
-            }
-        }
+        let obj = check_event(i, ev)?;
         let pid = obj["pid"].as_number().expect("checked") as u64;
         let tid = obj["tid"].as_number().expect("checked") as u64;
         let ph = obj["ph"].as_str().expect("checked");

@@ -23,8 +23,9 @@
 //!
 //! One recording exports two ways (see [`export`]): Chrome `trace_event`
 //! JSON for `chrome://tracing` / Perfetto, and a flat metrics dump
-//! (JSON or text) for experiment tables. [`json`] holds a minimal JSON
-//! parser used by the trace schema validator and the integration tests.
+//! (JSON or text) for experiment tables. [`json`] is the workspace's one
+//! JSON codec: the writer every emitter uses, and the parser behind the
+//! trace schema validator, the server's requests and the tests.
 
 pub mod export;
 pub mod expose;
@@ -311,6 +312,17 @@ struct State {
     histograms: BTreeMap<String, Histogram>,
     /// Time-series sampler, present once [`Collector::attach_series`] ran.
     series: Option<series::Series>,
+}
+
+impl State {
+    fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self.counters.clone(),
+            histograms: self.histograms.clone(),
+            dropped_events: self.events.dropped(),
+            ring_capacity: self.events.capacity() as u64,
+        }
+    }
 }
 
 struct Inner {
@@ -653,15 +665,7 @@ impl Collector {
     pub fn snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
             None => MetricsSnapshot::default(),
-            Some(inner) => {
-                let st = lock(&inner.state);
-                MetricsSnapshot {
-                    counters: st.counters.clone(),
-                    histograms: st.histograms.clone(),
-                    dropped_events: st.events.dropped(),
-                    ring_capacity: st.events.capacity() as u64,
-                }
-            }
+            Some(inner) => lock(&inner.state).snapshot(),
         }
     }
 
@@ -673,15 +677,6 @@ impl Collector {
         }
     }
 
-    /// Whether a series sampler is attached — hot paths gate the gauge
-    /// formatting of [`sample_series`](Self::sample_series) on this.
-    pub fn has_series(&self) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => lock(&inner.state).series.is_some(),
-        }
-    }
-
     /// Take one series sample: the delta of every counter/histogram since
     /// the previous sample, labeled with why it was taken (`"round"`,
     /// `"alarm"`) plus caller-supplied point-in-time gauges. No-op when
@@ -690,17 +685,9 @@ impl Collector {
         let Some(inner) = &self.inner else { return };
         let t_us = Self::now_us(inner);
         let mut st = lock(&inner.state);
-        if st.series.is_none() {
-            return;
-        }
-        let snap = MetricsSnapshot {
-            counters: st.counters.clone(),
-            histograms: st.histograms.clone(),
-            dropped_events: st.events.dropped(),
-            ring_capacity: st.events.capacity() as u64,
-        };
-        if let Some(s) = st.series.as_mut() {
-            s.sample(&snap, t_us, label, gauges);
+        if let Some(mut series) = st.series.take() {
+            series.sample(&st.snapshot(), t_us, label, gauges);
+            st.series = Some(series);
         }
     }
 
@@ -714,19 +701,6 @@ impl Collector {
                 .series
                 .as_mut()
                 .map(|s| s.drain())
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Clone of the buffered series points, oldest first (a non-draining
-    /// read, for end-of-run dumps).
-    pub fn series_points(&self) -> Vec<series::SeriesPoint> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(inner) => lock(&inner.state)
-                .series
-                .as_ref()
-                .map(|s| s.points().cloned().collect())
                 .unwrap_or_default(),
         }
     }
@@ -960,28 +934,24 @@ mod tests {
     #[test]
     fn series_attaches_samples_and_drains() {
         let c = Collector::enabled();
-        assert!(!c.has_series());
         c.sample_series("round", &[]); // no-op without a series
+        assert!(c.drain_series().is_empty());
         c.attach_series(4);
-        assert!(c.has_series());
         c.count("facts", 3);
         c.sample_series("round", &[("delta", 1)]);
         c.count("facts", 4);
         c.sample_series("alarm", &[]);
-        let pts = c.series_points();
+        let pts = c.drain_series();
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].counters["facts"], 3);
         assert_eq!(pts[1].counters["facts"], 4);
         assert_eq!(pts[1].label, "alarm");
-        let drained = c.drain_series();
-        assert_eq!(drained.len(), 2);
         assert!(c.drain_series().is_empty());
         // Disabled collectors ignore the whole API.
         let d = Collector::disabled();
         d.attach_series(4);
         d.sample_series("round", &[]);
-        assert!(!d.has_series());
-        assert!(d.series_points().is_empty());
+        assert!(d.drain_series().is_empty());
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! depth percentiles, and busy-vs-idle wall time, for a one-glance read
 //! of load imbalance.
 
-use crate::export::{event_json_with, json_escape, ts_of};
+use crate::export::{event_json_with, trace_doc, ts_of};
+use crate::json::{Arr, Obj};
 use crate::{Arg, Collector, Event};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -175,49 +176,41 @@ pub fn merge_recordings(peers: &[PeerRecording]) -> MergedTrace {
     }
     merged.sort_by_key(|&(ts, p, seq, _)| (ts, p, seq));
 
-    let mut s = String::from("{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n");
-    let mut first = true;
-    let mut push = |s: &mut String, line: String| {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        s.push_str(&line);
-    };
+    let mut events = Arr::lines();
     for (p, rec) in peers.iter().enumerate() {
-        let pid = p + 1;
-        push(
-            &mut s,
-            format!(
-                "{{\"name\": \"process_name\", \"ph\": \"M\", \"cat\": \"__metadata\", \
-                 \"ts\": 0, \"pid\": {pid}, \"tid\": 0, \"args\": {{\"name\": {}}}}}",
-                json_escape(&format!("peer {}", rec.peer))
-            ),
-        );
-        push(
-            &mut s,
-            format!(
-                "{{\"name\": \"process_sort_index\", \"ph\": \"M\", \"cat\": \"__metadata\", \
-                 \"ts\": 0, \"pid\": {pid}, \"tid\": 0, \"args\": {{\"sort_index\": {pid}}}}}"
-            ),
-        );
+        let pid = p as u64 + 1;
+        let meta = |name: &str, args: Obj| {
+            Obj::new()
+                .str("name", name)
+                .str("ph", "M")
+                .str("cat", "__metadata")
+                .num("ts", 0)
+                .num("pid", pid)
+                .num("tid", 0)
+                .raw("args", &args.finish())
+                .finish()
+        };
+        events = events
+            .raw(&meta(
+                "process_name",
+                Obj::new().str("name", &format!("peer {}", rec.peer)),
+            ))
+            .raw(&meta(
+                "process_sort_index",
+                Obj::new().num("sort_index", pid),
+            ));
     }
     for &(ts, p, _, ev) in &merged {
-        push(
-            &mut s,
-            event_json_with(ev, (p + 1) as u64, ts.max(0) as u64),
-        );
+        events = events.raw(&event_json_with(ev, (p + 1) as u64, ts.max(0) as u64));
     }
-    let dropped: u64 = peers.iter().map(|r| r.dropped).sum();
-    let capacity: u64 = peers.iter().map(|r| r.ring_capacity).sum();
-    let _ = write!(
-        s,
-        "\n],\n\"otherData\": {{\"dropped_events\": {dropped}, \"ring_capacity\": {capacity}, \
-         \"peers\": {}, \"cross_flows\": {cross_flows}, \"unresolved\": {unresolved}}}\n}}\n",
-        peers.len()
-    );
+    let other = Obj::new()
+        .num("dropped_events", peers.iter().map(|r| r.dropped).sum())
+        .num("ring_capacity", peers.iter().map(|r| r.ring_capacity).sum())
+        .num("peers", peers.len() as u64)
+        .num("cross_flows", cross_flows as u64)
+        .num("unresolved", unresolved as u64);
     MergedTrace {
-        json: s,
+        json: trace_doc(events, other),
         offsets_us: off,
         cross_flows,
         unresolved,

@@ -19,6 +19,7 @@
 //! [`record_into`]: ProfileReport::record_into
 //! [`from_snapshot`]: ProfileReport::from_snapshot
 
+use crate::json::{Arr, Obj};
 use crate::{Absorb, Collector, MetricsSnapshot};
 use std::fmt::Write as _;
 
@@ -173,26 +174,23 @@ impl ProfileReport {
         s
     }
 
-    /// JSON array of entries (hand-rolled like every exporter here).
+    /// JSON array of entries, heaviest first.
     pub fn to_json(&self) -> String {
-        let inner: Vec<String> = self
-            .sorted_by_wall()
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"frame\": {}, \"wall_us\": {}, \"rounds\": {}, \"firings\": {}, \
-                     \"candidates\": {}, \"facts\": {}, \"sip_filtered\": {}}}",
-                    crate::export::json_escape(&e.frame()),
-                    e.wall_us,
-                    e.rounds,
-                    e.firings,
-                    e.candidates,
-                    e.facts,
-                    e.sip_filtered,
-                )
-            })
-            .collect();
-        format!("[{}]", inner.join(", "))
+        let entry = |e: &RuleStat| {
+            Obj::new()
+                .str("frame", &e.frame())
+                .num("wall_us", e.wall_us)
+                .num("rounds", e.rounds)
+                .num("firings", e.firings)
+                .num("candidates", e.candidates)
+                .num("facts", e.facts)
+                .num("sip_filtered", e.sip_filtered)
+                .finish()
+        };
+        self.sorted_by_wall()
+            .into_iter()
+            .fold(Arr::new(), |a, e| a.raw(&entry(e)))
+            .finish()
     }
 
     /// Fold every entry into `collector`'s counter registry under

@@ -7,6 +7,8 @@
 //! into a sequence of [`SeriesPoint`]s — each the **delta** since the
 //! previous sample, taken at round boundaries and per `push_alarm` — so a
 //! long session exposes p50/p99-over-time instead of one terminal number.
+//! Each point is the one snapshot diff, [`delta`], written as a JSONL
+//! line by the crate's JSON writer.
 //!
 //! Unlike the event ring (which keeps the *earliest* prefix, because a
 //! trace must start at t=0 to be readable), the series ring keeps the
@@ -19,10 +21,9 @@
 //! [`Collector::attach_series`]: crate::Collector::attach_series
 //! [`Collector::drain_series`]: crate::Collector::drain_series
 
-use crate::export::json_escape;
+use crate::json::Obj;
 use crate::{Histogram, MetricsSnapshot};
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 
 /// Schema tag on every JSONL line a series emits.
 pub const SERIES_SCHEMA: &str = "rescue-series-v1";
@@ -101,51 +102,60 @@ impl HistWindow {
     }
 }
 
+/// What moved between two cumulative snapshots: the delta of every
+/// counter (zero deltas omitted) and the window of every histogram (empty
+/// windows omitted). The crate's one snapshot diff: series points,
+/// rolling windows and the server's watchdog ticks all take it.
+pub fn delta(
+    cur: &MetricsSnapshot,
+    prev: &MetricsSnapshot,
+) -> (BTreeMap<String, u64>, BTreeMap<String, HistWindow>) {
+    let counters = cur
+        .counters
+        .iter()
+        .filter_map(|(k, &v)| {
+            let d = v.saturating_sub(prev.counter(k));
+            (d > 0).then(|| (k.clone(), d))
+        })
+        .collect();
+    let hists = cur
+        .histograms
+        .iter()
+        .filter_map(|(k, h)| Some((k.clone(), HistWindow::between(h, &prev.histogram(k))?)))
+        .collect();
+    (counters, hists)
+}
+
 impl SeriesPoint {
     /// Render the point as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut s = String::from("{");
-        let _ = write!(
-            s,
-            "\"schema\": {}, \"seq\": {}, \"t_us\": {}, \"label\": {}",
-            json_escape(SERIES_SCHEMA),
-            self.seq,
-            self.t_us,
-            json_escape(&self.label)
-        );
-        s.push_str(", \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "{}: {}", json_escape(k), v);
-        }
-        s.push_str("}, \"hists\": {");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "{}: {{\"count\": {}, \"sum\": {}, \"last\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                json_escape(k),
-                h.count,
-                h.sum,
-                h.last,
-                h.p50,
-                h.p95,
-                h.p99
-            );
-        }
-        s.push_str("}, \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "{}: {}", json_escape(k), v);
-        }
-        s.push_str("}}");
-        s
+        let counters = self
+            .counters
+            .iter()
+            .fold(Obj::new(), |o, (k, v)| o.num(k, *v));
+        let hists = self.hists.iter().fold(Obj::new(), |o, (k, h)| {
+            let h = Obj::new()
+                .num("count", h.count)
+                .num("sum", h.sum)
+                .num("last", h.last)
+                .num("p50", h.p50)
+                .num("p95", h.p95)
+                .num("p99", h.p99);
+            o.raw(k, &h.finish())
+        });
+        let gauges = self
+            .gauges
+            .iter()
+            .fold(Obj::new(), |o, (k, v)| o.num(k, *v));
+        Obj::new()
+            .str("schema", SERIES_SCHEMA)
+            .num("seq", self.seq)
+            .num("t_us", self.t_us)
+            .str("label", &self.label)
+            .raw("counters", &counters.finish())
+            .raw("hists", &hists.finish())
+            .raw("gauges", &gauges.finish())
+            .finish()
     }
 }
 
@@ -211,19 +221,7 @@ impl Series {
         label: &str,
         gauges: &[(&str, u64)],
     ) {
-        let mut counters = BTreeMap::new();
-        for (k, &v) in &snap.counters {
-            let d = v.saturating_sub(self.last.counter(k));
-            if d > 0 {
-                counters.insert(k.clone(), d);
-            }
-        }
-        let mut hists = BTreeMap::new();
-        for (k, h) in &snap.histograms {
-            if let Some(w) = HistWindow::between(h, &self.last.histogram(k)) {
-                hists.insert(k.clone(), w);
-            }
-        }
+        let (counters, hists) = delta(snap, &self.last);
         let point = SeriesPoint {
             seq: self.next_seq,
             t_us,

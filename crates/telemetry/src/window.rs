@@ -7,9 +7,9 @@
 //! lifetime average. A [`RollingWindow`] keeps a short ring of timestamped
 //! [`MetricsSnapshot`]s and derives the **delta over the window**
 //! ([`RollingWindow::delta`]): counter deltas (and per-second rates), and
-//! histogram percentiles computed from the bucket deltas — the same
-//! technique [`crate::series`] uses per sample, applied across a sliding
-//! span instead of between consecutive points.
+//! histogram percentiles computed from the bucket deltas. It is the one
+//! snapshot diff, [`series::delta`], that every series point takes,
+//! applied across a sliding span instead of between consecutive points.
 //!
 //! Unlike [`crate::series::Series`] (a bounded log of every sample, built
 //! for streaming and retirement accounting), the window keeps only what
@@ -17,7 +17,7 @@
 //! before `newest - window` (so a freshly scraped delta always spans the
 //! whole window, not just the distance to the next retained sample).
 
-use crate::series::HistWindow;
+use crate::series::{self, HistWindow};
 use crate::MetricsSnapshot;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -79,10 +79,6 @@ impl RollingWindow {
         }
     }
 
-    pub fn window_us(&self) -> u64 {
-        self.window_us
-    }
-
     /// Snapshots currently retained.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -122,19 +118,7 @@ impl RollingWindow {
         if t1 == t0 && self.slots.len() < 2 {
             return WindowDelta::default();
         }
-        let mut counters = BTreeMap::new();
-        for (k, &v) in &cur.counters {
-            let d = v.saturating_sub(base.counter(k));
-            if d > 0 {
-                counters.insert(k.clone(), d);
-            }
-        }
-        let mut hists = BTreeMap::new();
-        for (k, h) in &cur.histograms {
-            if let Some(w) = HistWindow::between(h, &base.histogram(k)) {
-                hists.insert(k.clone(), w);
-            }
-        }
+        let (counters, hists) = series::delta(cur, base);
         WindowDelta {
             span_us: t1 - t0,
             counters,

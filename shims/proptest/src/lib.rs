@@ -3,7 +3,7 @@
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the subset of proptest its test suites use:
 //!
-//! * the [`Strategy`] trait with `prop_map`, `prop_recursive`, `boxed`;
+//! * the [`Strategy`](strategy::Strategy) trait with `prop_map`, `prop_recursive`, `boxed`;
 //! * strategies for integer ranges, tuples, `&str` regex-lite patterns
 //!   (character classes and `{m,n}` repetition), and
 //!   [`collection::vec`];

@@ -114,7 +114,7 @@ fn attribution_sums_reproduce_the_engine_totals() {
 }
 
 #[test]
-fn profiling_and_thread_count_change_nothing_observable() {
+fn profiling_changes_nothing_observable() {
     for seed in [3, 42] {
         let mut store = TermStore::new();
         let prog = unfolding_program(&net(seed), &mut store, &EncodeOptions::default());
