@@ -23,12 +23,13 @@
 //!   explains an alarm of peer `l` (`l = r` for the empty explanation
 //!   `h(r)` and after a hidden event). The k state columns are the paper's
 //!   multi-peer index; `n` is the fuel column (below);
-//! * `TransInConf@p0(id, x, f)` — event `x` participates in prefix `id`;
-//!   the flag `f` is `last` when `x` is `id`'s last event (and for the
-//!   root marker of `h(r)`), `old` otherwise. It is a function of
-//!   `(id, x)`, so the relation has exactly the rows it would have
-//!   without it;
-//! * `NotParent@p0(id, m)` — condition `m` is not consumed within `id`;
+//! * `TransInConf@p0(id, x)` — event `x` participates in prefix `id`
+//!   (read by `Diag` and the online session only);
+//! * `Cut@p0(id, m, f)` — condition `m` is maximal in prefix `id`, the cut
+//!   the dedicated diagnoser keeps: the flag `f` is `last` when `id`'s last
+//!   event produced `m` (and for the roots at `h(r)`), `old` otherwise. It
+//!   is a function of `(id, m)`, so the relation has exactly the rows it
+//!   would have without it;
 //! * `Gate<k>@p0(l, p, f₀…f_(k-1))` — a static table per preset arity
 //!   `k` (below);
 //! * `Diag@p0(id, x)` — the answer relation: `id` ranges over full
@@ -36,14 +37,18 @@
 //!   events. A peer with one final state has it pinned as a constant;
 //!   any other peer's state is joined with `AlarmFinal@p0(p, q)`.
 //!
-//! The extension rule follows the paper with one repair and two
-//! refinements (see DESIGN.md): the transition constant `t` is carried
-//! through `Trans<k>` so that the alarm symbol constrains *which* event is
-//! requested (making the dQSQ-materialized event set coincide with the
-//! dedicated algorithm's, Theorem 4), and the rule, like every rule that
-//! reads `Trans<k>@p`, is generated only for the preset arities `k` of
-//! peer `p`'s transitions. An observable extension moves one automaton; a
-//! hidden one (`HiddenAlarm@p0(a)`) moves none.
+//! The extension rule follows the paper with one repair and three
+//! refinements (see DESIGN.md §5b). The repair: the transition constant
+//! `t` is carried through `Trans<k>` so that the alarm symbol constrains
+//! *which* event is requested (making the dQSQ-materialized event set
+//! coincide with the dedicated algorithm's, Theorem 4). The rule, like
+//! every rule that reads `Trans<k>@p`, is generated only for the preset
+//! arities `k` of peer `p`'s transitions. Where the paper finds each
+//! parent's producer in `transInConf` and then checks that the prefix did
+//! not consume the parent, the rule reads the parent from the prefix's
+//! `Cut`, which holds exactly the conditions that pair of tests admits. An
+//! observable extension moves one automaton; a hidden one
+//! (`HiddenAlarm@p0(a)`) moves none.
 //!
 //! **Fuel**, the paper's termination "gadget": where automata loop or
 //! transitions are hidden, the observation no longer bounds the
@@ -55,13 +60,13 @@
 //! hidden, every automaton acyclic, and `max_events` at least the sum of
 //! their longest paths — the column is omitted.
 //!
-//! The second refinement is a partial-order reduction. Without it, every
+//! The last refinement is a partial-order reduction. Without it, every
 //! order in which concurrent alarms of different peers are consumed gets
 //! its own explanation id. Peers are ranked in `spec.patterns` order, with
 //! `r` lowest. An observable extension of `id` by an alarm of peer `p`
 //! ranked below `id`'s last peer `l` is admitted only if `id`'s last event
 //! produced one of the new event's parent conditions: the rule reads each
-//! parent producer's flag from `TransInConf` and joins `Gate<k>`, which
+//! parent's flag from `Cut` and joins `Gate<k>`, which
 //! holds every `(l, p, f₀…)` with `rank(l) ≤ rank(p)` or some `fᵢ = last`.
 //! Hidden extensions are not gated and set `l = r`, so the next observable
 //! step is always admitted. The greedy linearization of a configuration
@@ -364,7 +369,6 @@ pub(crate) fn supervisor_program(
 
     // The empty explanation `h(r)`: initial states, no fuel used.
     let r = e.c(names::ROOT);
-    let last = e.c(sup_names::LAST);
     let hr = e.store.app("h", vec![r]);
     let cp = |e: &mut Enc, front: [TermId; 3], states: &[TermId], n: Option<TermId>, l| {
         let mut args = front.to_vec();
@@ -374,51 +378,48 @@ pub(crate) fn supervisor_program(
     };
     let head = cp(&mut e, [hr, hr, r], &initial, fuel0, r);
     prog.push(Rule::fact(head));
-    let head = e.atom(sup_names::TRANS_IN_CONF, p0, vec![hr, r, last]);
-    prog.push(Rule::fact(head));
 
     let ivars = vars(&mut e, "I", k);
-    let [z, w, x, y, l, f] = ["Z", "W", "X", "Y", "L", "F"].map(|v| e.v(v));
-    let old = e.c(sup_names::OLD);
+    let [z, w, x, y, l, m, f, t] = ["Z", "W", "X", "Y", "L", "M", "F", "T"].map(|v| e.v(v));
+    let [last, old] = [sup_names::LAST, sup_names::OLD].map(|c| e.c(c));
     // The fuel column of a prefix and of its extension.
     let n = fuel0.map(|_| e.v("N"));
     let n2 = fuel0.map(|_| e.v("N2"));
 
-    // TransInConf: z's last event is flagged `last`, the events it
-    // inherits from w are `old`.
+    // TransInConf: z's events are its last one and those it inherits from
+    // w. `h(r)` has none: its event column holds the root marker r.
     let b = cp(&mut e, [z, w, x], &ivars, n, l);
-    let head = e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x, last]);
+    let head = e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x]);
     prog.push(Rule {
         head,
         body: vec![b],
-        diseqs: vec![],
+        diseqs: vec![Diseq { lhs: x, rhs: r }],
     });
     let b1 = cp(&mut e, [z, w, y], &ivars, n, l);
-    let b2 = e.atom(sup_names::TRANS_IN_CONF, p0, vec![w, x, f]);
-    let head = e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x, old]);
+    let b2 = e.atom(sup_names::TRANS_IN_CONF, p0, vec![w, x]);
+    let head = e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x]);
     prog.push(Rule {
         head,
         body: vec![b1, b2],
         diseqs: vec![],
     });
 
-    // NotParent base: nothing is consumed in the empty explanation.
+    // Cut: z's last event y produced m (at h(r), y = r and the
+    // `Places@q(g(r, c), r)` facts give the roots) ...
     let net_peers: Vec<(PeerId, &str)> = (0..net.num_peers() as u32)
         .map(|i| (PeerId(i), net.peer_name(PeerId(i))))
         .collect();
-    let m = e.v("M");
-    for &(_, p) in &net_peers {
-        let b = e.atom(names::PLACES, p, vec![m, y]);
-        let head = e.atom(sup_names::NOT_PARENT, p0, vec![hr, m]);
+    for &(_, q) in &net_peers {
+        let b1 = cp(&mut e, [z, w, y], &ivars, n, l);
+        let b2 = e.atom(names::PLACES, q, vec![m, y]);
+        let head = e.atom(sup_names::CUT, p0, vec![z, m, last]);
         prog.push(Rule {
             head,
-            body: vec![b],
+            body: vec![b1, b2],
             diseqs: vec![],
         });
     }
-    // NotParent recursion: m is unconsumed in h(w, y)=z iff it is not a
-    // parent of y and unconsumed in w.
-    let t = e.v("T");
+    // ... or m is maximal in w and not a parent of y.
     for &(id, p) in &net_peers {
         for arity in preset_arities(net, id) {
             let uvars = vars(&mut e, "U", arity);
@@ -429,8 +430,8 @@ pub(crate) fn supervisor_program(
                 p,
                 [t, y].into_iter().chain(uvars).collect(),
             );
-            let b3 = e.atom(sup_names::NOT_PARENT, p0, vec![w, m]);
-            let head = e.atom(sup_names::NOT_PARENT, p0, vec![z, m]);
+            let b3 = e.atom(sup_names::CUT, p0, vec![w, m, f]);
+            let head = e.atom(sup_names::CUT, p0, vec![z, m, old]);
             prog.push(Rule {
                 head,
                 body: vec![b1, b2, b3],
@@ -458,30 +459,27 @@ pub(crate) fn supervisor_program(
         prog.push(fact);
     }
     // The body extending prefix Z by X, a `Trans<arity>@peer` event of
-    // transition T with alarm A: `lead` (what A may be), the prefix, its
-    // fuel step, T's parent places, each parent's producer in Z with its
-    // flag, the gate row of an observable extension by `gated`'s alarm,
-    // each parent unconsumed in Z, and the event.
-    let extension_body = |e: &mut Enc, peer: &str, arity, lead, prefix, gated: Option<TermId>| {
+    // transition T with alarm A: the prefix, `lead` (what A may be), its
+    // fuel step, T's parent places, each parent in Z's cut with its flag,
+    // the gate row of an observable extension by `gated`'s alarm, and the
+    // event.
+    let extension_body = |e: &mut Enc, peer: &str, arity, prefix, lead, gated: Option<TermId>| {
         let uvars = vars(e, "U", arity);
         let cvars = vars(e, "C", arity);
         let fvars = vars(e, "F", arity);
         let conds: Vec<TermId> = uvars.iter().zip(&cvars).map(|(&u, &c)| e.g(u, c)).collect();
-        let mut body = vec![lead, prefix];
+        let mut body = vec![prefix, lead];
         if let (Some(n), Some(n2)) = (n, n2) {
             body.push(e.atom(sup_names::FUEL_STEP, p0, vec![n, n2]));
         }
         let petri_args = [t, a].into_iter().chain(cvars).collect();
         body.push(e.atom(&petri_rel_name(arity), peer, petri_args));
-        for (&u, &fu) in uvars.iter().zip(&fvars) {
-            body.push(e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, u, fu]));
+        for (&cond, &fu) in conds.iter().zip(&fvars) {
+            body.push(e.atom(sup_names::CUT, p0, vec![z, cond, fu]));
         }
         if let Some(pc) = gated {
             let gate_args = [l, pc].into_iter().chain(fvars).collect();
             body.push(e.atom(&sup_names::gate_rel_name(arity), p0, gate_args));
-        }
-        for &cond in &conds {
-            body.push(e.atom(sup_names::NOT_PARENT, p0, vec![z, cond]));
         }
         let trans_args = [t, x].into_iter().chain(conds).collect();
         body.push(e.atom(&trans_rel_name(arity), peer, trans_args));
@@ -495,7 +493,7 @@ pub(crate) fn supervisor_program(
             let hx = e.store.app("h", vec![z, x]);
             let lead = e.atom(sup_names::ALARM_SEQ, p0, vec![ij, a, pjc, ij2]);
             let prefix = cp(&mut e, [z, w, y], &states_at(ij), n, l);
-            let body = extension_body(&mut e, pj, arity, lead, prefix, Some(pjc));
+            let body = extension_body(&mut e, pj, arity, prefix, lead, Some(pjc));
             let head = cp(&mut e, [hx, z, x], &states_at(ij2), n2, pjc);
             prog.push(Rule {
                 head,
@@ -511,7 +509,7 @@ pub(crate) fn supervisor_program(
                 let hx = e.store.app("h", vec![z, x]);
                 let lead = e.atom(sup_names::HIDDEN_ALARM, p0, vec![a]);
                 let prefix = cp(&mut e, [z, w, y], &ivars, n, l);
-                let body = extension_body(&mut e, p, arity, lead, prefix, None);
+                let body = extension_body(&mut e, p, arity, prefix, lead, None);
                 let head = cp(&mut e, [hx, z, x], &ivars, n2, r);
                 prog.push(Rule {
                     head,
@@ -536,12 +534,12 @@ pub(crate) fn supervisor_program(
                 body.push(e.atom(sup_names::ALARM_FINAL, p0, vec![pc, v]));
             }
         }
-        body.push(e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x, f]));
+        body.push(e.atom(sup_names::TRANS_IN_CONF, p0, vec![z, x]));
         let head = e.atom(sup_names::DIAG, p0, vec![z, x]);
         prog.push(Rule {
             head,
             body,
-            diseqs: vec![Diseq { lhs: x, rhs: r }],
+            diseqs: vec![],
         });
     }
     prog

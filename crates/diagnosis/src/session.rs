@@ -9,8 +9,8 @@
 //! ([`crate::extensions::extended_program`]) from one *empty* chain
 //! automaton per **net** peer:
 //!
-//! * the unfolding rules and `PetriNet` facts, the `TransInConf` /
-//!   `NotParent` closures, and one extension rule per net peer × preset
+//! * the unfolding rules and `PetriNet` facts, the `TransInConf` and
+//!   `Cut` closures, and one extension rule per net peer × preset
 //!   arity (the batch program has them per *alarm* peer; a session cannot
 //!   know in advance which peers will raise alarms, and silent peers'
 //!   state columns simply never advance). For the same reason the
@@ -64,7 +64,6 @@ pub struct DiagnosisSession {
     finals: Vec<TermId>,
     cp_pred: PredId,
     tic_pred: PredId,
-    root: TermId,
     /// Total alarms pushed (drives the depth bound, like `|A|` in batch).
     n_alarms: usize,
     /// Set once an alarm from a peer unknown to the net arrives: no
@@ -106,7 +105,6 @@ impl DiagnosisSession {
             .map(|p| state_constant(&mut store, p, 0))
             .collect();
 
-        let root = store.constant(names::ROOT);
         let p0 = Peer(store.sym(supervisor));
         let cp_pred = PredId {
             name: store.sym(sup_names::CONFIG_PREFIXES),
@@ -134,7 +132,6 @@ impl DiagnosisSession {
             finals,
             cp_pred,
             tic_pred,
-            root,
             n_alarms: 0,
             unexplainable: false,
             collector: Collector::disabled(),
@@ -351,13 +348,11 @@ impl DiagnosisSession {
                 }
             }
         }
-        // Their events, excluding the root marker.
+        // Their events.
         if let Some(rel) = db.relation(self.tic_pred) {
             for row in rel.rows() {
-                if row[1] != self.root {
-                    if let Some(events) = by_id.get_mut(&row[0]) {
-                        events.push(self.store.display(row[1]));
-                    }
+                if let Some(events) = by_id.get_mut(&row[0]) {
+                    events.push(self.store.display(row[1]));
                 }
             }
         }

@@ -1,12 +1,13 @@
 //! The plain §4.2 encoding, pinned rule for rule.
 //!
 //! `diagnosis_program` is the §4.4 generator applied to the chain automata
-//! of an alarm sequence. The fixtures under `tests/fixtures/` were rendered
-//! by the dedicated §4.2 generator it replaced, whose alarm-index constants
-//! were named `ix_{peer}_{m}` where automaton states are `st_{peer}_{m}`.
-//! Up to that renaming the program must be the same: the same rules in the
-//! same order, and the same terms interned in the same order (so that every
-//! engine does the same work on it).
+//! of an alarm sequence. The fixtures under `tests/fixtures/` pin its
+//! output: the same rules in the same order, and the same terms interned
+//! in the same order (so that every engine does the same work on it). They
+//! were first rendered by a dedicated §4.2 generator, whose alarm-index
+//! constants were named `ix_{peer}_{m}` where automaton states are
+//! `st_{peer}_{m}`; the comparison still maps that renaming. They were
+//! re-rendered when the supervisor began carrying each prefix's cut.
 
 use rescue_datalog::{display_atom, Atom, Program, TermData, TermId, TermStore};
 use rescue_diagnosis::{diagnosis_program, AlarmSeq};

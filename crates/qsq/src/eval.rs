@@ -8,6 +8,7 @@ use rescue_datalog::{
     seminaive_opts, Atom, Database, EvalBudget, EvalError, EvalOptions, EvalStats, PredId, Program,
     Rule, Subst, TermId, TermStore,
 };
+use rustc_hash::FxHashMap;
 use std::fmt;
 
 /// Errors from [`qsq_answer`].
@@ -54,7 +55,7 @@ pub struct QsqRun {
 }
 
 /// Fact counts by relation role after an evaluation.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct Materialized {
     /// Facts in adorned intensional relations (`R^a`) — the tuples of the
     /// original program's relations that QSQ actually derived.
@@ -65,6 +66,10 @@ pub struct Materialized {
     pub input: usize,
     /// Extensional facts (the given data, not derived).
     pub base: usize,
+    /// The derived facts per relation of the original program — its
+    /// adorned and input relations and the sup chains of its rules — most
+    /// rows first (QSQ only; empty for Magic Sets).
+    pub by_relation: Vec<(PredId, usize)>,
 }
 
 impl Materialized {
@@ -104,14 +109,22 @@ pub fn split_edb_facts(program: &Program) -> (Program, EdbFacts) {
 /// Count materialized facts by role.
 pub fn breakdown(db: &Database, rw: &RewriteOutput) -> Materialized {
     let mut m = Materialized::default();
+    let mut by_relation: FxHashMap<PredId, usize> = FxHashMap::default();
     for (pred, rel) in db.iter() {
-        match rw.kind_of(pred) {
+        let kind = rw.kind_of(pred);
+        match kind {
             RelKind::Adorned => m.adorned += rel.len(),
             RelKind::Supplementary => m.sup += rel.len(),
             RelKind::Input => m.input += rel.len(),
             RelKind::Base => m.base += rel.len(),
         }
+        if kind != RelKind::Base {
+            *by_relation.entry(rw.source_of(pred)).or_default() += rel.len();
+        }
     }
+    m.by_relation = by_relation.into_iter().collect();
+    m.by_relation
+        .sort_unstable_by_key(|&(pred, rows)| (std::cmp::Reverse(rows), pred));
     m
 }
 
@@ -295,6 +308,26 @@ mod tests {
         );
         // And QSQ must not touch the disconnected component at all.
         assert_eq!(run.materialized.base, edb_count);
+    }
+
+    #[test]
+    fn census_attributes_every_derived_row_to_a_source_relation() {
+        let src = figure3_with_data();
+        let mut st = TermStore::new();
+        let prog = parse_program(&src, &mut st).unwrap();
+        let q = parse_atom(r#"R@r("1", Y)"#, &mut st).unwrap();
+        let mut db = Database::new();
+        let run = qsq_answer(&prog, &q, &mut st, &mut db, &EvalBudget::default()).unwrap();
+        let m = &run.materialized;
+        let rows: Vec<(&str, usize)> = (m.by_relation.iter())
+            .map(|&(pred, rows)| (st.sym_str(pred.name), rows))
+            .collect();
+        let mut names: Vec<&str> = rows.iter().map(|&(name, _)| name).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["R", "S", "T"]);
+        assert!(rows.windows(2).all(|w| w[0].1 >= w[1].1), "{rows:?}");
+        let total: usize = rows.iter().map(|&(_, n)| n).sum();
+        assert_eq!(total, m.derived_total());
     }
 
     #[test]

@@ -75,8 +75,9 @@ pub struct RewriteOutput {
     /// dashboards resolve stale `sup_{i,j}` names through this so a scan
     /// is always attributed to the relation that actually ran.
     pub sup_canon: FxHashMap<PredId, PredId>,
-    /// Every rewritten relation's role, built once.
-    kinds: FxHashMap<PredId, RelKind>,
+    /// Every rewritten relation's role and source relation (`R` for
+    /// `R^a`, `in-R^a` and the sups of `R`'s rules), built once.
+    kinds: FxHashMap<PredId, (RelKind, PredId)>,
 }
 
 impl RewriteOutput {
@@ -92,7 +93,17 @@ impl RewriteOutput {
 
     /// Classify a predicate of the rewritten program.
     pub fn kind_of(&self, pred: PredId) -> RelKind {
-        self.kinds.get(&pred).copied().unwrap_or(RelKind::Base)
+        self.kinds
+            .get(&pred)
+            .map_or(RelKind::Base, |&(kind, _)| kind)
+    }
+
+    /// The relation of the original program that `pred` was made for: `R`
+    /// for `R^a`, `in-R^a` and the sups of `R`'s rules (a merged sup's
+    /// tuples count for the rule that defined its carrier first), and
+    /// `pred` itself for a base relation.
+    pub fn source_of(&self, pred: PredId) -> PredId {
+        self.kinds.get(&pred).map_or(pred, |&(_, source)| source)
     }
 }
 
@@ -166,15 +177,15 @@ pub fn rewrite_with(
         }
     }
     let names = out.names;
-    let kinds = (names.adorned.values().map(|&p| (p, RelKind::Adorned)))
-        .chain(names.inputs.values().map(|&p| (p, RelKind::Input)))
-        .chain(
-            out.sups
-                .iter()
-                .chain(out.sup_canon.keys())
-                .map(|&p| (p, RelKind::Supplementary)),
-        )
+    let roles = [
+        (RelKind::Adorned, &names.adorned),
+        (RelKind::Input, &names.inputs),
+    ];
+    let mut kinds: FxHashMap<PredId, (RelKind, PredId)> = (roles.iter())
+        .flat_map(|&(kind, map)| map.iter().map(move |(ap, &p)| (p, (kind, ap.base))))
         .collect();
+    let sups = out.sources.iter();
+    kinds.extend(sups.map(|(&p, &source)| (p, (RelKind::Supplementary, source))));
     Ok(RewriteOutput {
         program: out.program,
         seed_pred: seed.pred,

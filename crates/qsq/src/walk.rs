@@ -148,6 +148,7 @@ impl Cursor {
                 .sup(store, self.rule_idx, self.pos, self.adornment),
             peer: sup_peer,
         };
+        out.sources.insert(pred, self.head.pred);
         let prev = std::mem::replace(&mut self.prev_sup, Atom::new(pred, args.clone()));
         let body = std::iter::once(prev).chain(atom).collect();
         let head = Atom::new(pred, args);
@@ -177,6 +178,8 @@ pub struct Emitted {
     pub(crate) sups: Vec<PredId>,
     /// Every merged sup ↦ the relation that carries its tuples.
     pub(crate) sup_canon: FxHashMap<PredId, PredId>,
+    /// Every sup, merged or not ↦ the head relation of its rule.
+    pub(crate) sources: FxHashMap<PredId, PredId>,
     sigs: FxHashMap<SupSignature, PredId>,
     seen: FxHashSet<Rule>,
 }

@@ -61,9 +61,9 @@ fn replies_keep_their_bytes() {
             r#","resident":2,"attached":2,"created":2,"destroyed":0,"evicted":0,"#,
             r#""rejected":0,"failed":0,"alarms_accepted":0,"backpressure_replies":0,"#,
             r#""ingest_capacity":1024,"sessions":["#,
-            r#"{"id":"g\"1\\","alarms":0,"facts":85,"attached":true,"failed":false,"#,
+            r#"{"id":"g\"1\\","alarms":0,"facts":79,"attached":true,"failed":false,"#,
             r#""pushes":0,"last_batch":0,"push_p50_us":0,"push_p99_us":0},"#,
-            r#"{"id":"g0","alarms":0,"facts":85,"attached":true,"failed":false,"#,
+            r#"{"id":"g0","alarms":0,"facts":79,"attached":true,"failed":false,"#,
             r#""pushes":0,"last_batch":0,"push_p50_us":0,"push_p99_us":0}]}"#,
         )
     );

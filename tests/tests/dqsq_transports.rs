@@ -24,6 +24,20 @@
 //! compiling full plans for semi-naive runs: a peer's session compiles
 //! only its Δ-plans. `plans_compiled` 2718 → 1550 and `plan_reorders`
 //! 53612 → 39752; every other count is unchanged.
+//!
+//! They moved again when the supervisor began carrying each prefix's cut:
+//! one `Cut(z, g(u, c), f)` atom per parent replaced the
+//! `TransInConf` × `NotParent` pair, and `NotParent` is gone. `iterations`
+//! 893 → 695, `facts_derived` 1645 → 828, `duplicate_derivations`
+//! 946 → 228, `rule_firings` 2548 → 1013, `index_probes` 2492 → 1616,
+//! `candidates_scanned` 3764 → 1962, `plan_reorders` 39752 → 30403,
+//! `subplans_shared` 746 → 530, `plans_compiled` 1550 → 1464, `messages`
+//! 392 → 349, `bytes` 13310 → 10741; owned/cached facts per peer: p0
+//! (287, 158) → (231, 66), p1 (137, 151) → (135, 66), p2 (94, 123) →
+//! (109, 39), supervisor (1127, 159) → (353, 114). p2 owns more because
+//! the cut asks the net peers for the outputs of each prefix's last event
+//! (`Places(m, y)` with `y` bound). The engine and the transports did not
+//! change.
 
 use rescue_datalog::{Atom, EvalBudget, EvalStats, Program, Rule, TermStore};
 use rescue_diagnosis::{diagnosis_program, AlarmSeq};
@@ -83,26 +97,26 @@ fn sim_counters_are_pinned_and_threaded_reproduces_every_peer_model() {
 
     let run = run_distributed(&dist, &store, &DistOptions::default()).unwrap();
     let pinned = EvalStats {
-        iterations: 893,
-        facts_derived: 1645,
-        duplicate_derivations: 946,
-        rule_firings: 2548,
+        iterations: 695,
+        facts_derived: 828,
+        duplicate_derivations: 228,
+        rule_firings: 1013,
         depth_skipped: 0,
-        index_probes: 2492,
-        candidates_scanned: 3764,
-        plan_reorders: 39752,
+        index_probes: 1616,
+        candidates_scanned: 1962,
+        plan_reorders: 30403,
         sip_filtered: 0,
-        subplans_shared: 746,
-        plans_compiled: 1550,
+        subplans_shared: 530,
+        plans_compiled: 1464,
         per_rule: Vec::new(),
     };
     assert_eq!(run.total_stats().with_walls_zeroed(), pinned);
     // `bytes` measures the wire format (per-channel term dictionaries);
     // the message and step counts do not depend on it.
     let pinned_net = NetStats {
-        messages: 392,
-        bytes: 13310,
-        sim_steps: 392,
+        messages: 349,
+        bytes: 10741,
+        sim_steps: 349,
         events_processed: 0,
     };
     assert_eq!(run.net, pinned_net);
@@ -112,10 +126,10 @@ fn sim_counters_are_pinned_and_threaded_reproduces_every_peer_model() {
         .map(|(name, _, counts)| (name.as_str(), *counts))
         .collect();
     let pinned_counts = [
-        ("p0", (287, 158)),
-        ("p1", (137, 151)),
-        ("p2", (94, 123)),
-        ("supervisor", (1127, 159)),
+        ("p0", (231, 66)),
+        ("p1", (135, 66)),
+        ("p2", (109, 39)),
+        ("supervisor", (353, 114)),
     ];
     assert_eq!(counts, pinned_counts);
 
