@@ -16,6 +16,14 @@
 //! differs. That is the paper's point: the optimization is a rewrite, not a
 //! new execution engine.
 //!
+//! A peer works in *activations* ([`PeerLogic`]): the transport hands it
+//! every message waiting for it, and the peer only applies them — tuple
+//! batches to its database, subscriptions to its subscriber list. When the
+//! activation ends, the peer resumes its fixpoint once if anything was new
+//! and then sends each subscriber one message, carrying a batch for every
+//! relation of its subscription that grew. So the cost of a round trip is
+//! paid per activation, not per message.
+//!
 //! Terms cross a channel once. Each directed channel carries a term
 //! dictionary: a tuple batch defines the terms it is the first to ship,
 //! children first, each under the channel's next unused id, and its rows
@@ -24,11 +32,13 @@
 //! that overtakes its predecessor anyway waits until the predecessor
 //! arrives, and a run that quiesces with one still waiting ends in
 //! [`DistError::ChannelGap`].
+//!
+//! Rules do not travel: [`build_peers`] copies each peer's rules from the
+//! program's store into the peer's private store by term id.
 
-use crate::export::{export_rule, import_rule, ExportedRule};
 use rescue_datalog::{
-    EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats, ExportedTerm, Peer, PredId,
-    Program, Relation, Rows, TermData, TermId, TermStore,
+    Atom, Diseq, EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats, ExportedTerm, Peer,
+    PredId, Program, Relation, Rows, Rule, Sym, TermData, TermId, TermStore,
 };
 use rescue_net::sim::{SimConfig, SimNet};
 use rescue_net::{NetError, NetStats, NodeId, Outbox, PeerLogic};
@@ -40,10 +50,13 @@ use std::fmt;
 /// Wire messages of the distributed evaluation protocol.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum DMsg {
-    /// "Send me `name@peer`, now and whenever it grows."
-    Subscribe { name: String, peer: String },
-    /// A batch of tuples of `name@peer`.
-    Tuples(TupleBatch),
+    /// "Send me `name@peer` for every name in `names`, now and whenever
+    /// they grow." One message lists every relation the sender reads from
+    /// `peer`.
+    Subscribe { peer: String, names: Vec<String> },
+    /// The batches one activation of the sender has for the receiver, one
+    /// per relation that grew, in channel order.
+    Tuples(Vec<TupleBatch>),
 }
 
 /// A batch of tuples of `name@peer`, the `seq`-th tuple batch on its
@@ -86,24 +99,35 @@ fn ids_size(ids: &[u32]) -> usize {
 /// the paper-facing byte totals depend on whether a run was traced. Byte
 /// accounting measures the protocol, not the harness.
 ///
-/// A string counts one tag byte plus its bytes. Ids, counts and sequence
-/// numbers count as LEB128 varints. A row's arity is its relation's, so
-/// only the row count is sent.
+/// A message counts one tag byte. A term definition counts one tag byte
+/// plus its symbol's bytes. Ids, counts and sequence numbers count as
+/// LEB128 varints. A row's arity is its relation's, so only the row count
+/// is sent. So a message of `k` batches counts
+/// `1 + varint(k) + Σ batch`, where a batch counts its name and peer
+/// bytes, `varint(seq)`, its definitions with their count and its rows
+/// with their count.
 pub fn dmsg_size(msg: &DMsg) -> usize {
     match msg {
-        DMsg::Subscribe { name, peer } => 1 + name.len() + peer.len(),
-        DMsg::Tuples(b) => {
+        DMsg::Subscribe { peer, names } => {
+            1 + peer.len()
+                + varint(names.len() as u64)
+                + names.iter().map(String::len).sum::<usize>()
+        }
+        DMsg::Tuples(batches) => {
             let def_size = |d: &TermDef| match d {
                 TermDef::Const(c) => 1 + c.len(),
                 TermDef::App(f, kids) => 1 + f.len() + varint(kids.len() as u64) + ids_size(kids),
             };
-            1 + b.name.len()
-                + b.peer.len()
-                + varint(b.seq)
-                + varint(b.defs.len() as u64)
-                + b.defs.iter().map(def_size).sum::<usize>()
-                + varint(b.rows.len() as u64)
-                + b.rows.iter().map(|r| ids_size(r)).sum::<usize>()
+            let batch_size = |b: &TupleBatch| {
+                b.name.len()
+                    + b.peer.len()
+                    + varint(b.seq)
+                    + varint(b.defs.len() as u64)
+                    + b.defs.iter().map(def_size).sum::<usize>()
+                    + varint(b.rows.len() as u64)
+                    + b.rows.iter().map(|r| ids_size(r)).sum::<usize>()
+            };
+            1 + varint(batches.len() as u64) + batches.iter().map(batch_size).sum::<usize>()
         }
     }
 }
@@ -263,16 +287,19 @@ pub struct EvalPeer {
     /// The peer's resumable local fixpoint: its rules, database, saturation
     /// watermarks, accumulated statistics and compiled plans.
     /// It is the object an online `DiagnosisSession` resumes per alarm; a
-    /// peer resumes it per tuple batch, so the two share one resume path
-    /// whose cost follows the batch, not the program.
+    /// peer resumes it per activation, so the two share one resume path
+    /// whose cost follows the input, not the program.
     session: EvalSession,
-    /// `(relation name, owner peer)` pairs this peer reads remotely.
-    remote_deps: Vec<(String, String)>,
-    subscribers: FxHashMap<PredId, Vec<NodeId>>,
-    watermarks: FxHashMap<(PredId, NodeId), usize>,
+    /// The relations this peer reads remotely, grouped by owner peer.
+    remote_deps: Vec<(String, Vec<String>)>,
+    /// Per subscriber, the relations it reads here, each with the number
+    /// of its rows already sent to it.
+    subscribers: BTreeMap<NodeId, Vec<(PredId, usize)>>,
     /// Term dictionaries of the channels this peer sends / receives on.
     outbound: FxHashMap<NodeId, ChannelOut>,
     inbound: FxHashMap<NodeId, ChannelIn>,
+    /// Whether this activation applied a tuple that was new here.
+    pending: bool,
     error: Option<EvalError>,
     /// Tuples this peer sent (for experiment reporting).
     tuples_sent: u64,
@@ -281,28 +308,35 @@ pub struct EvalPeer {
 }
 
 impl EvalPeer {
-    /// Build a peer named `name` hosting `rules` (their heads must all be
-    /// at `name`).
+    /// Build a peer named `name` hosting `program`, whose terms live in
+    /// `store` (the peer's private store; every rule head must be at
+    /// `name`).
     pub fn new(
         name: &str,
-        rules: &[ExportedRule],
+        program: Program,
+        store: TermStore,
         directory: FxHashMap<String, NodeId>,
         budget: EvalBudget,
     ) -> Self {
-        let mut store = TermStore::new();
-        let mut program = Program::new();
-        let mut remote_deps: Vec<(String, String)> = Vec::new();
-        for er in rules {
-            debug_assert_eq!(er.head.peer, name, "rule hosted at wrong site");
-            for b in &er.body {
-                if b.peer != name {
-                    let dep = (b.name.clone(), b.peer.clone());
-                    if !remote_deps.contains(&dep) {
-                        remote_deps.push(dep);
-                    }
+        let mut remote_deps: Vec<(String, Vec<String>)> = Vec::new();
+        for rule in &program.rules {
+            debug_assert_eq!(
+                store.sym_str(rule.site().0),
+                name,
+                "rule hosted at wrong site"
+            );
+            for atom in &rule.body {
+                let owner = store.sym_str(atom.pred.peer.0);
+                if owner == name {
+                    continue;
+                }
+                let rel = store.sym_str(atom.pred.name).to_owned();
+                match remote_deps.iter_mut().find(|(o, _)| o == owner) {
+                    Some((_, names)) if names.contains(&rel) => {}
+                    Some((_, names)) => names.push(rel),
+                    None => remote_deps.push((owner.to_owned(), vec![rel])),
                 }
             }
-            program.push(import_rule(er, &mut store));
         }
         EvalPeer {
             name: name.to_owned(),
@@ -310,10 +344,10 @@ impl EvalPeer {
             store,
             session: EvalSession::idle(program, budget),
             remote_deps,
-            subscribers: FxHashMap::default(),
-            watermarks: FxHashMap::default(),
+            subscribers: BTreeMap::new(),
             outbound: FxHashMap::default(),
             inbound: FxHashMap::default(),
+            pending: false,
             error: None,
             tuples_sent: 0,
             terms_defined: 0,
@@ -385,31 +419,29 @@ impl EvalPeer {
         }
     }
 
+    /// Send each subscriber one message with a batch for every relation
+    /// of its subscription that has rows it was not sent yet.
     fn flush(&mut self, out: &mut Outbox<DMsg>) {
-        let targets: Vec<(PredId, NodeId)> = self
-            .subscribers
-            .iter()
-            .flat_map(|(&p, subs)| subs.iter().map(move |&n| (p, n)))
-            .collect();
-        for (pred, node) in targets {
-            self.flush_one(pred, node, out);
+        let db = self.session.database();
+        for (&node, relations) in &mut self.subscribers {
+            let mut batches = Vec::new();
+            for (pred, sent) in relations.iter_mut() {
+                let len = db.count(*pred);
+                if *sent >= len {
+                    continue;
+                }
+                let rows = db.relation(*pred).expect("nonzero count implies relation");
+                let channel = self.outbound.entry(node).or_default();
+                let batch = channel.batch(&self.store, *pred, rows.rows().range(*sent, len));
+                *sent = len;
+                self.tuples_sent += batch.rows.len() as u64;
+                self.terms_defined += batch.defs.len() as u64;
+                batches.push(batch);
+            }
+            if !batches.is_empty() {
+                out.send(node, DMsg::Tuples(batches));
+            }
         }
-    }
-
-    fn flush_one(&mut self, pred: PredId, node: NodeId, out: &mut Outbox<DMsg>) {
-        let len = self.session.database().count(pred);
-        let wm = self.watermarks.entry((pred, node)).or_insert(0);
-        if *wm >= len {
-            return;
-        }
-        let rel = self.session.database().relation(pred);
-        let rows = rel.expect("nonzero count implies relation").rows();
-        let channel = self.outbound.entry(node).or_default();
-        let batch = channel.batch(&self.store, pred, rows.range(*wm, len));
-        *wm = len;
-        self.tuples_sent += batch.rows.len() as u64;
-        self.terms_defined += batch.defs.len() as u64;
-        out.send(node, DMsg::Tuples(batch));
     }
 
     /// Take in a tuple batch from `from`, and every held batch it makes
@@ -505,40 +537,44 @@ impl EvalPeer {
 impl PeerLogic<DMsg> for EvalPeer {
     fn on_start(&mut self, out: &mut Outbox<DMsg>) {
         self.run_local_fixpoint();
-        for (name, peer) in &self.remote_deps {
+        for (peer, names) in &self.remote_deps {
             let Some(&node) = self.directory.get(peer) else {
-                // Unknown peer: the relation stays empty, matching a site
+                // Unknown peer: the relations stay empty, matching a site
                 // that never answers.
                 continue;
             };
-            out.send(
-                node,
-                DMsg::Subscribe {
-                    name: name.clone(),
-                    peer: peer.clone(),
-                },
-            );
+            let (peer, names) = (peer.clone(), names.clone());
+            out.send(node, DMsg::Subscribe { peer, names });
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: DMsg, out: &mut Outbox<DMsg>) {
+    fn on_message(&mut self, from: NodeId, msg: DMsg, _out: &mut Outbox<DMsg>) {
         match msg {
-            DMsg::Subscribe { name, peer } => {
+            DMsg::Subscribe { peer, names } => {
                 debug_assert_eq!(peer, self.name, "subscription for a relation we don't own");
-                let pred = pred(&mut self.store, &name, &peer);
-                let subs = self.subscribers.entry(pred).or_default();
-                if !subs.contains(&from) {
-                    subs.push(from);
+                let relations = self.subscribers.entry(from).or_default();
+                for name in &names {
+                    let pred = pred(&mut self.store, name, &peer);
+                    if !relations.iter().any(|&(p, _)| p == pred) {
+                        relations.push((pred, 0));
+                    }
                 }
-                self.flush_one(pred, from, out);
             }
-            DMsg::Tuples(batch) => {
-                if self.receive(from, batch) {
-                    self.run_local_fixpoint();
-                    self.flush(out);
+            DMsg::Tuples(batches) => {
+                for batch in batches {
+                    self.pending |= self.receive(from, batch);
                 }
             }
         }
+    }
+
+    /// Resume once if the activation brought anything new, then answer
+    /// new subscriptions and ship what grew.
+    fn on_activation_end(&mut self, out: &mut Outbox<DMsg>) {
+        if std::mem::take(&mut self.pending) {
+            self.run_local_fixpoint();
+        }
+        self.flush(out);
     }
 }
 
@@ -657,41 +693,109 @@ fn record_peer_facts(peers: &[EvalPeer], recordings: &[(String, Collector)]) {
     }
 }
 
+/// A peer's private store under construction: terms of the program's
+/// store are copied in by id, children first, each once.
+struct LocalStore<'a> {
+    from: &'a TermStore,
+    store: TermStore,
+    program: Program,
+    /// The local id of every term and symbol copied so far.
+    terms: FxHashMap<TermId, TermId>,
+    syms: FxHashMap<Sym, Sym>,
+}
+
+impl<'a> LocalStore<'a> {
+    fn new(from: &'a TermStore) -> Self {
+        LocalStore {
+            from,
+            store: TermStore::new(),
+            program: Program::new(),
+            terms: FxHashMap::default(),
+            syms: FxHashMap::default(),
+        }
+    }
+
+    fn sym(&mut self, s: Sym) -> Sym {
+        let (from, store) = (self.from, &mut self.store);
+        *self
+            .syms
+            .entry(s)
+            .or_insert_with(|| store.sym(from.sym_str(s)))
+    }
+
+    fn term(&mut self, t: TermId) -> TermId {
+        if let Some(&local) = self.terms.get(&t) {
+            return local;
+        }
+        let from = self.from;
+        let local = match from.data(t) {
+            TermData::Const(c) => {
+                let c = self.sym(*c);
+                self.store.const_sym(c)
+            }
+            TermData::Var(v) => {
+                let v = self.sym(*v);
+                self.store.var_sym(v)
+            }
+            TermData::App(f, args) => {
+                let args = args.iter().map(|&a| self.term(a)).collect();
+                let f = self.sym(*f);
+                self.store.app_sym(f, args)
+            }
+        };
+        self.terms.insert(t, local);
+        local
+    }
+
+    fn atom(&mut self, atom: &Atom) -> Atom {
+        let pred = PredId {
+            name: self.sym(atom.pred.name),
+            peer: Peer(self.sym(atom.pred.peer.0)),
+        };
+        Atom {
+            pred,
+            args: atom.args.iter().map(|&a| self.term(a)).collect(),
+            negated: atom.negated,
+        }
+    }
+
+    fn push(&mut self, rule: &Rule) {
+        let rule = Rule {
+            head: self.atom(&rule.head),
+            body: rule.body.iter().map(|a| self.atom(a)).collect(),
+            diseqs: (rule.diseqs.iter())
+                .map(|d| Diseq {
+                    lhs: self.term(d.lhs),
+                    rhs: self.term(d.rhs),
+                })
+                .collect(),
+        };
+        self.program.push(rule);
+    }
+}
+
 /// Partition `program` by site and build the peer set (deterministic
-/// order: peer names sorted).
+/// order: peer names sorted). Each peer's rules are copied into its own
+/// store.
 pub fn build_peers(
     program: &Program,
     store: &TermStore,
     budget: EvalBudget,
 ) -> (Vec<EvalPeer>, FxHashMap<String, NodeId>) {
-    let mut names: Vec<String> = program
-        .peers()
-        .into_iter()
-        .map(|p| store.sym_str(p.0).to_owned())
+    let mut sites = program.peers();
+    sites.sort_by_key(|p| store.sym_str(p.0));
+    let directory: FxHashMap<String, NodeId> = (sites.iter().enumerate())
+        .map(|(i, p)| (store.sym_str(p.0).to_owned(), NodeId(i)))
         .collect();
-    names.sort();
-    let directory: FxHashMap<String, NodeId> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), NodeId(i)))
-        .collect();
-    let mut by_site: FxHashMap<String, Vec<ExportedRule>> = FxHashMap::default();
+    let mut locals: Vec<LocalStore> = sites.iter().map(|_| LocalStore::new(store)).collect();
     for rule in &program.rules {
-        let site = store.sym_str(rule.site().0).to_owned();
-        by_site
-            .entry(site)
-            .or_default()
-            .push(export_rule(rule, store));
+        let site = sites.iter().position(|&p| p == rule.site());
+        locals[site.expect("a rule's site is a program peer")].push(rule);
     }
-    let peers: Vec<EvalPeer> = names
-        .iter()
-        .map(|n| {
-            EvalPeer::new(
-                n,
-                by_site.get(n).map(|v| v.as_slice()).unwrap_or(&[]),
-                directory.clone(),
-                budget,
-            )
+    let peers = (sites.iter().zip(locals))
+        .map(|(p, local)| {
+            let name = store.sym_str(p.0);
+            EvalPeer::new(name, local.program, local.store, directory.clone(), budget)
         })
         .collect();
     (peers, directory)
@@ -980,6 +1084,26 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_negated_body_atom_reaches_its_peer_negated() {
+        // Monotone tuple streaming cannot evaluate negation; the peer must
+        // refuse the rule, not run it as the positive join.
+        let src = r#"
+            Node@a(x). Node@a(y). Reach@b(x).
+            Un@a(X) :- Node@a(X), not Reach@b(X).
+        "#;
+        let mut st = TermStore::new();
+        let prog = parse_program(src, &mut st).unwrap();
+        match run_distributed(&prog, &st, &DistOptions::default()) {
+            Err(DistError::Eval { peer, error }) => {
+                assert_eq!(peer, "a");
+                assert_eq!(error, EvalError::NegationRequiresStratification);
+            }
+            Err(other) => panic!("unexpected error {other:?}"),
+            Ok(run) => panic!("negation ran as {:?}", run.facts_of("Un", "a")),
+        }
+    }
+
     /// `rows` of `name@peer`, stored in `store` through a database so the
     /// encoder reads them the way a peer does.
     fn rows_of(store: &mut TermStore, name: &str, peer: &str, rows: &[&str]) -> (PredId, Database) {
@@ -1053,7 +1177,7 @@ mod tests {
         // Another channel has its own dictionary and defines them again.
         let mut to_t = ChannelOut::default();
         assert_eq!(batch_of(&mut to_t, &st, pred, &second).defs.len(), 6);
-        assert!(dmsg_size(&DMsg::Tuples(b1.clone())) < dmsg_size(&DMsg::Tuples(b0)));
+        assert!(dmsg_size(&DMsg::Tuples(vec![b1.clone()])) < dmsg_size(&DMsg::Tuples(vec![b0])));
     }
 
     /// A peer `r` with no rules that reads tuples from `s`.
@@ -1061,7 +1185,8 @@ mod tests {
         let directory = [("r".to_owned(), NodeId(0)), ("s".to_owned(), NodeId(1))];
         EvalPeer::new(
             "r",
-            &[],
+            Program::new(),
+            TermStore::new(),
             directory.into_iter().collect(),
             EvalBudget::default(),
         )
@@ -1117,5 +1242,141 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("per-channel FIFO"), "{err}");
+    }
+
+    /// `R@s` rows `f(a)`, `g(f(a))`, `h(g(f(a)))` and `k(b)` as four
+    /// successive batches on one channel, and the rows they carry.
+    fn four_batches() -> (Vec<TupleBatch>, Vec<Vec<ExportedTerm>>) {
+        let mut st = TermStore::new();
+        let mut ch = ChannelOut::default();
+        let mut batches = Vec::new();
+        let mut sent = Vec::new();
+        for row in ["f(a)", "g(f(a))", "h(g(f(a)))", "k(b)"] {
+            let (pred, db) = rows_of(&mut st, "R", "s", &[row]);
+            batches.push(batch_of(&mut ch, &st, pred, &db));
+            sent.extend(
+                db.relation(pred)
+                    .unwrap()
+                    .rows()
+                    .iter()
+                    .map(|r| export_row(&st, r)),
+            );
+        }
+        (batches, sent)
+    }
+
+    #[test]
+    fn a_later_batch_of_a_message_reads_ids_an_earlier_one_defines() {
+        let (mut batches, sent) = four_batches();
+        batches.truncate(2);
+        // g(f(a)) is one definition: f(a) is the first batch's id 1.
+        assert_eq!(batches[1].defs, vec![TermDef::App("g".into(), vec![1])]);
+        let (run, _) = scripted_run(vec![DMsg::Tuples(batches)], 0);
+        let r = run.expect("no gap");
+        assert_eq!(
+            rows_to_strings(r.peer("r").unwrap().facts_of("R", "s")),
+            rows_to_strings(sent[..2].to_vec())
+        );
+    }
+
+    /// A scripted sender `s` (node 1) that sends its messages at start,
+    /// and the receiver `r` (node 0), which records the sequence number of
+    /// each message's first batch in delivery order.
+    enum Scripted {
+        Sender(Vec<DMsg>),
+        Receiver(Box<EvalPeer>, Vec<u64>),
+    }
+
+    impl PeerLogic<DMsg> for Scripted {
+        fn on_start(&mut self, out: &mut Outbox<DMsg>) {
+            match self {
+                Scripted::Sender(msgs) => msgs.drain(..).for_each(|m| out.send(NodeId(0), m)),
+                Scripted::Receiver(peer, _) => peer.on_start(out),
+            }
+        }
+        fn on_message(&mut self, from: NodeId, msg: DMsg, out: &mut Outbox<DMsg>) {
+            if let Scripted::Receiver(peer, order) = self {
+                if let DMsg::Tuples(batches) = &msg {
+                    order.push(batches[0].seq);
+                }
+                peer.on_message(from, msg, out);
+            }
+        }
+        fn on_activation_end(&mut self, out: &mut Outbox<DMsg>) {
+            if let Scripted::Receiver(peer, _) = self {
+                peer.on_activation_end(out);
+            }
+        }
+    }
+
+    /// Deliver `msgs` from `s` to a fresh `r` under `Delivery::Random`,
+    /// returning the finished run and the order `r` saw them in.
+    fn scripted_run(msgs: Vec<DMsg>, seed: u64) -> (Result<DistRun, DistError>, Vec<u64>) {
+        let peers = vec![
+            Scripted::Receiver(Box::new(receiver()), Vec::new()),
+            Scripted::Sender(msgs),
+        ];
+        let sim = SimConfig {
+            seed,
+            delivery: rescue_net::sim::Delivery::Random,
+            ..Default::default()
+        };
+        let mut net = SimNet::new(peers, sim, dmsg_size);
+        let stats = net.run().unwrap();
+        let mut peers = net.into_peers();
+        let Scripted::Receiver(r, order) = peers.swap_remove(0) else {
+            panic!("node 0 is the receiver")
+        };
+        (finish_run(vec![*r], stats, Vec::new()), order)
+    }
+
+    #[test]
+    fn random_delivery_of_batched_messages_holds_back_and_names_a_lost_one() {
+        let (batches, sent) = four_batches();
+        let (m0, m1) = (batches[..2].to_vec(), batches[2..].to_vec());
+        let mut overtaken = false;
+        for seed in 0..20 {
+            let msgs = vec![DMsg::Tuples(m0.clone()), DMsg::Tuples(m1.clone())];
+            let (run, order) = scripted_run(msgs, seed);
+            // The second message refers to g(f(a)), which only the first
+            // defines: when it overtakes, it waits instead of misreading.
+            overtaken |= order == [2, 0];
+            let run = run.expect("both messages arrived");
+            let r = run.peer("r").unwrap();
+            assert_eq!(
+                rows_to_strings(r.facts_of("R", "s")),
+                rows_to_strings(sent.clone())
+            );
+        }
+        assert!(overtaken, "Random delivery never reordered the channel");
+        // Lose the first message: the run ends in a gap, not a smaller model.
+        let (run, _) = scripted_run(vec![DMsg::Tuples(m1)], 0);
+        let err = run.err().expect("a run with a gap must fail");
+        assert_eq!(
+            err,
+            DistError::ChannelGap {
+                from: "s".into(),
+                to: "r".into(),
+                missing: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_k_batch_message_pays_one_tag() {
+        let (batches, _) = four_batches();
+        let alone = |b: &TupleBatch| dmsg_size(&DMsg::Tuples(vec![b.clone()]));
+        for k in 1..=batches.len() {
+            let msg = DMsg::Tuples(batches[..k].to_vec());
+            // 1 tag + varint(k) + Σ batch, where a batch alone pays the
+            // tag and varint(1) on top of its own bytes.
+            let batch_sum: usize = batches[..k].iter().map(|b| alone(b) - 2).sum();
+            assert_eq!(dmsg_size(&msg), 1 + varint(k as u64) + batch_sum);
+        }
+        let subscribe = DMsg::Subscribe {
+            peer: "s".into(),
+            names: vec!["R".into(), "Tr".into()],
+        };
+        assert_eq!(dmsg_size(&subscribe), 1 + 1 + 1 + 1 + 2);
     }
 }

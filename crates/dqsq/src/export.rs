@@ -2,9 +2,13 @@
 //!
 //! The paper's peers are autonomous: they share no memory, so each peer in
 //! the distributed runtimes owns a private
-//! [`rescue_datalog::TermStore`]. Everything that crosses a peer
-//! boundary — tuples, subscriptions, delegated rule remainders — travels in
-//! the structural form defined here and is re-interned on receipt.
+//! [`rescue_datalog::TermStore`]. The peer-local rewriting protocol
+//! ([`crate::protocol`]) ships its delegated rule remainders in the
+//! structural form defined here, re-interned on receipt, and tests use it
+//! to compare rule sets built in different stores. Tuples travel as
+//! per-channel term dictionaries instead ([`crate::dist`]), and
+//! [`crate::dist::build_peers`] copies each peer's rules into its store by
+//! term id.
 
 use rescue_datalog::{Atom, Diseq, ExportedTerm, Peer, PredId, Program, Rule, TermStore};
 

@@ -2,8 +2,8 @@
 //!
 //! Distributed Datalog and distributed QSQ (paper §3.2).
 //!
-//! * [`export`] — store-independent atoms/rules: what actually travels
-//!   between autonomous peers;
+//! * [`export`] — store-independent atoms/rules: what the peer-local
+//!   rewriting protocol ships between autonomous peers;
 //! * [`dist`] — distributed (naive) evaluation: peers host "the rules at
 //!   site p", subscribe to remote relations, and exchange tuples until the
 //!   distributed fixpoint, on either the simulated or the threaded

@@ -2,7 +2,8 @@
 //! multi-peer programs,
 //!
 //! * distributed evaluation computes the centralized fixpoint, also over
-//!   function terms that share subterms and under reordered delivery,
+//!   function terms that share subterms, under reordered delivery and on
+//!   the threaded transport,
 //! * the peer-local rewriting protocol generates exactly the global
 //!   rewriting, also on random rule shapes, where Magic Sets adorns the
 //!   same predicates and QSQ, Magic Sets and semi-naive agree,
@@ -11,7 +12,8 @@
 use proptest::prelude::*;
 use rescue_datalog::{parse_atom, parse_program, Database, EvalBudget, TermStore};
 use rescue_dqsq::{
-    canonical_rules, check_theorem1, export_program, protocol_rewrite, run_distributed, DistOptions,
+    canonical_rules, check_theorem1, export_program, protocol_rewrite, run_distributed,
+    run_distributed_threaded, DistOptions, DistRun,
 };
 use rescue_net::sim::{Delivery, SimConfig};
 use rescue_qsq::split_edb_facts;
@@ -135,7 +137,11 @@ fn distributed(src: &str, sim: SimConfig) -> Rendered {
         sim,
         ..Default::default()
     };
-    let run = run_distributed(&prog, &store, &opts).unwrap();
+    rendered(&run_distributed(&prog, &store, &opts).unwrap())
+}
+
+/// Every peer's owned relations, rendered like [`centralized`].
+fn rendered(run: &DistRun) -> Rendered {
     let mut model: Rendered = Vec::new();
     for peer in &run.peers {
         for (name, rows) in peer.owned_facts() {
@@ -168,6 +174,20 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Real threads drain their inboxes in batches the OS scheduler cuts;
+    /// the model must not depend on where the cuts fall.
+    #[test]
+    fn threaded_model_over_shared_subterms_matches_centralized(src in arb_skolem_program()) {
+        let mut store = TermStore::new();
+        let prog = parse_program(&src, &mut store).unwrap();
+        let run = run_distributed_threaded(&prog, &store, EvalBudget::default()).unwrap();
+        prop_assert_eq!(&rendered(&run), &centralized(&src));
     }
 }
 

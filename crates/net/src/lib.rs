@@ -60,14 +60,23 @@ impl<M> Outbox<M> {
     }
 }
 
-/// Event-driven peer behaviour. All computation happens inside the two
+/// Event-driven peer behaviour. All computation happens inside the
 /// handlers; a network run ends when every peer is idle and no message is
 /// in flight (quiescence).
+///
+/// A transport delivers messages in *activations*: it hands one peer every
+/// message waiting for it, each channel in its own order, through
+/// [`on_message`](Self::on_message), then calls
+/// [`on_activation_end`](Self::on_activation_end) once. What the peer
+/// queued in its [`Outbox`] during the whole activation is sent after that
+/// call.
 pub trait PeerLogic<M>: Send {
     /// Called once before any message flows.
     fn on_start(&mut self, out: &mut Outbox<M>);
     /// Called for each delivered message.
     fn on_message(&mut self, from: NodeId, msg: M, out: &mut Outbox<M>);
+    /// Called once after the last message of an activation.
+    fn on_activation_end(&mut self, _out: &mut Outbox<M>) {}
 }
 
 /// Message and byte counters for one network run.
@@ -80,7 +89,7 @@ pub struct NetStats {
     /// Scheduler deliveries performed by the deterministic simulator.
     /// Zero on the threaded transport.
     pub sim_steps: u64,
-    /// Handler invocations on the thread-per-peer transport. Zero on the
+    /// Messages handled on the thread-per-peer transport. Zero on the
     /// simulator (whose deliveries are counted as [`sim_steps`](Self::sim_steps)).
     pub events_processed: u64,
 }

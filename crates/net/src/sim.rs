@@ -1,15 +1,19 @@
 //! Deterministic network simulator.
 //!
-//! Messages sit in per-`(sender, receiver)` channels. Each scheduler step
-//! picks a nonempty channel according to the (seeded) delivery policy and
-//! delivers its head message, so:
+//! Messages sit in per-`(sender, receiver)` channels. The scheduler picks
+//! a nonempty channel at random and *activates* its receiver: it delivers
+//! every message queued for that peer, one scheduler step each, taking
+//! each step's message from one of the peer's nonempty channels at random,
+//! and then ends the activation ([`PeerLogic::on_activation_end`]). So:
 //!
-//! * with [`Delivery::FifoPerChannel`] every channel is FIFO — exactly the
-//!   paper's assumption about a peer's alarms ("for each individual peer
-//!   the relative order of its alarms respects the order in which they were
-//!   sent") — while the interleaving *across* channels is random;
-//! * with [`Delivery::Random`] even a single channel is reordered,
-//!   exercising fully unordered delivery.
+//! * with [`Delivery::FifoPerChannel`] a step delivers its channel's head
+//!   message and every channel is FIFO — exactly the paper's assumption
+//!   about a peer's alarms ("for each individual peer the relative order
+//!   of its alarms respects the order in which they were sent") — while
+//!   the interleaving *across* channels is random;
+//! * with [`Delivery::Random`] a step delivers any message of its channel,
+//!   so even a single channel is reordered, exercising fully unordered
+//!   delivery.
 //!
 //! The simulation is fully determined by the seed, making every experiment
 //! and failure reproducible.
@@ -173,33 +177,56 @@ impl<M, P: PeerLogic<M>> SimNet<M, P> {
             self.peers[i].on_start(&mut out);
             self.flush_outbox(out);
         }
-        // Deliver until no channel is nonempty.
+        // Activate the receiver of a random nonempty channel until no
+        // channel is nonempty.
         while !self.nonempty.is_empty() {
+            let ci = self.rng.gen_range(0..self.nonempty.len());
+            let to = self.nonempty[ci].1;
+            self.activate(to)?;
+        }
+        self.stats.fold_into(&self.collector);
+        Ok(self.stats)
+    }
+
+    /// Deliver every message queued for `to`, then end its activation.
+    /// Each step takes the next message of one of `to`'s channels, chosen
+    /// at random, so the channels interleave; within a channel the
+    /// delivery policy picks the message. Nothing the peer sends reaches a
+    /// channel before the activation ends.
+    fn activate(&mut self, to: NodeId) -> Result<(), NetError> {
+        let mut inbox: Vec<(NodeId, NodeId)> = Vec::new();
+        self.nonempty.retain(|&key| {
+            if key.1 == to {
+                inbox.push(key);
+            }
+            key.1 != to
+        });
+        let receiver = self.coll(to);
+        let _handler_span =
+            (receiver.is_enabled()).then(|| receiver.span(format!("deliver {to}"), "net"));
+        let mut out = Outbox::new(to);
+        while !inbox.is_empty() {
             if self.stats.sim_steps >= self.config.max_steps {
                 return Err(NetError::StepBudgetExceeded {
                     limit: self.config.max_steps,
                 });
             }
             self.stats.sim_steps += 1;
-            let ci = self.rng.gen_range(0..self.nonempty.len());
-            let key = self.nonempty[ci];
-            let (flow, lamport, sent, msg) = {
-                let q = self.channels.get_mut(&key).expect("tracked channel");
-                let msg = match self.config.delivery {
-                    Delivery::FifoPerChannel => q.pop_front().expect("nonempty"),
-                    Delivery::Random => {
-                        let mi = self.rng.gen_range(0..q.len());
-                        q.remove(mi).expect("index in range")
-                    }
-                };
-                if q.is_empty() {
-                    self.nonempty.swap_remove(ci);
+            let ci = self.rng.gen_range(0..inbox.len());
+            let key = inbox[ci];
+            let q = self.channels.get_mut(&key).expect("tracked channel");
+            let (flow, lamport, sent, msg) = match self.config.delivery {
+                Delivery::FifoPerChannel => q.pop_front().expect("nonempty"),
+                Delivery::Random => {
+                    let mi = self.rng.gen_range(0..q.len());
+                    q.remove(mi).expect("index in range")
                 }
-                msg
             };
-            let (from, to) = key;
+            if q.is_empty() {
+                inbox.swap_remove(ci);
+            }
+            let from = key.0;
             self.stats.messages += 1;
-            let mut _handler_span = None;
             let receiver = self.coll(to);
             if receiver.is_enabled() {
                 let merged = receiver.lamport_observe(lamport);
@@ -214,14 +241,12 @@ impl<M, P: PeerLogic<M>> SimNet<M, P> {
                 );
                 receiver.count("peer.msgs_recv", 1);
                 receiver.count("peer.bytes_recv", (self.sizer)(&msg) as u64);
-                _handler_span = Some(receiver.span(format!("deliver {to}"), "net"));
             }
-            let mut out = Outbox::new(to);
             self.peers[to.0].on_message(from, msg, &mut out);
-            self.flush_outbox(out);
         }
-        self.stats.fold_into(&self.collector);
-        Ok(self.stats)
+        self.peers[to.0].on_activation_end(&mut out);
+        self.flush_outbox(out);
+        Ok(())
     }
 
     /// The peers, for post-run inspection.
@@ -360,6 +385,7 @@ mod tests {
     /// FifoPerChannel even though cross-channel interleaving is random.
     struct Collector {
         got: Vec<(NodeId, u32)>,
+        activations: usize,
     }
     struct Burst {
         to: NodeId,
@@ -382,13 +408,21 @@ mod tests {
                 c.got.push((from, msg));
             }
         }
+        fn on_activation_end(&mut self, _out: &mut Outbox<u32>) {
+            if let Node::C(c) = self {
+                c.activations += 1;
+            }
+        }
     }
 
     #[test]
     fn fifo_per_channel_preserves_sender_order() {
         for seed in 0..20 {
             let peers = vec![
-                Node::C(Collector { got: Vec::new() }),
+                Node::C(Collector {
+                    got: Vec::new(),
+                    activations: 0,
+                }),
                 Node::B(Burst {
                     to: NodeId(0),
                     count: 10,
@@ -420,13 +454,62 @@ mod tests {
     }
 
     #[test]
+    fn an_activation_drains_the_inbox_and_interleaves_channels() {
+        let mut interleaved = [false; 2];
+        for seed in 0..20 {
+            for (i, delivery) in [Delivery::FifoPerChannel, Delivery::Random]
+                .into_iter()
+                .enumerate()
+            {
+                let peers = vec![
+                    Node::C(Collector {
+                        got: Vec::new(),
+                        activations: 0,
+                    }),
+                    Node::B(Burst {
+                        to: NodeId(0),
+                        count: 10,
+                    }),
+                    Node::B(Burst {
+                        to: NodeId(0),
+                        count: 10,
+                    }),
+                ];
+                let cfg = SimConfig {
+                    seed,
+                    delivery,
+                    ..Default::default()
+                };
+                let mut net = SimNet::new(peers, cfg, |_| 1);
+                let stats = net.run().unwrap();
+                let peers = net.into_peers();
+                let Node::C(c) = &peers[0] else { panic!() };
+                // Both bursts are queued before the first step, so one
+                // activation delivers all twenty, each counted.
+                assert_eq!(c.activations, 1);
+                assert_eq!(c.got.len(), 20);
+                assert_eq!((stats.messages, stats.sim_steps), (20, 20));
+                let senders: Vec<NodeId> = c.got.iter().map(|(f, _)| *f).collect();
+                let first = |n| senders.iter().position(|&f| f == n).unwrap();
+                let last = |n| senders.iter().rposition(|&f| f == n).unwrap();
+                let (a, b) = (NodeId(1), NodeId(2));
+                interleaved[i] |= first(b) < last(a) && first(a) < last(b);
+            }
+        }
+        assert_eq!(interleaved, [true, true], "channels never interleaved");
+    }
+
+    #[test]
     fn random_delivery_can_reorder_a_channel() {
         // With enough seeds, Random must produce at least one non-FIFO
         // ordering on a single channel.
         let mut saw_reorder = false;
         for seed in 0..50 {
             let peers = vec![
-                Node::C(Collector { got: Vec::new() }),
+                Node::C(Collector {
+                    got: Vec::new(),
+                    activations: 0,
+                }),
                 Node::B(Burst {
                     to: NodeId(0),
                     count: 8,

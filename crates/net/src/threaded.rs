@@ -1,13 +1,17 @@
 //! Thread-per-peer transport over crossbeam channels.
 //!
 //! Unlike [`sim`](crate::sim), delivery order here is decided by the OS
-//! scheduler — real asynchrony. Quiescence is detected with a counting
-//! termination detector (Mattern-style credit counting, in the family of
-//! distributed termination-detection algorithms the paper cites \[19, 33\]):
+//! scheduler — real asynchrony. A peer thread that wakes on a message
+//! drains its receiver before ending the activation
+//! ([`PeerLogic::on_activation_end`]), so one activation handles every
+//! message that arrived while the last one ran. Quiescence is detected
+//! with a counting termination detector (Mattern-style credit counting,
+//! in the family of distributed termination-detection algorithms the
+//! paper cites \[19, 33\]):
 //!
 //! * a shared `outstanding` counter is **incremented before** every send
-//!   and **decremented after** the receiving handler has returned, so while
-//!   any handler runs the counter is ≥ 1;
+//!   and **decremented after** the receiving peer's activation has
+//!   dispatched what it sent, so while any handler runs the counter is ≥ 1;
 //! * when `outstanding == 0` no message is in flight and no handler is
 //!   running, hence no handler can ever run again — the coordinator then
 //!   flips a shutdown flag that idle peers observe on their receive
@@ -160,30 +164,41 @@ where
             shared.started.fetch_add(1, Ordering::SeqCst);
             loop {
                 match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok((from, flow, lamport, sent, msg)) => {
-                        shared.messages.fetch_add(1, Ordering::Relaxed);
+                    Ok(first) => {
+                        // One activation: this message and every one
+                        // already queued behind it, then the hook.
                         let mut _handler_span = None;
                         if collector.is_enabled() {
-                            let merged = collector.lamport_observe(lamport);
-                            if let Some(sent) = sent {
-                                collector.observe_send_instant(sent);
-                            }
-                            collector.flow_recv(
-                                format!("msg {from}->{me}"),
-                                "net",
-                                flow,
-                                vec![("lamport".to_owned(), Arg::Num(merged))],
-                            );
-                            collector.count("peer.msgs_recv", 1);
-                            collector.count("peer.bytes_recv", sizer(&msg) as u64);
                             _handler_span = Some(collector.span(format!("deliver {me}"), "net"));
                         }
                         let mut out = Outbox::new(me);
-                        peer.on_message(from, msg, &mut out);
+                        let mut delivered = 0;
+                        let mut next = Some(first);
+                        while let Some((from, flow, lamport, sent, msg)) = next {
+                            delivered += 1;
+                            shared.messages.fetch_add(1, Ordering::Relaxed);
+                            if collector.is_enabled() {
+                                let merged = collector.lamport_observe(lamport);
+                                if let Some(sent) = sent {
+                                    collector.observe_send_instant(sent);
+                                }
+                                collector.flow_recv(
+                                    format!("msg {from}->{me}"),
+                                    "net",
+                                    flow,
+                                    vec![("lamport".to_owned(), Arg::Num(merged))],
+                                );
+                                collector.count("peer.msgs_recv", 1);
+                                collector.count("peer.bytes_recv", sizer(&msg) as u64);
+                            }
+                            peer.on_message(from, msg, &mut out);
+                            next = rx.try_recv().ok();
+                        }
+                        peer.on_activation_end(&mut out);
                         dispatch(&shared, &collector, &txs, me, out, sizer);
                         drop(_handler_span);
-                        // Only now is this message fully accounted for.
-                        shared.outstanding.fetch_sub(1, Ordering::SeqCst);
+                        // Only now are these messages fully accounted for.
+                        shared.outstanding.fetch_sub(delivered, Ordering::SeqCst);
                     }
                     Err(RecvTimeoutError::Timeout) => {
                         if shared.shutdown.load(Ordering::SeqCst) {
@@ -267,6 +282,51 @@ mod tests {
         assert_eq!(stats.messages, 100);
         assert_eq!(stats.bytes, 800);
         let total: u32 = peers.iter().map(|p| p.seen).sum();
+        assert_eq!(total, 100);
+    }
+
+    /// Forwards the largest token of an activation from its hook.
+    struct HookRing {
+        next: NodeId,
+        rounds: u32,
+        held: Option<u32>,
+        activations: u32,
+        start_token: bool,
+    }
+
+    impl PeerLogic<u32> for HookRing {
+        fn on_start(&mut self, out: &mut Outbox<u32>) {
+            if self.start_token {
+                out.send(self.next, 0);
+            }
+        }
+        fn on_message(&mut self, _from: NodeId, msg: u32, _out: &mut Outbox<u32>) {
+            self.held = self.held.max(Some(msg));
+        }
+        fn on_activation_end(&mut self, out: &mut Outbox<u32>) {
+            self.activations += 1;
+            if let Some(msg) = self.held.take().filter(|&m| m < self.rounds) {
+                out.send(self.next, msg + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn sends_from_the_activation_hook_are_dispatched_before_quiescence() {
+        let peers: Vec<HookRing> = (0..4)
+            .map(|i| HookRing {
+                next: NodeId((i + 1) % 4),
+                rounds: 99,
+                held: None,
+                activations: 0,
+                start_token: i == 0,
+            })
+            .collect();
+        let (peers, stats) = run_threaded(peers, |_| 8).unwrap();
+        assert_eq!(stats.messages, 100);
+        assert_eq!(stats.events_processed, 100);
+        // One token circulates, so every activation holds one message.
+        let total: u32 = peers.iter().map(|p| p.activations).sum();
         assert_eq!(total, 100);
     }
 
