@@ -1,9 +1,9 @@
-//! E2 — naive vs semi-naive vs QSQ on the Figure 3 program, sweeping the
+//! E2 — semi-naive vs QSQ on the Figure 3 program, sweeping the
 //! data size (the wall-time companion to the materialization table).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rescue::datalog::{parse_atom, parse_program, Database, EvalBudget, TermStore};
-use rescue::qsq::{naive_answer, qsq_answer};
+use rescue::qsq::{qsq_answer, seminaive_answer};
 
 fn figure3(n: usize) -> String {
     let mut src = String::from(
@@ -37,34 +37,11 @@ fn bench(c: &mut Criterion) {
         let prog = parse_program(&src, &mut store).unwrap();
         let query = parse_atom(r#"R@r("1", Y)"#, &mut store).unwrap();
 
-        g.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| {
-                let mut st = store.clone();
-                let mut db = Database::new();
-                naive_answer(
-                    &prog,
-                    &query,
-                    &mut st,
-                    &mut db,
-                    &EvalBudget::default(),
-                    false,
-                )
-                .unwrap()
-            })
-        });
         g.bench_with_input(BenchmarkId::new("seminaive", n), &n, |b, _| {
             b.iter(|| {
                 let mut st = store.clone();
                 let mut db = Database::new();
-                naive_answer(
-                    &prog,
-                    &query,
-                    &mut st,
-                    &mut db,
-                    &EvalBudget::default(),
-                    true,
-                )
-                .unwrap()
+                seminaive_answer(&prog, &query, &mut st, &mut db, &EvalBudget::default()).unwrap()
             })
         });
         g.bench_with_input(BenchmarkId::new("qsq", n), &n, |b, _| {

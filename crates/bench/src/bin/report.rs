@@ -45,7 +45,7 @@ const USAGE: &str = "usage: report [IDS...] [--json] [--json-out FILE] \
 fn run_one(id: &str) -> Option<Table> {
     match id {
         "e1" => Some(rescue_bench::experiments::e1_running_example()),
-        "e2" => Some(rescue_bench::experiments::e2_qsq_vs_naive()),
+        "e2" => Some(rescue_bench::experiments::e2_qsq_vs_seminaive()),
         "e3" => Some(rescue_bench::experiments::e3_theorem1()),
         "e4" => Some(rescue_bench::experiments::e4_theorem2_unfolding()),
         "e5" => Some(rescue_bench::experiments::e5_theorem4_materialization()),

@@ -12,7 +12,7 @@ use rescue::diagnosis::{
 };
 use rescue::dqsq::{check_theorem1, run_distributed, DistOptions};
 use rescue::petri::{random_net, random_run, NetConfig, PetriNet, UnfoldLimits, Unfolding};
-use rescue::qsq::{naive_answer, qsq_answer, split_edb_facts};
+use rescue::qsq::{qsq_answer, seminaive_answer, split_edb_facts};
 use std::time::Instant;
 
 /// The Figure 3 program over a chain of `n` relevant facts reachable from
@@ -137,18 +137,17 @@ pub fn e1_running_example() -> Table {
 
 /// E2 — Figures 3/4: materialization of naive vs semi-naive vs QSQ on the
 /// three-peer program, sweeping data size.
-pub fn e2_qsq_vs_naive() -> Table {
+pub fn e2_qsq_vs_seminaive() -> Table {
     let mut t = Table::new(
         "e2",
         "QSQ rewriting (Figures 3–4): tuples materialized vs data size",
         &[
             "relevant chain n",
             "base facts",
-            "naive derived",
             "semi-naive derived",
             "QSQ derived (ans+sup+in)",
             "answers",
-            "naive/QSQ ratio",
+            "semi-naive/QSQ ratio",
         ],
     );
     for n in [10usize, 40, 160, 640] {
@@ -159,66 +158,31 @@ pub fn e2_qsq_vs_naive() -> Table {
         let base = split_edb_facts(&prog).1.len();
 
         let mut db_s = Database::new();
-        let (_, semi_stats, semi_total) = naive_answer(
-            &prog,
-            &query,
-            &mut store,
-            &mut db_s,
-            &EvalBudget::default(),
-            true,
-        )
-        .unwrap();
+        let (_, semi_stats, semi_total) =
+            seminaive_answer(&prog, &query, &mut store, &mut db_s, &EvalBudget::default()).unwrap();
         t.absorb_stats(&semi_stats);
-        // The naive reference scans cubically in n; past n=160 it
-        // dominates the whole benchmark's candidate count while measuring
-        // nothing new. Both engines compute the same minimal model, so at
-        // the largest size we report the semi-naive total as the naive
-        // one — and assert that equality at every size where both run.
-        let naive_total = if n <= 160 {
-            let mut db_n = Database::new();
-            let (_, naive_stats, naive_total) = naive_answer(
-                &prog,
-                &query,
-                &mut store,
-                &mut db_n,
-                &EvalBudget::default(),
-                false,
-            )
-            .unwrap();
-            t.absorb_stats(&naive_stats);
-            assert_eq!(
-                naive_total, semi_total,
-                "naive and semi-naive agree on the minimal model"
-            );
-            naive_total
-        } else {
-            semi_total
-        };
         let mut db_q = Database::new();
         let run = qsq_answer(&prog, &query, &mut store, &mut db_q, &EvalBudget::default()).unwrap();
         t.absorb_stats(&run.stats);
-        let naive_derived = naive_total - base;
+        let semi_derived = semi_total - base;
         let qsq_derived = run.materialized.derived_total();
         t.row(vec![
             n.to_string(),
             base.to_string(),
-            naive_derived.to_string(),
-            (semi_total - base).to_string(),
+            semi_derived.to_string(),
             format!(
                 "{} ({}+{}+{})",
                 qsq_derived, run.materialized.adorned, run.materialized.sup, run.materialized.input
             ),
             run.answers.len().to_string(),
-            format!("{:.1}x", naive_derived as f64 / qsq_derived as f64),
+            format!("{:.1}x", semi_derived as f64 / qsq_derived as f64),
         ]);
     }
-    t.summary = "Naive and semi-naive evaluation saturate the whole database — \
-                 including the 4n-fact irrelevant component — so their materialization \
-                 grows linearly in total data. QSQ's binding propagation touches only \
-                 the component reachable from the query constant; the reduction ratio \
-                 grows with data size. The naive engine runs only up to n=160 (its \
-                 candidate scan is cubic); at n=640 the naive-derived count is the \
-                 semi-naive total, an equality asserted at every smaller size."
+    t.summary = "Bottom-up evaluation saturates the whole database — including the \
+                 4n-fact irrelevant component — so its materialization grows linearly \
+                 in total data. QSQ's binding propagation touches only the component \
+                 reachable from the query constant; the reduction ratio grows with \
+                 data size."
         .into();
     t
 }

@@ -246,7 +246,7 @@ pub fn merged_profile(tables: &[Table]) -> ProfileReport {
 pub fn all_experiments() -> Vec<Table> {
     vec![
         experiments::e1_running_example(),
-        experiments::e2_qsq_vs_naive(),
+        experiments::e2_qsq_vs_seminaive(),
         experiments::e3_theorem1(),
         experiments::e4_theorem2_unfolding(),
         experiments::e5_theorem4_materialization(),

@@ -1,7 +1,7 @@
 //! `dlog` — evaluate a dDatalog program file against a query.
 //!
 //! ```text
-//! dlog PROGRAM.dl --query 'R@r("1", Y)' [--engine naive|semi|stratified|qsq|magic]
+//! dlog PROGRAM.dl --query 'R@r("1", Y)' [--engine semi|stratified|qsq|magic]
 //!      [--max-facts N] [--max-depth D] [--explain] [--stats]
 //! ```
 //!
@@ -11,8 +11,8 @@
 use rescue::datalog as rescue_datalog;
 use rescue::qsq as rescue_qsq;
 use rescue_datalog::{
-    explain, naive, parse_atom, parse_program, seminaive, seminaive_stratified, Database,
-    EvalBudget, EvalOptions, TermStore,
+    explain, parse_atom, parse_program, seminaive, seminaive_stratified, Database, EvalBudget,
+    EvalOptions, TermStore,
 };
 use std::process::ExitCode;
 
@@ -72,7 +72,7 @@ fn parse_args() -> Result<Options, String> {
 }
 
 const USAGE: &str = "usage: dlog PROGRAM.dl --query 'R@p(X)' \
-[--engine naive|semi|stratified|qsq|magic] [--max-facts N] [--max-depth D] [--explain] [--stats]";
+[--engine semi|stratified|qsq|magic] [--max-facts N] [--max-depth D] [--explain] [--stats]";
 
 fn main() -> ExitCode {
     match run() {
@@ -101,9 +101,8 @@ fn run() -> Result<(), String> {
     let mut db = Database::new();
     let (answers, stats_line): (Vec<Vec<rescue_datalog::TermId>>, String) =
         match opts.engine.as_str() {
-            "naive" | "semi" | "stratified" => {
+            "semi" | "stratified" => {
                 let stats = match opts.engine.as_str() {
-                    "naive" => naive(&prog, &mut store, &mut db, &budget),
                     "semi" => seminaive(&prog, &mut store, &mut db, &budget),
                     _ => {
                         let options = EvalOptions::default();
@@ -111,7 +110,7 @@ fn run() -> Result<(), String> {
                     }
                 }
                 .map_err(|e| e.to_string())?;
-                let rows = rescue_qsq_filter(&db, &store, &query);
+                let rows = rescue_qsq::filter_answers(&db, &store, &query);
                 (
                     rows,
                     format!(
@@ -147,7 +146,11 @@ fn run() -> Result<(), String> {
                 );
                 (run.answers, line)
             }
-            other => return Err(format!("unknown engine {other}\n{USAGE}")),
+            other => {
+                return Err(format!(
+                    "unknown engine {other}: the engines are semi, stratified, qsq and magic"
+                ))
+            }
         };
 
     let mut rendered: Vec<String> = answers
@@ -166,8 +169,8 @@ fn run() -> Result<(), String> {
         eprintln!("{stats_line}");
     }
     if opts.explain {
-        if !matches!(opts.engine.as_str(), "naive" | "semi" | "stratified") {
-            return Err("--explain requires a bottom-up engine (naive/semi/stratified)".into());
+        if !matches!(opts.engine.as_str(), "semi" | "stratified") {
+            return Err("--explain requires a bottom-up engine (semi/stratified)".into());
         }
         if let Some(first) = answers.first() {
             if let Some(d) = explain(&prog, &mut store, &mut db, query.pred, first) {
@@ -176,26 +179,4 @@ fn run() -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Rows of the query relation matching the query pattern (bottom-up path).
-fn rescue_qsq_filter(
-    db: &Database,
-    store: &TermStore,
-    query: &rescue_datalog::Atom,
-) -> Vec<Vec<rescue_datalog::TermId>> {
-    match db.relation(query.pred) {
-        None => Vec::new(),
-        Some(rel) => rel
-            .rows()
-            .iter()
-            .filter(|row| {
-                let mut s = rescue_datalog::Subst::new();
-                row.iter()
-                    .zip(query.args.iter())
-                    .all(|(&g, &p)| store.match_term(p, g, &mut s))
-            })
-            .map(|row| row.to_vec())
-            .collect(),
-    }
 }

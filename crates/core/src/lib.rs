@@ -38,7 +38,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`datalog`] | dDatalog: terms with function symbols, parser, naive & semi-naive engines |
+//! | [`datalog`] | dDatalog: terms with function symbols, parser, the semi-naive engine |
 //! | [`qsq`] | binding patterns and the QSQ rewriting (Figure 4) |
 //! | [`net`] | the asynchronous peer network (simulated + threaded) |
 //! | [`dqsq`] | distributed evaluation, dQSQ (Figure 5), peer-local rewrite protocol, Theorem 1 |

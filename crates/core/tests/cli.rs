@@ -34,7 +34,7 @@ fn dlog_answers_queries_across_engines() {
          Path@p(X, Y) :- Edge@p(X, Y).\n\
          Path@p(X, Y) :- Edge@p(X, Z), Path@p(Z, Y).\n",
     );
-    for engine in ["naive", "semi", "stratified", "qsq", "magic"] {
+    for engine in ["semi", "stratified", "qsq", "magic"] {
         let out = Command::new(env!("CARGO_BIN_EXE_dlog"))
             .args([
                 prog.to_str().unwrap(),
@@ -51,6 +51,18 @@ fn dlog_answers_queries_across_engines() {
         lines.sort();
         assert_eq!(lines, vec!["a, b", "a, c", "a, d"], "engine {engine}");
     }
+    // There is no naive engine: the one bottom-up mode is semi-naive.
+    let out = Command::new(env!("CARGO_BIN_EXE_dlog"))
+        .args([prog.to_str().unwrap(), "--query", "Path@p(a, Y)"])
+        .args(["--engine", "naive"])
+        .output()
+        .expect("dlog runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("unknown engine naive: the engines are semi, stratified, qsq and magic"),
+        "{stderr}"
+    );
 }
 
 #[test]

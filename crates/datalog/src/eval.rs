@@ -1,12 +1,9 @@
-//! Bottom-up evaluation of dDatalog programs.
-//!
-//! Two engines are provided:
-//!
-//! * [`naive`] — the paper's "naive evaluation revisited" (§3.1): every rule
-//!   re-joined over the full relations each round until no new fact appears;
-//! * [`seminaive`] — the classic delta-based refinement: each round, every
-//!   body position is joined once against only the facts that are new since
-//!   the previous round.
+//! Bottom-up evaluation of dDatalog programs: semi-naive iteration. Each
+//! round joins every rule once per positive body position whose relation
+//! grew, that position against only the facts new since the previous round
+//! (its Δ), and stops when a round derives nothing. The paper gives
+//! dDatalog its meaning by naive iteration (§3.1); the integration tests'
+//! reference evaluator is that loop, and it shares no code with this one.
 //!
 //! Because dDatalog has function symbols, evaluation may not terminate
 //! (paper, §3); every run therefore carries an [`EvalBudget`] and returns a
@@ -14,19 +11,18 @@
 //! quantities the paper's optimization argument is about: facts materialized
 //! and rule firings.
 //!
-//! Both engines run through the same two-phase round driver: the round's
-//! passes first **enumerate** matches against a sealed snapshot (frozen row
-//! ranges, read-only [`RulePlan`] execution), then the driver **merges** the
-//! buffered bindings in pass order through the single-writer `TermStore` and
-//! `Database`. A round's match set is therefore a pure function of its
-//! snapshot (DESIGN.md §10).
+//! A round runs in two phases: its passes first **enumerate** matches
+//! against a sealed snapshot (frozen row ranges, read-only [`RulePlan`]
+//! execution), then the driver **merges** the buffered bindings in pass
+//! order through the single-writer `TermStore` and `Database`. A round's
+//! match set is therefore a pure function of its snapshot (DESIGN.md §10).
 //!
-//! There are two ways in. A **one-shot** call ([`naive`], [`seminaive`],
+//! There are two ways in. A **one-shot** call ([`seminaive`],
 //! [`seminaive_opts`], and per stratum [`seminaive_stratified`]) evaluates
 //! a borrowed program over a borrowed [`Database`] and forgets everything
-//! it compiled, so it compiles a semi-naive Δ-plan only in the first round
-//! that schedules it. An [`EvalSession`] holds its program and database
-//! and **resumes**: it keeps watermarks, the depth-suppressed frontier and
+//! it compiled, so it compiles a Δ-plan only in the first round that
+//! schedules it. An [`EvalSession`] holds its program and database and
+//! **resumes**: it keeps watermarks, the depth-suppressed frontier and
 //! the compiled plans, all of them compiled at its first fixpoint, so each
 //! resume pays for its delta. A resume on cached
 //! plans (the warm path) also skips the per-call sweeps over the program:
@@ -34,7 +30,7 @@
 //! the program and the plans.
 
 use crate::database::{ColMask, Database, Inserted};
-use crate::language::{Atom, PredId, Program, Rule};
+use crate::language::{PredId, Program, Rule};
 use crate::plan::{
     run_job, Job, JobOutput, JoinOrder, JoinScratch, PassOutput, RulePlan, ShareGroup, SharedPass,
     SigInterner, StepMeta, TrieNode,
@@ -168,8 +164,7 @@ pub struct EvalStats {
     pub candidates_scanned: usize,
     /// Compiled rule plans whose atom order differs from the source order,
     /// counted over the plans the run's compile holds: every Δ-plan for a
-    /// session, the Δ-plans its rounds scheduled for a one-shot semi-naive
-    /// run, and the full plans for [`naive`].
+    /// session, the Δ-plans its rounds scheduled for a one-shot run.
     pub plan_reorders: usize,
     /// Bindings pruned by a SIP existence probe (a later body atom had no
     /// match for the columns bound so far, so the partial binding could
@@ -178,8 +173,7 @@ pub struct EvalStats {
     /// Pass steps skipped because a shared-prefix group enumerated them
     /// once for several passes (see [`EvalOptions::subplan_sharing`]).
     pub subplans_shared: usize,
-    /// Rule plans actually compiled by this run. [`naive`] compiles one
-    /// full plan per rule. Semi-naive runs compile Δ-plans only: an
+    /// Rule plans actually compiled by this run, all of them Δ-plans: an
     /// [`EvalSession`] one per positive body atom, up front, and a one-shot
     /// run each Δ-pass in the first round that schedules it. Zero on a
     /// plan-cache hit (see [`EvalOptions::plan_cache`]): a resumed session
@@ -302,7 +296,7 @@ pub struct EvalOptions {
     pub subplan_sharing: bool,
     /// Let an [`EvalSession`] reuse its compiled plans, sharing signatures,
     /// head-variable maps and index requirements across resumes, keyed on
-    /// `(order, sip_filters, semi-naive?)`. On by default; `false`
+    /// `(order, sip_filters)`. On by default; `false`
     /// recompiles everything per resume (the no-cache control of
     /// experiment E16). Yet another pure performance knob — a cache hit
     /// replays byte-identical plans, so the model and every counter except
@@ -342,19 +336,6 @@ pub fn default_threads() -> usize {
     1
 }
 
-/// Run naive evaluation of `prog` over `db` until fixpoint.
-pub fn naive(
-    prog: &Program,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-) -> Result<EvalStats, EvalError> {
-    if prog.has_negation() {
-        return Err(EvalError::NegationRequiresStratification);
-    }
-    fixpoint(prog, store, db, budget, false, 0, &EvalOptions::default())
-}
-
 /// Run semi-naive evaluation of `prog` over `db` until fixpoint.
 pub fn seminaive(
     prog: &Program,
@@ -377,7 +358,7 @@ pub fn seminaive_opts(
     if prog.has_negation() {
         return Err(EvalError::NegationRequiresStratification);
     }
-    fixpoint(prog, store, db, budget, true, 0, options)
+    fixpoint(prog, store, db, budget, 0, options)
 }
 
 /// The cache key of one compiled program: recompilation is needed exactly
@@ -389,8 +370,6 @@ pub fn seminaive_opts(
 struct PlanKey {
     order: JoinOrder,
     sip_filters: bool,
-    /// Δ-pass variants exist only for semi-naive runs.
-    semi: bool,
 }
 
 /// Everything [`fixpoint_cached`] derives from the program text alone —
@@ -452,9 +431,6 @@ struct Slot {
 /// plans: the indexes to seal and the reorder count.
 #[derive(Clone, Default)]
 struct PlanTable {
-    /// Full plans, one per non-fact rule. Naive evaluation is their only
-    /// user, so semi-naive compiles never fill this.
-    full: Vec<Slot>,
     /// `delta[rule][j]`: the Δ-pass variant with body position `j` as the
     /// delta. None when position `j` is negated, and in a one-shot run
     /// until a round first schedules the pass.
@@ -472,29 +448,9 @@ struct PlanTable {
 }
 
 impl PlanTable {
-    /// Compile `rule`'s plan with `delta` as its Δ-position (None: the full
-    /// plan), intern its step signatures, and record its index needs and
-    /// reorder. The one compile path of both callers.
-    fn compile(
-        &mut self,
-        rule: &Rule,
-        delta: Option<usize>,
-        store: &TermStore,
-        key: PlanKey,
-        sigs: &mut SigInterner,
-    ) -> Slot {
-        let plan = RulePlan::compile_opts(rule, store, key.order, &[], delta, key.sip_filters);
-        self.reorders += usize::from(plan.reordered());
-        for need in plan.index_needs() {
-            if self.need_set.insert(need) {
-                self.index_needs.push(need);
-            }
-        }
-        let metas = plan.step_metas(sigs);
-        Slot { plan, metas }
-    }
-
-    /// Fill the Δ-slot of rule `r` at body position `j`.
+    /// Fill the Δ-slot of rule `r` at body position `j`: compile `rule`'s
+    /// plan with `j` as its Δ-position, intern its step signatures, and
+    /// record its index needs and reorder.
     fn fill(
         &mut self,
         r: usize,
@@ -504,21 +460,28 @@ impl PlanTable {
         key: PlanKey,
         sigs: &mut SigInterner,
     ) {
-        let slot = self.compile(rule, Some(j), store, key, sigs);
-        self.delta[r][j] = Some(slot);
+        let plan = RulePlan::compile_opts(rule, store, key.order, &[], j, key.sip_filters);
+        self.reorders += usize::from(plan.reordered());
+        for need in plan.index_needs() {
+            if self.need_set.insert(need) {
+                self.index_needs.push(need);
+            }
+        }
+        let metas = plan.step_metas(sigs);
+        self.delta[r][j] = Some(Slot { plan, metas });
     }
 
     /// Plans compiled into the table.
     fn len(&self) -> usize {
-        self.full.len() + self.delta.iter().flatten().flatten().count()
+        self.delta.iter().flatten().flatten().count()
     }
 }
 
 impl CompiledProgram {
-    /// Compile `prog` under `key`. Naive evaluation's full plans compile
-    /// here. The Δ-plans compile here too when `eager` — for a caller that
-    /// keeps the compile, whose later fixpoints must not compile — and are
-    /// otherwise left to the rounds that first schedule them.
+    /// Compile `prog` under `key`. The Δ-plans compile here when `eager` —
+    /// for a caller that keeps the compile, whose later fixpoints must not
+    /// compile — and are otherwise left to the rounds that first schedule
+    /// them.
     fn new(
         prog: &Program,
         store: &TermStore,
@@ -549,24 +512,18 @@ impl CompiledProgram {
                 }
             }
         }
-        // Naive evaluation runs a full plan per rule; semi-naive one
-        // Δ-pass variant per positive body position — the delta atom is
-        // the smallest window of its pass, so the planned order enumerates
-        // it first.
-        let mut table = PlanTable::default();
-        if key.semi {
-            table.delta = rules.iter().map(|r| vec![None; r.body.len()]).collect();
-            if eager {
-                for (r, rule) in rules.iter().enumerate() {
-                    for j in (0..rule.body.len()).filter(|&j| !rule.body[j].negated) {
-                        table.fill(r, j, rule, store, key, sigs);
-                    }
+        // One Δ-pass variant per positive body position — the delta atom
+        // is the smallest window of its pass, so the planned order
+        // enumerates it first.
+        let mut table = PlanTable {
+            delta: rules.iter().map(|r| vec![None; r.body.len()]).collect(),
+            ..PlanTable::default()
+        };
+        if eager {
+            for (r, rule) in rules.iter().enumerate() {
+                for j in (0..rule.body.len()).filter(|&j| !rule.body[j].negated) {
+                    table.fill(r, j, rule, store, key, sigs);
                 }
-            }
-        } else {
-            for rule in &rules {
-                let slot = table.compile(rule, None, store, key, sigs);
-                table.full.push(slot);
             }
         }
         // Rule-head variables in first-occurrence order: a pass emits
@@ -772,7 +729,6 @@ impl EvalSession {
             store,
             &mut self.db,
             &self.budget,
-            true,
             0,
             &mut self.sat,
             Some(&mut self.deferred),
@@ -789,8 +745,8 @@ impl EvalSession {
 struct Pass<'p> {
     rule_idx: usize,
     slot: &'p Slot,
-    /// `(delta body position, delta rows)` for semi-naive Δ-passes.
-    delta: Option<(usize, usize)>,
+    /// `(delta body position, delta rows)`.
+    delta: (usize, usize),
     /// This pass's stretch of the round's window buffer.
     ranges: &'p [(usize, usize)],
 }
@@ -799,9 +755,8 @@ struct Pass<'p> {
 /// profile, so the per-rule fact sum equals [`EvalStats::facts_derived`].
 const SEED_RULE: usize = usize::MAX;
 
-/// Attribution key of the profiling accumulator: `(rule index,
-/// plan-variant code, shared-prefix flag)`, where variant code `0` is the
-/// full plan and `j + 1` the Δ-pass on body position `j`.
+/// Attribution key of the profiling accumulator: `(rule index, Δ body
+/// position, shared-prefix flag)`.
 type ProfKey = (usize, usize, bool);
 
 /// Per-(rule, variant) accumulator behind [`EvalStats::per_rule`]. Wall
@@ -818,11 +773,10 @@ struct RuleAcc {
 }
 
 fn plan_label(pass: &Pass<'_>) -> String {
-    match pass.delta {
-        Some((j, _)) if pass.slot.plan.reordered() => format!("delta#{j} reordered"),
-        Some((j, _)) => format!("delta#{j}"),
-        None if pass.slot.plan.reordered() => "full reordered".to_owned(),
-        None => "full".to_owned(),
+    let j = pass.delta.0;
+    match pass.slot.plan.reordered() {
+        true => format!("delta#{j} reordered"),
+        false => format!("delta#{j}"),
     }
 }
 
@@ -986,7 +940,6 @@ fn fixpoint(
     store: &mut TermStore,
     db: &mut Database,
     budget: &EvalBudget,
-    semi: bool,
     stratum: u32,
     options: &EvalOptions,
 ) -> Result<EvalStats, EvalError> {
@@ -995,7 +948,6 @@ fn fixpoint(
         store,
         db,
         budget,
-        semi,
         stratum,
         &mut Saturation::default(),
         None,
@@ -1018,7 +970,6 @@ fn fixpoint_cached(
     store: &mut TermStore,
     db: &mut Database,
     budget: &EvalBudget,
-    semi: bool,
     stratum: u32,
     sat: &mut Saturation,
     mut deferred: Option<&mut DeferredFacts>,
@@ -1030,7 +981,6 @@ fn fixpoint_cached(
     let key = PlanKey {
         order: options.order,
         sip_filters: options.sip_filters,
-        semi,
     };
     let hit = options.plan_cache
         && (cache.as_deref())
@@ -1063,7 +1013,7 @@ fn fixpoint_cached(
     // Compile on a cache miss only. A hit replays the previous fixpoint's
     // rule list, predicate ids, plans, sharing signatures, head-variable
     // maps and index needs verbatim — all of them pure functions of
-    // (rules, order, sip, semi); the rules are the cache owner's and fixed,
+    // (rules, order, sip); the rules are the cache owner's and fixed,
     // the key covers the rest, so nothing on the hit path walks the
     // program. A one-shot run takes its compile's plan table out, Δ-slots
     // empty, to fill them as its rounds go.
@@ -1208,56 +1158,49 @@ fn fixpoint_cached(
         // Phase 1 — the round's passes, with frozen windows.
         sched.clear();
         windows.clear();
-        if semi {
-            // Δ-rewriting: one pass per rule and positive body position j
-            // whose predicate grew, with
-            //   positions < j  -> old  = [0, prev_len)
-            //   position  j    -> Δ    = [prev_len, start_len)
-            //   positions > j  -> new  = [0, start_len)
-            // The sites come from the grown predicates' dependency lists,
-            // sorted back into (rule, position) order — the order a walk
-            // over every rule and position would have produced them in.
-            delta_sites.clear();
-            for &p in &delta {
-                delta_sites.extend_from_slice(&compiled.delta_deps[p as usize]);
+        // Δ-rewriting: one pass per rule and positive body position j
+        // whose predicate grew, with
+        //   positions < j  -> old  = [0, prev_len)
+        //   position  j    -> Δ    = [prev_len, start_len)
+        //   positions > j  -> new  = [0, start_len)
+        // The sites come from the grown predicates' dependency lists,
+        // sorted back into (rule, position) order — the order a walk over
+        // every rule and position would have produced them in.
+        delta_sites.clear();
+        for &p in &delta {
+            delta_sites.extend_from_slice(&compiled.delta_deps[p as usize]);
+        }
+        delta_sites.sort_unstable();
+        for &(rule_idx, j) in &delta_sites {
+            let (rule_idx, j) = (rule_idx as usize, j as usize);
+            let start = windows.len();
+            let mut empty = false;
+            for (i, &(p, positive)) in compiled.body_pids[rule_idx].iter().enumerate() {
+                let w = match i.cmp(&j) {
+                    Ordering::Less => (0, prev_len[p as usize]),
+                    Ordering::Equal => (prev_len[p as usize], start_len[p as usize]),
+                    Ordering::Greater => (0, start_len[p as usize]),
+                };
+                empty |= positive && w.0 >= w.1;
+                windows.push(w);
             }
-            delta_sites.sort_unstable();
-            for &(rule_idx, j) in &delta_sites {
-                let (rule_idx, j) = (rule_idx as usize, j as usize);
-                let start = windows.len();
-                let mut empty = false;
-                for (i, &(p, positive)) in compiled.body_pids[rule_idx].iter().enumerate() {
-                    let w = match i.cmp(&j) {
-                        Ordering::Less => (0, prev_len[p as usize]),
-                        Ordering::Equal => (prev_len[p as usize], start_len[p as usize]),
-                        Ordering::Greater => (0, start_len[p as usize]),
-                    };
-                    empty |= positive && w.0 >= w.1;
-                    windows.push(w);
-                }
-                // A join over an empty window has no matches: `execute`
-                // would return before touching any counter, so the pass is
-                // not worth a plan, a job and a merge.
-                if empty {
-                    windows.truncate(start);
-                    continue;
-                }
-                if table.delta[rule_idx][j].is_none() {
-                    // Only a one-shot run's own table has holes, so this
-                    // never copies a session's.
-                    let rule = rule_at(rule_idx);
-                    table
-                        .to_mut()
-                        .fill(rule_idx, j, rule, store, key, &mut sigs);
-                    stats.plans_compiled += 1;
-                }
-                sched.push((rule_idx, j, start));
+            // A join over an empty window has no matches: `execute` would
+            // return before touching any counter, so the pass is not worth
+            // a plan, a job and a merge.
+            if empty {
+                windows.truncate(start);
+                continue;
             }
-        } else {
-            for (rule_idx, body) in compiled.body_pids.iter().enumerate() {
-                sched.push((rule_idx, 0, windows.len()));
-                windows.extend(body.iter().map(|&(p, _)| (0, start_len[p as usize])));
+            if table.delta[rule_idx][j].is_none() {
+                // Only a one-shot run's own table has holes, so this never
+                // copies a session's.
+                let rule = rule_at(rule_idx);
+                table
+                    .to_mut()
+                    .fill(rule_idx, j, rule, store, key, &mut sigs);
+                stats.plans_compiled += 1;
             }
+            sched.push((rule_idx, j, start));
         }
         for &(pred, mask) in &table.index_needs[sealed..] {
             db.prepare_index(pred, mask);
@@ -1266,27 +1209,16 @@ fn fixpoint_cached(
         let passes: Vec<Pass> = (sched.iter())
             .map(|&(rule_idx, j, start)| {
                 let ranges = &windows[start..start + compiled.body_pids[rule_idx].len()];
-                if semi {
-                    Pass {
-                        rule_idx,
-                        slot: table.delta[rule_idx][j].as_ref().expect("filled above"),
-                        delta: Some((j, ranges[j].1 - ranges[j].0)),
-                        ranges,
-                    }
-                } else {
-                    Pass {
-                        rule_idx,
-                        slot: &table.full[rule_idx],
-                        delta: None,
-                        ranges,
-                    }
+                Pass {
+                    rule_idx,
+                    slot: table.delta[rule_idx][j].as_ref().expect("filled above"),
+                    delta: (j, ranges[j].1 - ranges[j].0),
+                    ranges,
                 }
             })
             .collect();
         #[cfg(debug_assertions)]
-        if semi {
-            assert_full_walk_agrees(&passes, prog, compiled, &prev_len, db);
-        }
+        assert_full_walk_agrees(&passes, prog, compiled, &prev_len, db);
 
         // Group passes with identical join prefixes (same step signatures
         // over the same frozen windows) into shared-prefix tries. The
@@ -1350,9 +1282,7 @@ fn fixpoint_cached(
                         sp.arg("plan", format!("{} shared", plan_label(pass)));
                     } else {
                         sp.arg("plan", plan_label(pass));
-                        if let Some((_, rows)) = pass.delta {
-                            sp.arg("delta_rows", rows as u64);
-                        }
+                        sp.arg("delta_rows", pass.delta.1 as u64);
                     }
                     sp
                 });
@@ -1372,8 +1302,7 @@ fn fixpoint_cached(
                     sp.arg("new_facts", produced as u64);
                 }
                 if profiling {
-                    let vcode = pass.delta.map_or(0, |(j, _)| j + 1);
-                    let key = (pass.rule_idx, vcode, group.is_some());
+                    let key = (pass.rule_idx, pass.delta.0, group.is_some());
                     let acc = prof.entry(key).or_default();
                     acc.rounds += 1;
                     acc.firings += out.passes[slot].firings as u64;
@@ -1441,23 +1370,15 @@ fn fixpoint_cached(
                 // with the seed pseudo-rule (usize::MAX) sorting last.
                 let mut keys: Vec<ProfKey> = prof.keys().copied().collect();
                 keys.sort_unstable();
-                for key @ (rule_idx, vcode, shared) in keys {
+                for key @ (rule_idx, j, shared) in keys {
                     let acc = prof[&key];
                     let (rule, variant) = if rule_idx == SEED_RULE {
                         ("(seed)".to_owned(), "edb".to_owned())
                     } else {
-                        let reordered = if vcode == 0 {
-                            table.full[rule_idx].plan.reordered()
-                        } else {
-                            table.delta[rule_idx][vcode - 1]
-                                .as_ref()
-                                .is_some_and(|s| s.plan.reordered())
-                        };
-                        let mut v = if vcode == 0 {
-                            "full".to_owned()
-                        } else {
-                            format!("delta#{}", vcode - 1)
-                        };
+                        let reordered = table.delta[rule_idx][j]
+                            .as_ref()
+                            .is_some_and(|s| s.plan.reordered());
+                        let mut v = format!("delta#{j}");
                         if reordered {
                             v.push_str(" reordered");
                         }
@@ -1512,7 +1433,7 @@ fn assert_full_walk_agrees(
             if old[&body[j].pred] == db.count(body[j].pred) {
                 continue;
             }
-            let window = |(i, atom): (usize, &Atom)| match i.cmp(&j) {
+            let window = |(i, atom): (usize, &crate::language::Atom)| match i.cmp(&j) {
                 Ordering::Less => (0, old[&atom.pred]),
                 Ordering::Equal => (old[&atom.pred], db.count(atom.pred)),
                 Ordering::Greater => (0, db.count(atom.pred)),
@@ -1523,7 +1444,7 @@ fn assert_full_walk_agrees(
             }
             let got = scheduled.next().map(|p| (p.rule_idx, p.delta, p.ranges));
             let rows = ranges[j].1 - ranges[j].0;
-            assert_eq!(got, Some((rule_idx, Some((j, rows)), ranges.as_slice())));
+            assert_eq!(got, Some((rule_idx, (j, rows), ranges.as_slice())));
         }
     }
     assert!(scheduled.next().is_none(), "a pass without a grown delta");
@@ -1582,7 +1503,7 @@ pub fn seminaive_stratified(
         });
         // Negated atoms in this stratum reference strictly lower strata,
         // already complete in `db` — negation-as-failure is sound here.
-        let s = fixpoint(&sub, store, db, budget, true, stratum_idx as u32, options)?;
+        let s = fixpoint(&sub, store, db, budget, stratum_idx as u32, options)?;
         if let Some(sp) = stratum_span.as_mut() {
             sp.arg("facts_derived", s.facts_derived as u64);
         }
@@ -1668,60 +1589,27 @@ fn merge_output(
     Ok(new_facts)
 }
 
-/// Evaluate `prog` and answer a query atom: every row of the query's
-/// relation matching the (possibly partially bound) query pattern.
-pub fn answer_query(
-    prog: &Program,
-    query: &Atom,
-    store: &mut TermStore,
-    db: &mut Database,
-    budget: &EvalBudget,
-    semi: bool,
-) -> Result<(Vec<Vec<TermId>>, EvalStats), EvalError> {
-    let stats = if semi {
-        seminaive(prog, store, db, budget)?
-    } else {
-        naive(prog, store, db, budget)?
-    };
-    let rows: Vec<Vec<TermId>> = match db.relation(query.pred) {
-        None => Vec::new(),
-        Some(rel) => rel
-            .rows()
-            .iter()
-            .filter(|row| {
-                let mut s = Subst::new();
-                row.iter()
-                    .zip(query.args.iter())
-                    .all(|(&g, &p)| store.match_term(p, g, &mut s))
-            })
-            .map(|row| row.to_vec())
-            .collect(),
-    };
-    Ok((rows, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::{parse_atom, parse_program};
 
-    fn run(src: &str, query: &str, semi: bool) -> (Vec<String>, EvalStats, usize) {
+    fn run(src: &str, query: &str) -> (Vec<String>, EvalStats, usize) {
         let mut st = TermStore::new();
         let prog = parse_program(src, &mut st).unwrap();
         prog.validate(&st).unwrap();
         let q = parse_atom(query, &mut st).unwrap();
         let mut db = Database::new();
-        let (rows, stats) =
-            answer_query(&prog, &q, &mut st, &mut db, &EvalBudget::default(), semi).unwrap();
-        let mut out: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                r.iter()
-                    .map(|&t| st.display(t))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            })
-            .collect();
+        let stats = seminaive(&prog, &mut st, &mut db, &EvalBudget::default()).unwrap();
+        // The query's answers: its relation's rows that match its pattern.
+        let mut out = Vec::new();
+        for row in db.relation(q.pred).iter().flat_map(|rel| rel.rows().iter()) {
+            let mut s = Subst::new();
+            if (row.iter().zip(&q.args)).all(|(&g, &p)| st.match_term(p, g, &mut s)) {
+                let cells: Vec<String> = row.iter().map(|&t| st.display(t)).collect();
+                out.push(cells.join(","));
+            }
+        }
         out.sort();
         (out, stats, db.total_facts())
     }
@@ -1733,25 +1621,17 @@ mod tests {
     "#;
 
     #[test]
-    fn transitive_closure_naive() {
-        let (rows, _, _) = run(TC, "Path@p(X, Y)", false);
+    fn transitive_closure_seminaive_agrees() {
+        let (rows, stats, _) = run(TC, "Path@p(X, Y)");
         assert_eq!(rows.len(), 6); // ab ac ad bc bd cd
         assert!(rows.contains(&"a,d".to_owned()));
-    }
-
-    #[test]
-    fn transitive_closure_seminaive_agrees() {
-        let (n, _, _) = run(TC, "Path@p(X, Y)", false);
-        let (s, stats, _) = run(TC, "Path@p(X, Y)", true);
-        assert_eq!(n, s);
-        // Semi-naive still needs multiple rounds but fires fewer joins than
-        // naive would at the same size; sanity-check it converged.
+        // The longest path needs three rounds.
         assert!(stats.iterations >= 3);
     }
 
     #[test]
     fn query_with_bound_argument_filters() {
-        let (rows, _, _) = run(TC, "Path@p(b, Y)", true);
+        let (rows, _, _) = run(TC, "Path@p(b, Y)");
         assert_eq!(rows, vec!["b,c".to_owned(), "b,d".to_owned()]);
     }
 
@@ -1761,7 +1641,7 @@ mod tests {
             N@p(a). N@p(b).
             Pair@p(X, Y) :- N@p(X), N@p(Y), X != Y.
         "#;
-        let (rows, _, _) = run(src, "Pair@p(X, Y)", true);
+        let (rows, _, _) = run(src, "Pair@p(X, Y)");
         assert_eq!(rows, vec!["a,b".to_owned(), "b,a".to_owned()]);
     }
 
@@ -1772,7 +1652,7 @@ mod tests {
             Node@p(f(X)) :- Seed@p(X).
             Node@p(f(X)) :- Node@p(X), Stop@p(X).
         "#;
-        let (rows, _, _) = run(src, "Node@p(X)", true);
+        let (rows, _, _) = run(src, "Node@p(X)");
         assert_eq!(rows, vec!["f(c0)".to_owned()]);
     }
 
@@ -1852,46 +1732,25 @@ mod tests {
             Wrap@p(g(b, c)).
             First@p(X) :- Wrap@p(g(X, Y)).
         "#;
-        let (rows, _, _) = run(src, "First@p(X)", true);
+        let (rows, _, _) = run(src, "First@p(X)");
         assert_eq!(rows, vec!["a".to_owned(), "b".to_owned()]);
     }
 
     #[test]
-    fn seminaive_materializes_same_db_as_naive() {
-        let mut st = TermStore::new();
-        let prog = parse_program(TC, &mut st).unwrap();
-        let mut db1 = Database::new();
-        let mut db2 = Database::new();
-        naive(&prog, &mut st, &mut db1, &EvalBudget::default()).unwrap();
-        seminaive(&prog, &mut st, &mut db2, &EvalBudget::default()).unwrap();
-        assert_eq!(db1.total_facts(), db2.total_facts());
-        for pred in db1.predicates() {
-            let r1 = db1.relation(pred).unwrap();
-            for row in r1.rows() {
-                assert!(db2.contains(pred, row));
-            }
-        }
-    }
-
-    #[test]
     fn seminaive_avoids_rederivation() {
-        // On a linear chain, naive refires the recursive rule for every
-        // already-known path each round; semi-naive only extends deltas.
+        // On a linear chain, naive iteration would refire the recursive
+        // rule for every already-known path each round; semi-naive only
+        // extends the deltas, so each path is derived exactly once.
         let mut src = String::new();
         for i in 0..30 {
             src.push_str(&format!("Edge@p(n{}, n{}).\n", i, i + 1));
         }
         src.push_str("Path@p(X, Y) :- Edge@p(X, Y).\n");
         src.push_str("Path@p(X, Y) :- Edge@p(X, Z), Path@p(Z, Y).\n");
-        let (_, naive_stats, _) = run(&src, "Path@p(X, Y)", false);
-        let (_, semi_stats, _) = run(&src, "Path@p(X, Y)", true);
-        assert_eq!(naive_stats.facts_derived, semi_stats.facts_derived);
-        assert!(
-            semi_stats.duplicate_derivations < naive_stats.duplicate_derivations,
-            "semi-naive should rederive less: {} vs {}",
-            semi_stats.duplicate_derivations,
-            naive_stats.duplicate_derivations
-        );
+        let (rows, stats, _) = run(&src, "Path@p(X, Y)");
+        assert_eq!(rows.len(), 30 * 31 / 2);
+        assert_eq!(stats.rule_firings, rows.len());
+        assert_eq!(stats.duplicate_derivations, 0);
     }
 
     #[test]
@@ -1922,9 +1781,9 @@ mod tests {
         assert_eq!(collector.dropped_events(), 0);
     }
 
-    /// Each entry point compiles what its fixpoints can run: naive the
-    /// full plans, a one-shot semi-naive run the Δ-passes its rounds
-    /// scheduled, and a session every Δ-plan, so no resume compiles.
+    /// Each entry point compiles what its fixpoints can run: a one-shot run
+    /// the Δ-passes its rounds scheduled, and a session every Δ-plan, so no
+    /// resume compiles.
     #[test]
     fn each_entry_point_compiles_what_it_runs() {
         let mut st = TermStore::new();
@@ -1944,12 +1803,7 @@ mod tests {
             v
         };
 
-        let mut db = Database::new();
         let budget = EvalBudget::default();
-        let naive = fixpoint(&prog, &mut st, &mut db, &budget, false, 0, &traced()).unwrap();
-        assert_eq!(naive.plans_compiled, 2, "one full plan per rule");
-        assert!(variants(&naive).iter().all(|(_, v)| v.starts_with("full")));
-
         let mut db = Database::new();
         let semi = seminaive_opts(&prog, &mut st, &mut db, &budget, &traced()).unwrap();
         let scheduled = variants(&semi);
@@ -1961,7 +1815,6 @@ mod tests {
 
         let session = EvalSession::new(prog, &mut st, budget).unwrap();
         let table = &session.compiled.as_ref().unwrap().table;
-        assert!(table.full.is_empty(), "no full plan");
         assert_eq!(
             session.total_stats().plans_compiled,
             3,
@@ -2417,7 +2270,7 @@ mod tests {
             B@s(x2, x3).
             J@r(X, Z) :- A@r(X, Y), B@s(Y, Z).
         "#;
-        let (rows, _, _) = run(src, "J@r(X, Z)", true);
+        let (rows, _, _) = run(src, "J@r(X, Z)");
         assert_eq!(rows, vec!["x1,x3".to_owned()]);
     }
 }

@@ -15,7 +15,8 @@
 //!
 //! This crate provides the language ([`language`]), a text format
 //! ([`parser`]), hash-consed terms ([`term`]), fact storage ([`database`]),
-//! the naive / semi-naive / stratified bottom-up engines ([`eval`]),
+//! the semi-naive bottom-up engine, one-shot, stratified or resumable
+//! ([`eval`]),
 //! dependency analysis ([`graph`]) and derivation-tree reconstruction
 //! ([`provenance`]). Top-down optimization (QSQ, Magic Sets) lives in
 //! `rescue-qsq`; distribution in `rescue-dqsq`.
@@ -34,8 +35,8 @@ pub mod term;
 
 pub use database::{Database, Inserted, Relation, Rows};
 pub use eval::{
-    default_threads, naive, seminaive, seminaive_opts, seminaive_stratified, DeferredFacts,
-    DepthPolicy, EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats,
+    default_threads, seminaive, seminaive_opts, seminaive_stratified, DeferredFacts, DepthPolicy,
+    EvalBudget, EvalError, EvalOptions, EvalSession, EvalStats,
 };
 pub use graph::DepGraph;
 pub use language::{

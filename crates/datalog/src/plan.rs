@@ -155,9 +155,14 @@ impl RulePlan {
         Self::compile_inner(rule, store, order, initial_bound, None, false)
     }
 
-    /// [`compile`](Self::compile) / [`compile_delta`](Self::compile_delta)
-    /// with the SIP existence filter toggled explicitly — the fixpoint
-    /// driver's entry point ([`EvalOptions::sip_filters`]).
+    /// Compile the semi-naive Δ-pass variant, with the SIP existence filter
+    /// toggled explicitly — the fixpoint driver's entry point
+    /// ([`EvalOptions::sip_filters`]). Body atom `delta_idx` (which must be
+    /// positive) is restricted to the delta window, so under
+    /// [`JoinOrder::Planned`] it is enumerated *first* unless another atom
+    /// enters better keyed — the delta is the smallest window of the pass,
+    /// and every later atom then probes with its variables bound.
+    /// [`JoinOrder::Leftmost`] ignores the hint.
     ///
     /// [`EvalOptions::sip_filters`]: crate::eval::EvalOptions::sip_filters
     pub fn compile_opts(
@@ -165,25 +170,10 @@ impl RulePlan {
         store: &TermStore,
         order: JoinOrder,
         initial_bound: &[Sym],
-        delta_idx: Option<usize>,
+        delta_idx: usize,
         sip: bool,
     ) -> RulePlan {
-        Self::compile_inner(rule, store, order, initial_bound, delta_idx, sip)
-    }
-
-    /// Compile the semi-naive Δ-pass variant: body atom `delta_idx` (which
-    /// must be positive) is restricted to the delta window, so under
-    /// [`JoinOrder::Planned`] it is enumerated *first* — the delta is the
-    /// smallest window of the pass, and every later atom then probes with
-    /// its variables bound. [`JoinOrder::Leftmost`] ignores the hint.
-    pub fn compile_delta(
-        rule: &Rule,
-        store: &TermStore,
-        order: JoinOrder,
-        initial_bound: &[Sym],
-        delta_idx: usize,
-    ) -> RulePlan {
-        Self::compile_inner(rule, store, order, initial_bound, Some(delta_idx), false)
+        Self::compile_inner(rule, store, order, initial_bound, Some(delta_idx), sip)
     }
 
     fn compile_inner(
@@ -1127,7 +1117,7 @@ mod tests {
         let mut st = TermStore::new();
         let prog = parse_program(src, &mut st).unwrap();
         let rule = prog.rules[0].clone();
-        let plan = RulePlan::compile_delta(&rule, &st, JoinOrder::Planned, &[], 1);
+        let plan = RulePlan::compile_opts(&rule, &st, JoinOrder::Planned, &[], 1, false);
         assert!(plan.reordered());
         assert_eq!(plan.steps[0].body_idx, 1);
         assert_eq!(plan.steps[0].mask, 0);
@@ -1144,7 +1134,7 @@ mod tests {
         let mut st = TermStore::new();
         let prog = parse_program(src, &mut st).unwrap();
         let rule = prog.rules[0].clone();
-        let plan = RulePlan::compile_delta(&rule, &st, JoinOrder::Planned, &[], 1);
+        let plan = RulePlan::compile_opts(&rule, &st, JoinOrder::Planned, &[], 1, false);
         assert!(!plan.reordered());
         assert_eq!(plan.steps[0].body_idx, 0);
         assert_eq!(plan.steps[0].mask, 0b001);

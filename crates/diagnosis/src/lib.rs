@@ -9,8 +9,8 @@
 //!   Fabre, Haar & Jard \[8\] (§4.3), with materialization accounting;
 //! * [`encode`] + [`extensions`] — the §4.1 unfolding encoding and the one
 //!   supervisor encoding (the §4.2 alarm sequence is its chain-automaton
-//!   case), whose evaluation by any of the engines (naive / semi-naive /
-//!   QSQ / dQSQ) solves the same problem declaratively; [`supervisor`]
+//!   case), whose evaluation by any of the engines (semi-naive / QSQ /
+//!   dQSQ) solves the same problem declaratively; [`supervisor`]
 //!   reads the answer;
 //! * [`pipeline`] — drivers running the Datalog route end to end and
 //!   reporting the Theorem 3 / Theorem 4 comparisons.

@@ -19,13 +19,15 @@
 //! that the union of all locally generated rules is **exactly** the
 //! program produced by the global rewriter, rule for rule.
 
+use crate::dist::DistError;
+use crate::dqsq::DqsqError;
 use crate::export::{
     export_atom, export_rule, import_atom, import_rule, ExportedAtom, ExportedRule,
 };
 use rescue_datalog::{Atom, Diseq, ExportedTerm, Peer, Program, Rule, Sym, TermStore};
 use rescue_net::sim::{SimConfig, SimNet};
-use rescue_net::{NetError, NetStats, NodeId, Outbox, PeerLogic};
-use rescue_qsq::{Adornment, Cursor, Emitted};
+use rescue_net::{NetStats, NodeId, Outbox, PeerLogic};
+use rescue_qsq::{Adornment, Cursor, Emitted, RewriteError};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// The rewriting-protocol messages.
@@ -212,13 +214,18 @@ impl PeerLogic<RwMsg> for RwPeer {
 /// Run the peer-local rewriting protocol for `query` over `program`
 /// (extensional facts must already be split out, as for
 /// [`rescue_qsq::rewrite()`]). Returns the union of all locally generated
-/// rules and the network statistics of the construction itself.
+/// rules and the network statistics of the construction itself. A program
+/// with negation is refused, as the global rewriter refuses it: the walk
+/// has no negated step, and the rules a peer ships carry no negation.
 pub fn protocol_rewrite(
     program: &Program,
     query: &Atom,
     store: &TermStore,
     sim: SimConfig,
-) -> Result<(Vec<ExportedRule>, NetStats), NetError> {
+) -> Result<(Vec<ExportedRule>, NetStats), DqsqError> {
+    if program.has_negation() {
+        return Err(RewriteError::NegationUnsupported.into());
+    }
     // Peer directory over every peer the program mentions plus the query's.
     let mut names: Vec<String> = (program.peers().into_iter())
         .chain([query.pred.peer])
@@ -259,7 +266,7 @@ pub fn protocol_rewrite(
         .collect();
 
     let mut net = SimNet::new(peers, sim, rwmsg_size);
-    let stats = net.run()?;
+    let stats = net.run().map_err(DistError::from)?;
     let mut all = Vec::new();
     for p in net.into_peers() {
         all.extend(p.out.program.rules.iter().map(|r| export_rule(r, &p.store)));
@@ -346,6 +353,24 @@ mod tests {
             G@q(g).
         "#,
             "R@p(a, Y)",
+        );
+    }
+
+    #[test]
+    fn negated_programs_are_refused() {
+        let mut st = TermStore::new();
+        let prog = parse_program(
+            r#"
+            Reach@b(X) :- Edge@b(X).
+            Un@a(X) :- Node@a(X), not Reach@b(X).
+        "#,
+            &mut st,
+        )
+        .unwrap();
+        let q = parse_atom("Un@a(X)", &mut st).unwrap();
+        assert_eq!(
+            protocol_rewrite(&prog, &q, &st, SimConfig::default()).err(),
+            Some(DqsqError::Rewrite(RewriteError::NegationUnsupported))
         );
     }
 }

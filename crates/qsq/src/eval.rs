@@ -203,20 +203,18 @@ pub fn filter_answers(db: &Database, store: &TermStore, pattern: &Atom) -> Vec<V
     }
 }
 
-/// Evaluate the *original* program naively (the unoptimized reference) and
+/// Evaluate the *original* program bottom-up, with no rewriting, and
 /// answer the query, reporting total materialization. Used by benchmarks to
 /// quantify the QSQ reduction.
-pub fn naive_answer(
+pub fn seminaive_answer(
     program: &Program,
     query: &Atom,
     store: &mut TermStore,
     db: &mut Database,
     budget: &EvalBudget,
-    semi: bool,
 ) -> Result<(Vec<Vec<TermId>>, EvalStats, usize), EvalError> {
-    let (rows, stats) =
-        rescue_datalog::eval::answer_query(program, query, store, db, budget, semi)?;
-    Ok((rows, stats, db.total_facts()))
+    let stats = rescue_datalog::seminaive(program, store, db, budget)?;
+    Ok((filter_answers(db, store, query), stats, db.total_facts()))
 }
 
 /// Re-express a set of rules as a `Program` (convenience for callers that
@@ -270,7 +268,7 @@ mod tests {
 
         let mut db_n = Database::new();
         let (mut naive_rows, _, _) =
-            naive_answer(&prog, &q, &mut st, &mut db_n, &EvalBudget::default(), true).unwrap();
+            seminaive_answer(&prog, &q, &mut st, &mut db_n, &EvalBudget::default()).unwrap();
 
         let mut db_q = Database::new();
         let run = qsq_answer(&prog, &q, &mut st, &mut db_q, &EvalBudget::default()).unwrap();
@@ -291,7 +289,7 @@ mod tests {
 
         let mut db_n = Database::new();
         let (_, _, naive_total) =
-            naive_answer(&prog, &q, &mut st, &mut db_n, &EvalBudget::default(), true).unwrap();
+            seminaive_answer(&prog, &q, &mut st, &mut db_n, &EvalBudget::default()).unwrap();
         let edb_count = {
             let (_, edb) = split_edb_facts(&prog);
             edb.len()
@@ -374,7 +372,7 @@ mod tests {
 
         let mut db_n = Database::new();
         let (mut nr, _, _) =
-            naive_answer(&prog, &q, &mut st, &mut db_n, &EvalBudget::default(), true).unwrap();
+            seminaive_answer(&prog, &q, &mut st, &mut db_n, &EvalBudget::default()).unwrap();
         let mut db_q = Database::new();
         let run = qsq_answer(&prog, &q, &mut st, &mut db_q, &EvalBudget::default()).unwrap();
         let mut qr = run.answers.clone();

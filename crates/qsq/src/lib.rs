@@ -21,8 +21,8 @@ pub mod walk;
 
 pub use adorn::{adorn_args, AdornedPred, Adornment};
 pub use eval::{
-    breakdown, filter_answers, naive_answer, qsq_answer, qsq_answer_traced_opts, split_edb_facts,
-    Materialized, QsqError, QsqRun,
+    breakdown, filter_answers, qsq_answer, qsq_answer_traced_opts, seminaive_answer,
+    split_edb_facts, Materialized, QsqError, QsqRun,
 };
 pub use magic::{magic_answer, magic_rewrite, MagicOutput, MagicRun};
 pub use names::{base_name, classify_name, RelKind, Scheme};

@@ -4,13 +4,13 @@
 //! (Figure 4), the distributed placement (Figure 5 — with the shipped
 //! supplementary relations highlighted), runs the peer-local rewriting
 //! protocol to show each peer constructs its share with only local
-//! knowledge, and compares materialization of naive evaluation vs QSQ.
+//! knowledge, and compares materialization of bottom-up evaluation vs QSQ.
 //!
 //! Run with: `cargo run --example qsq_playground`
 
 use rescue::datalog::{display_rule, parse_atom, parse_program, Database, EvalBudget, TermStore};
 use rescue::dqsq::{canonical_rules, export_program, protocol_rewrite};
-use rescue::qsq::{naive_answer, qsq_answer, rewrite, split_edb_facts};
+use rescue::qsq::{qsq_answer, rewrite, seminaive_answer, split_edb_facts};
 
 const FIGURE3: &str = r#"
     R@r(X, Y) :- A@r(X, Y).
@@ -77,18 +77,18 @@ fn main() {
         net_stats.messages
     );
 
-    // ---- Materialization: naive vs QSQ. ----
+    // ---- Materialization: bottom-up vs QSQ. ----
     let budget = EvalBudget::default();
-    let mut db_naive = Database::new();
-    let (answers_naive, _, naive_total) =
-        naive_answer(&prog, &query, &mut store, &mut db_naive, &budget, true).unwrap();
+    let mut db_bu = Database::new();
+    let (answers_bu, _, bu_total) =
+        seminaive_answer(&prog, &query, &mut store, &mut db_bu, &budget).unwrap();
     let edb = split_edb_facts(&prog).1.len();
 
     let mut db_qsq = Database::new();
     let run = qsq_answer(&prog, &query, &mut store, &mut db_qsq, &budget).unwrap();
     assert_eq!(
         {
-            let mut a = answers_naive.clone();
+            let mut a = answers_bu.clone();
             a.sort();
             a
         },
@@ -101,7 +101,7 @@ fn main() {
 
     println!("\n== Materialization ==");
     println!("  base facts (A, B, C):        {edb}");
-    println!("  naive evaluation derived:    {}", naive_total - edb);
+    println!("  bottom-up derived:           {}", bu_total - edb);
     println!(
         "  QSQ derived (ans/sup/input): {} ({} / {} / {})",
         run.materialized.derived_total(),
@@ -111,7 +111,7 @@ fn main() {
     );
     println!("  answers:                     {}", run.answers.len());
     println!(
-        "\nNaive evaluation saturated the irrelevant 100..150 component; QSQ's binding\n\
+        "\nBottom-up evaluation saturated the irrelevant 100..150 component; QSQ's binding\n\
          propagation materialized only the tuples reachable from the constant \"1\"."
     );
 }

@@ -1,5 +1,7 @@
 //! Shared helpers for the cross-crate integration tests.
 
+pub mod reference;
+
 use rescue_diagnosis::AlarmSeq;
 use rescue_petri::{random_net, random_run, NetConfig, PetriNet};
 
