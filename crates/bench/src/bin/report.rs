@@ -1,11 +1,11 @@
-//! Regenerate the experiment tables recorded in EXPERIMENTS.md.
+//! Regenerate the experiment tables recorded in EXPERIMENTS.md, and the
+//! counters baseline `COUNTERS.json`.
 //!
 //! ```text
 //! cargo run -p rescue-bench --release --bin report            # all experiments
 //! cargo run -p rescue-bench --release --bin report -- e5      # one experiment
-//! cargo run -p rescue-bench --release --bin report -- --json  # JSON output
-//! cargo run -p rescue-bench --release --bin report -- --json-out BENCH_4.json
-//!                                  # machine-readable perf trajectory
+//! cargo run -p rescue-bench --release --bin report -- --json-out COUNTERS.json
+//!                                  # regenerate the counters baseline
 //! cargo run -p rescue-bench --release --bin report -- --profile-out stacks.txt
 //!                                  # folded-stack rule profile of the run
 //! cargo run -p rescue-bench --release --bin report -- --trace-out t.json
@@ -18,53 +18,25 @@
 //!                                  # merged client↔server serving-path trace
 //! ```
 //!
-//! `--json-out FILE` writes one perf record per experiment run — wall
-//! time, candidates scanned, facts, and (for profiled experiments) the
-//! top-5 rule attribution — the file CI archives so the repo's perf
-//! trajectory stays diffable across commits. `--profile-out FILE` merges
-//! the per-rule profiles of every experiment that ran with one (E5, E8,
-//! E17) and writes them as folded stacks (`stratum;rule;variant wall_us`
-//! per line), ready for any flamegraph renderer.
+//! `--json-out FILE` writes the exact work counters of every experiment
+//! run (candidates scanned and facts) and the non-test line count of
+//! every crate, with no wall time, so the same code always writes the
+//! same bytes. Run over all experiments it regenerates the checked-in
+//! `COUNTERS.json`, which CI compares with a fresh run by `diff`.
+//! `--profile-out FILE` merges the per-rule profiles of every experiment
+//! that ran with one (E5, E8, E17) and writes them as folded stacks
+//! (`stratum;rule;variant wall_us` per line), ready for any flamegraph
+//! renderer.
 //!
 //! Usage errors — an unknown experiment id, a flag missing its value —
 //! print a diagnostic and exit with status 2.
 
-use rescue_bench::{PerfEntry, Table};
+use rescue_bench::EXPERIMENTS;
 use std::process::ExitCode;
-use std::time::Instant;
 
-const ALL_IDS: [&str; 18] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e15", "e16",
-    "e17", "e18", "e19",
-];
-
-const USAGE: &str = "usage: report [IDS...] [--json] [--json-out FILE] \
+const USAGE: &str = "usage: report [IDS...] [--json-out FILE] \
 [--profile-out FILE] [--trace-out FILE] [--merged-trace-out FILE] [--wire-trace-out FILE] \
 [--peer-stats]";
-
-fn run_one(id: &str) -> Option<Table> {
-    match id {
-        "e1" => Some(rescue_bench::experiments::e1_running_example()),
-        "e2" => Some(rescue_bench::experiments::e2_qsq_vs_seminaive()),
-        "e3" => Some(rescue_bench::experiments::e3_theorem1()),
-        "e4" => Some(rescue_bench::experiments::e4_theorem2_unfolding()),
-        "e5" => Some(rescue_bench::experiments::e5_theorem4_materialization()),
-        "e6" => Some(rescue_bench::experiments::e6_messages()),
-        "e7" => Some(rescue_bench::experiments::e7_extensions()),
-        "e8" => Some(rescue_bench::experiments::e8_wall_time()),
-        "e9" => Some(rescue_bench::experiments::e9_magic_vs_qsq()),
-        "e10" => Some(rescue_bench::experiments::e10_sup_placement()),
-        "e11" => Some(rescue_bench::experiments::e11_incremental()),
-        "e12" => Some(rescue_bench::experiments::e12_join_plan()),
-        "e13" => Some(rescue_bench::experiments::e13_telemetry()),
-        "e15" => Some(rescue_bench::experiments::e15_distributed_observability()),
-        "e16" => Some(rescue_bench::experiments::e16_online_latency()),
-        "e17" => Some(rescue_bench::experiments::e17_profiler_overhead()),
-        "e18" => Some(rescue_bench::experiments::e18_multi_tenant_service()),
-        "e19" => Some(rescue_bench::experiments::e19_exposition_overhead()),
-        _ => None,
-    }
-}
 
 /// A usage error: printed to stderr with the usage line, exit status 2
 /// (distinct from 1, which runtime failures like unwritable files use).
@@ -74,7 +46,6 @@ fn usage_err(msg: &str) -> String {
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
     let value_of = |flag: &str| -> Result<Option<String>, String> {
         match args.iter().position(|a| a == flag) {
             None => Ok(None),
@@ -112,41 +83,35 @@ fn run() -> Result<(), String> {
         })
         .collect();
     if let Some(bad) = args.iter().find(|a| {
-        a.starts_with("--")
-            && !value_flags.contains(&a.as_str())
-            && !["--json", "--peer-stats"].contains(&a.as_str())
+        a.starts_with("--") && !value_flags.contains(&a.as_str()) && a.as_str() != "--peer-stats"
     }) {
         return Err(usage_err(&format!("unknown flag {bad}")));
     }
 
-    let ids: Vec<String> = if filter.is_empty() {
-        ALL_IDS.iter().map(|s| s.to_string()).collect()
+    let ids: Vec<&str> = if filter.is_empty() {
+        EXPERIMENTS.iter().map(|(id, _)| *id).collect()
     } else {
-        filter.iter().map(|s| (*s).clone()).collect()
+        filter.iter().map(|s| s.as_str()).collect()
     };
-    if let Some(bad) = ids.iter().find(|id| !ALL_IDS.contains(&id.as_str())) {
+    if let Some(bad) = ids
+        .iter()
+        .find(|id| EXPERIMENTS.iter().all(|(k, _)| k != *id))
+    {
         return Err(usage_err(&format!("unknown experiment {bad}")));
     }
-    let mut tables = Vec::new();
-    let mut perf = Vec::new();
-    for id in &ids {
-        let t0 = Instant::now();
-        let table = run_one(id).expect("ids validated above");
-        let wall_ms = t0.elapsed().as_micros() as f64 / 1000.0;
-        perf.push(PerfEntry::from_table(&table, wall_ms));
-        tables.push(table);
-    }
-
-    if json {
-        println!("{}", rescue_bench::tables_to_json(&tables));
-    } else {
-        for t in &tables {
-            println!("{}", t.to_markdown());
-        }
+    let tables: Vec<_> = ids
+        .iter()
+        .map(|id| rescue_bench::run_one(id).expect("ids validated above"))
+        .collect();
+    for t in &tables {
+        println!("{}", t.to_markdown());
     }
 
     if let Some(path) = json_out {
-        let payload = rescue_bench::perf_trajectory_json(&perf);
+        let crates = rescue_bench::crates_dir();
+        let lines = rescue_bench::source_lines(&crates)
+            .map_err(|e| format!("counting lines under {}: {e}", crates.display()))?;
+        let payload = rescue_bench::counters_json(&tables, &lines);
         std::fs::write(&path, &payload).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path} ({} bytes)", payload.len());
     }

@@ -1546,6 +1546,10 @@ pub fn e18_multi_tenant_service() -> Table {
             load.mismatches.to_string(),
         ]);
     }
+    // The fact count is exact, but how many candidates the sessions scan
+    // depends on how TCP loopback schedules the eight connections, so the
+    // counters baseline records facts only.
+    t.perf_candidates = None;
     t.summary = "The service multiplexes thousands of live supervisor sessions behind one \
                  process: the manager admits, evicts (LRU over detached sessions) and \
                  budget-fences each one, and the wire protocol makes every refusal an \

@@ -3,16 +3,18 @@
 //! The experiment harness: every figure and formal claim of the paper maps
 //! to one experiment here (see DESIGN.md §4 for the index). Each
 //! experiment returns a [`Table`] that the `report` binary renders as the
-//! markdown recorded in EXPERIMENTS.md; the Criterion benches under
-//! `benches/` measure the wall-time side of the same workloads. Tables and
-//! perf records go out as JSON through the workspace's one writer,
-//! `rescue_telemetry::json`.
+//! markdown recorded in EXPERIMENTS.md, and whose exact work counters,
+//! together with the non-test line count of every crate, make the
+//! counters baseline `COUNTERS.json` (see [`counters_json`]).
 
 pub mod experiments;
 
-use rescue_telemetry::json::{self, Arr, Obj};
+use rescue_telemetry::json::Obj;
 use rescue_telemetry::profile::ProfileReport;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// One experiment's tabular result.
 #[derive(Clone, Debug)]
@@ -23,17 +25,16 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
     /// Prose summary of what the numbers show (the "shape" claim).
     pub summary: String,
-    /// Explicit work counters for the perf record, accumulated with
+    /// Explicit work counters for the counters baseline, accumulated with
     /// [`Table::absorb_stats`] by experiments whose tables don't expose
-    /// them as summable columns. [`PerfEntry::from_table`] prefers these
-    /// over column sums.
+    /// them as summable columns. [`counters_json`] prefers these over
+    /// column sums.
     pub perf_candidates: Option<u64>,
     pub perf_facts: Option<u64>,
     /// Per-rule hot-spot attribution accumulated across the experiment's
     /// profiled fixpoints (only experiments run with an enabled collector
-    /// fill it — see [`Table::absorb_stats`]). Lands in the perf record
-    /// as the top-k rule table and in `report --profile-out` as folded
-    /// stacks.
+    /// fill it — see [`Table::absorb_stats`]). Lands in
+    /// `report --profile-out` as folded stacks.
     pub profile: Option<ProfileReport>,
 }
 
@@ -51,8 +52,8 @@ impl Table {
         }
     }
 
-    /// Fold one fixpoint run's engine counters into the table's perf
-    /// record (candidates scanned + facts derived), and its per-rule
+    /// Fold one fixpoint run's engine counters into the table's counters
+    /// (candidates scanned + facts derived), and its per-rule
     /// attribution — when the run was profiled — into the table's
     /// [`ProfileReport`]. Call once per evaluation the experiment
     /// performs; the totals land in `report --json-out`.
@@ -94,64 +95,7 @@ impl Table {
         }
         s
     }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        let rows = self
-            .rows
-            .iter()
-            .fold(Arr::new(), |a, r| a.raw(&json::strings(r)));
-        Obj::new()
-            .str("id", &self.id)
-            .str("title", &self.title)
-            .raw("headers", &json::strings(&self.headers))
-            .raw("rows", &rows.finish())
-            .str("summary", &self.summary)
-            .finish()
-    }
 }
-
-/// Render a slice of tables as a JSON array, one table per line (see
-/// [`Table::to_json`]).
-pub fn tables_to_json(tables: &[Table]) -> String {
-    tables
-        .iter()
-        .fold(Arr::lines(), |a, t| a.raw(&t.to_json()))
-        .finish()
-}
-
-/// One experiment's machine-readable perf record: wall time of the whole
-/// experiment plus the work counters its table reports (when it has the
-/// matching columns). This is the `report --json-out` payload, the file CI
-/// archives per run so the perf trajectory of the repo is diffable.
-#[derive(Clone, Debug)]
-pub struct PerfEntry {
-    pub id: String,
-    pub title: String,
-    pub wall_ms: f64,
-    /// Sum of the table's "candidates scanned" column, if present.
-    pub candidates_scanned: Option<u64>,
-    /// Sum of the table's "facts" column, if present.
-    pub facts: Option<u64>,
-    /// Total profiled wall time across the experiment's rules, µs
-    /// (`None` when the experiment ran unprofiled).
-    pub profile_wall_us: Option<u64>,
-    /// The experiment's hottest rules by wall share, hottest first — the
-    /// per-rule record `perfdiff --max-rule-share-gain` gates on.
-    pub top_rules: Vec<TopRule>,
-}
-
-/// One hot rule in a [`PerfEntry`]: the folded-stack frame
-/// (`stratum;rule;variant`) plus its exact attribution.
-#[derive(Clone, Debug)]
-pub struct TopRule {
-    pub frame: String,
-    pub wall_us: u64,
-    pub candidates: u64,
-}
-
-/// How many of an experiment's hottest rules the perf record keeps.
-pub const TOP_RULES: usize = 5;
 
 /// Sum one named numeric column of `table` (cells that don't parse — `—`
 /// markers, units — are skipped; a missing column is `None`).
@@ -166,66 +110,76 @@ fn column_sum(table: &Table, header: &str) -> Option<u64> {
     )
 }
 
-impl PerfEntry {
-    pub fn from_table(table: &Table, wall_ms: f64) -> Self {
-        let (profile_wall_us, top_rules) = match &table.profile {
-            None => (None, Vec::new()),
-            Some(p) => (
-                Some(p.totals().wall_us),
-                p.top_k(TOP_RULES)
-                    .into_iter()
-                    .map(|r| TopRule {
-                        frame: r.frame(),
-                        wall_us: r.wall_us,
-                        candidates: r.candidates,
-                    })
-                    .collect(),
-            ),
-        };
-        PerfEntry {
-            id: table.id.clone(),
-            title: table.title.clone(),
-            wall_ms,
-            candidates_scanned: table
-                .perf_candidates
-                .or_else(|| column_sum(table, "candidates scanned")),
-            facts: table.perf_facts.or_else(|| column_sum(table, "facts")),
-            profile_wall_us,
-            top_rules,
+/// Render the counters baseline (`report --json-out`, checked in as
+/// `COUNTERS.json`): each experiment's exact counters, one experiment per
+/// line in run order, and [`source_lines`] per crate, one crate per line.
+/// No wall time goes in, so two runs of the same code write the same
+/// bytes, and CI compares a fresh file with the checked-in one by `diff`.
+/// A counter an experiment does not record is left out.
+pub fn counters_json(tables: &[Table], lines: &BTreeMap<String, u64>) -> String {
+    let experiments = tables.iter().fold(Obj::lines(), |o, t| {
+        let candidates = t
+            .perf_candidates
+            .or_else(|| column_sum(t, "candidates scanned"));
+        let facts = t.perf_facts.or_else(|| column_sum(t, "facts"));
+        let mut entry = Obj::new();
+        if let Some(n) = candidates {
+            entry = entry.num("candidates_scanned", n);
         }
-    }
-}
-
-/// Render the perf trajectory as JSON, one experiment per line:
-/// experiment id → wall time, work counters, and (for profiled
-/// experiments) the top-k rule attribution. Schema v2 — v1 files (no
-/// per-rule records) are still accepted by `perfdiff`.
-pub fn perf_trajectory_json(entries: &[PerfEntry]) -> String {
-    let opt = |v: Option<u64>| v.map_or_else(|| "null".to_owned(), |n| n.to_string());
-    let experiments = entries.iter().fold(Obj::lines(), |o, e| {
-        let rules = e.top_rules.iter().fold(Arr::new(), |a, r| {
-            a.raw(
-                &Obj::new()
-                    .str("frame", &r.frame)
-                    .num("wall_us", r.wall_us)
-                    .num("candidates", r.candidates)
-                    .finish(),
-            )
-        });
-        let entry = Obj::new()
-            .str("title", &e.title)
-            .fixed("wall_ms", e.wall_ms, 3)
-            .raw("candidates_scanned", &opt(e.candidates_scanned))
-            .raw("facts", &opt(e.facts))
-            .raw("profile_wall_us", &opt(e.profile_wall_us))
-            .raw("top_rules", &rules.finish());
-        o.raw(&e.id, &entry.finish())
+        if let Some(n) = facts {
+            entry = entry.num("facts", n);
+        }
+        o.raw(&t.id, &entry.finish())
     });
-    Obj::new()
-        .str("schema", "rescue-bench-perf-v2")
+    let lines = lines
+        .iter()
+        .fold(Obj::lines(), |o, (name, n)| o.num(name, *n));
+    Obj::lines()
         .raw("experiments", &experiments.finish())
+        .raw("lines", &lines.finish())
         .finish()
         + "\n"
+}
+
+/// The workspace's `crates/` directory, where [`source_lines`] counts.
+pub fn crates_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("the bench crate sits in crates/")
+        .to_path_buf()
+}
+
+/// Non-test lines of Rust per crate: for every `<crates>/<name>/src/**/*.rs`,
+/// the lines above the file's first `#[cfg(test)]` (all of them when it
+/// has none), summed per crate name.
+pub fn source_lines(crates: &Path) -> io::Result<BTreeMap<String, u64>> {
+    fn walk(dir: &Path, total: &mut u64) -> io::Result<()> {
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                walk(&path, total)?;
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                let src = std::fs::read_to_string(&path)?;
+                *total += src
+                    .lines()
+                    .take_while(|l| l.trim() != "#[cfg(test)]")
+                    .count() as u64;
+            }
+        }
+        Ok(())
+    }
+    let mut out = BTreeMap::new();
+    for entry in std::fs::read_dir(crates)? {
+        let dir = entry?.path();
+        let src = dir.join("src");
+        if src.is_dir() {
+            let name = dir.file_name().expect("a read_dir entry has a name");
+            let mut total = 0;
+            walk(&src, &mut total)?;
+            out.insert(name.to_string_lossy().into_owned(), total);
+        }
+    }
+    Ok(out)
 }
 
 /// Merge the profiles of every table that carries one into a single
@@ -242,26 +196,84 @@ pub fn merged_profile(tables: &[Table]) -> ProfileReport {
     out
 }
 
-/// Run every experiment, in index order.
-pub fn all_experiments() -> Vec<Table> {
-    vec![
-        experiments::e1_running_example(),
-        experiments::e2_qsq_vs_seminaive(),
-        experiments::e3_theorem1(),
-        experiments::e4_theorem2_unfolding(),
-        experiments::e5_theorem4_materialization(),
-        experiments::e6_messages(),
-        experiments::e7_extensions(),
-        experiments::e8_wall_time(),
-        experiments::e9_magic_vs_qsq(),
-        experiments::e10_sup_placement(),
-        experiments::e11_incremental(),
-        experiments::e12_join_plan(),
-        experiments::e13_telemetry(),
-        experiments::e15_distributed_observability(),
-        experiments::e16_online_latency(),
-        experiments::e17_profiler_overhead(),
-        experiments::e18_multi_tenant_service(),
-        experiments::e19_exposition_overhead(),
-    ]
+/// An experiment's id and the function that runs it.
+pub type Experiment = (&'static str, fn() -> Table);
+
+/// The experiment registry: every experiment, in index order. E14 (the
+/// parallel fixpoint) was removed with the worker pool (DESIGN.md §10).
+pub const EXPERIMENTS: [Experiment; 18] = [
+    ("e1", experiments::e1_running_example),
+    ("e2", experiments::e2_qsq_vs_seminaive),
+    ("e3", experiments::e3_theorem1),
+    ("e4", experiments::e4_theorem2_unfolding),
+    ("e5", experiments::e5_theorem4_materialization),
+    ("e6", experiments::e6_messages),
+    ("e7", experiments::e7_extensions),
+    ("e8", experiments::e8_wall_time),
+    ("e9", experiments::e9_magic_vs_qsq),
+    ("e10", experiments::e10_sup_placement),
+    ("e11", experiments::e11_incremental),
+    ("e12", experiments::e12_join_plan),
+    ("e13", experiments::e13_telemetry),
+    ("e15", experiments::e15_distributed_observability),
+    ("e16", experiments::e16_online_latency),
+    ("e17", experiments::e17_profiler_overhead),
+    ("e18", experiments::e18_multi_tenant_service),
+    ("e19", experiments::e19_exposition_overhead),
+];
+
+/// Run the experiment registered as `id`; `None` for an unknown id.
+pub fn run_one(id: &str) -> Option<Table> {
+    EXPERIMENTS
+        .iter()
+        .find(|(k, _)| *k == id)
+        .map(|(_, run)| run())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rescue_telemetry::json::{parse, Value};
+
+    fn baseline() -> Value {
+        let path = crates_dir().join("../COUNTERS.json");
+        let src = std::fs::read_to_string(&path).expect("COUNTERS.json is checked in");
+        parse(&src).expect("COUNTERS.json parses")
+    }
+
+    /// A new or retired experiment fails here until the baseline is
+    /// regenerated with `report --json-out COUNTERS.json`.
+    #[test]
+    fn baseline_names_every_registered_experiment() {
+        let v = baseline();
+        let experiments = v.get("experiments").and_then(Value::as_object);
+        let mut ids: Vec<&str> = experiments
+            .expect("an experiments object")
+            .keys()
+            .map(String::as_str)
+            .collect();
+        let mut registry: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        registry.sort_unstable();
+        assert_eq!(ids, registry);
+    }
+
+    /// An edited `src` file or a new crate fails here, without running an
+    /// experiment, until the baseline is regenerated.
+    #[test]
+    fn baseline_line_counts_match_the_sources() {
+        let v = baseline();
+        let lines: BTreeMap<String, u64> = v
+            .get("lines")
+            .and_then(Value::as_object)
+            .expect("a lines object")
+            .iter()
+            .map(|(k, n)| (k.clone(), n.as_number().expect("a count") as u64))
+            .collect();
+        let fresh = source_lines(&crates_dir()).expect("crates/ is readable");
+        assert_eq!(
+            lines, fresh,
+            "COUNTERS.json is stale: regenerate it with `report --json-out COUNTERS.json`"
+        );
+    }
 }

@@ -179,12 +179,6 @@ impl Diagnoser {
         self
     }
 
-    /// Seed for the simulated network's delivery order (dQSQ engine).
-    pub fn network_seed(mut self, seed: u64) -> Self {
-        self.options.sim.seed = seed;
-        self
-    }
-
     /// Record spans, counters and message flows of every run into
     /// `collector` (export with [`telemetry::export`]).
     pub fn collector(mut self, collector: Collector) -> Self {

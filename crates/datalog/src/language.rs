@@ -8,7 +8,7 @@
 //! `(name, peer)` is the same thing with the column baked into the key.
 
 use crate::symbol::Sym;
-use crate::term::{Subst, TermData, TermId, TermStore};
+use crate::term::{Subst, TermId, TermStore};
 use std::fmt::Write as _;
 
 /// A peer name (always a constant in dDatalog).
@@ -385,14 +385,6 @@ pub fn display_rule(rule: &Rule, store: &TermStore) -> String {
     }
     s.push('.');
     s
-}
-
-/// Check whether a term is a variable, returning its symbol.
-pub fn as_var(store: &TermStore, t: TermId) -> Option<Sym> {
-    match store.data(t) {
-        TermData::Var(v) => Some(*v),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

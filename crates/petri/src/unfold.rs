@@ -241,10 +241,6 @@ impl Unfolding {
         });
     }
 
-    pub fn num_conditions(&self) -> usize {
-        self.conditions.len()
-    }
-
     pub fn num_events(&self) -> usize {
         self.events.len()
     }
@@ -287,11 +283,6 @@ impl Unfolding {
     /// e1 ≼ e2 (reflexive causality).
     pub fn causally_le(&self, e1: EventId, e2: EventId) -> bool {
         self.event_past[e2.0 as usize].contains(e1.0 as usize)
-    }
-
-    /// The local configuration \[e\] = {f | f ≼ e}.
-    pub fn past_of(&self, e: EventId) -> &BitSet {
-        &self.event_past[e.0 as usize]
     }
 
     /// e1 # e2: inherited from a direct conflict below each.

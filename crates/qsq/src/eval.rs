@@ -6,7 +6,7 @@ use crate::names::RelKind;
 use crate::rewrite::{rewrite, RewriteError, RewriteOutput};
 use rescue_datalog::{
     seminaive_opts, Atom, Database, EvalBudget, EvalError, EvalOptions, EvalStats, PredId, Program,
-    Rule, Subst, TermId, TermStore,
+    Subst, TermId, TermStore,
 };
 use rustc_hash::FxHashMap;
 use std::fmt;
@@ -215,16 +215,6 @@ pub fn seminaive_answer(
 ) -> Result<(Vec<Vec<TermId>>, EvalStats, usize), EvalError> {
     let stats = rescue_datalog::seminaive(program, store, db, budget)?;
     Ok((filter_answers(db, store, query), stats, db.total_facts()))
-}
-
-/// Re-express a set of rules as a `Program` (convenience for callers that
-/// build rule vectors).
-pub fn program_of(rules: Vec<Rule>) -> Program {
-    let mut p = Program::new();
-    for r in rules {
-        p.push(r);
-    }
-    p
 }
 
 #[cfg(test)]
